@@ -149,18 +149,18 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _run_query(net, args, method: str):
+def _run_query(net, args):
     evidence = _context(net, args.evidence)
     try:
         query = Query(args.target, evidence)
     except ValueError as exc:
         _fail("domain", str(exc))
     try:
-        if method == "enum":
+        if args.method == "enum":
             return query_enumerate(net, query)
-        if method == "ve":
+        if args.method == "ve":
             return variable_elimination(net, query)
-        if method == "polytree":
+        if args.method == "polytree":
             return solve_singly_connected(net, query)
         tree = cutset_mod.build_conditional_cutset(net)
         return cutset_infer(net, query, tree)
@@ -172,13 +172,13 @@ def _run_query(net, args, method: str):
         _fail("domain", exc.args[0] if exc.args else str(exc))
 
 
-def _render_result(net, args, method: str, result) -> int:
+def _render_result(net, args, result) -> int:
     values = net.values(args.target)
     if args.json:
         _emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
-                "method": method,
+                "method": args.method,
                 "target": args.target,
                 "evidence": dict(sorted(_context(net, args.evidence).items())),
                 "posterior": {
@@ -197,18 +197,11 @@ def _render_result(net, args, method: str, result) -> int:
     return 0
 
 
-def _cmd_query(args) -> int:
-    net = _load(args.network)
-    _check_target(net, args.target)
-    result = _run_query(net, args, "enum")
-    return _render_result(net, args, "enum", result)
-
-
 def _cmd_infer(args) -> int:
     net = _load(args.network)
     _check_target(net, args.target)
-    result = _run_query(net, args, args.method)
-    return _render_result(net, args, args.method, result)
+    result = _run_query(net, args)
+    return _render_result(net, args, result)
 
 
 def _check_target(net, target: str):
@@ -429,7 +422,8 @@ def _build_parser() -> _Parser:
 
     add("validate", _cmd_validate, "check a network file and report violations")
 
-    p = add("query", _cmd_query, "posterior for one variable by enumeration")
+    p = add("query", _cmd_infer, "posterior for one variable by enumeration")
+    p.set_defaults(method="enum")
     p.add_argument("-q", "--target", required=True)
     p.add_argument("-e", "--evidence", default="", help='e.g. "A=t,B=f"')
     p.add_argument("--count-evals", action="store_true")

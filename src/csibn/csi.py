@@ -172,20 +172,21 @@ class ContextNetwork:
 
 
 def context_network(net: Network, context: Mapping[str, str]) -> ContextNetwork:
+    """Instantiate ``context`` with :func:`reduce_network`, then put the
+    context-bound parents back: the arcs reduction dropped from unbound
+    parents are exactly the vacuous ones."""
     net.check_context(context)
     ctx = Context(context)
+    reduced = reduce_network(net, ctx)
     deleted: set[tuple[str, str]] = set()
     replacements: dict[str, NodeSpec] = {}
     for spec in net.nodes:
-        vac = vacuous_parents(net, spec.var, ctx)
-        for p in vac:
-            deleted.add((p, spec.var))
-        relevant = {p: ctx[p] for p in spec.parents if p in ctx}
-        tree = as_tree(net, spec.var)
-        if relevant:
-            tree = reduce_tree(tree, relevant)
-        new_parents = tuple(p for p in spec.parents if p not in vac)
-        replacements[spec.var] = NodeSpec(spec.var, new_parents, tree, spec.deterministic)
+        kept = reduced.node(spec.var)
+        deleted.update(
+            (p, spec.var) for p in spec.parents if p not in ctx and p not in kept.parents
+        )
+        new_parents = tuple(p for p in spec.parents if p in ctx or p in kept.parents)
+        replacements[spec.var] = NodeSpec(spec.var, new_parents, kept.cpt, spec.deterministic)
     return ContextNetwork(net, ctx, frozenset(deleted), net.with_nodes(replacements))
 
 

@@ -250,80 +250,6 @@ def flat_cutset(net: Network, names) -> CutsetTree:
     return tree
 
 
-# -- residual stripping ------------------------------------------------------
-
-
-def strip_singly_connected(net: Network) -> Network:
-    """Remove the parts of the network no cutset needs to worry about.
-
-    Repeatedly deletes childless nodes whose parents are pairwise adjacent
-    in the current skeleton (their marginal contribution is 1) and absorbs
-    parentless single-child nodes into that child by summing them out.
-    What survives carries every loop of the original skeleton.
-    """
-    current = net
-    while True:
-        removed = _strip_step(current)
-        if removed is None:
-            return current
-        current = removed
-
-
-def _strip_step(net: Network) -> Network | None:
-    skeleton = net.skeleton()
-    for name in sorted(net.var_names):
-        if not net.children(name):
-            parents = net.parents(name)
-            if all(
-                q in skeleton[p]
-                for i, p in enumerate(parents)
-                for q in parents[i + 1 :]
-            ):
-                return _drop_node(net, name)
-    for name in sorted(net.var_names):
-        if not net.parents(name) and len(net.children(name)) == 1:
-            return _absorb_root(net, name)
-    return None
-
-
-def _drop_node(net: Network, name: str) -> Network:
-    variables = tuple(v for v in net.variables if v.name != name)
-    nodes = tuple(s for s in net.nodes if s.var != name)
-    return Network(variables, nodes)
-
-
-def _absorb_root(net: Network, name: str) -> Network:
-    """Sum a parentless node out of its only child's CPT."""
-    from .model import CptTable, Distribution, NodeSpec, parent_assignments
-
-    child = net.children(name)[0]
-    spec = net.node(child)
-    prior = as_tree(net, name)
-    assert isinstance(prior, Leaf)
-    root_var = net.variable(name)
-    child_tree = as_tree(net, child)
-    rest = tuple(p for p in spec.parents if p != name)
-    rest_vars = [net.variable(p) for p in rest]
-    n_vals = len(net.values(child))
-    rows = []
-    for assignment in parent_assignments(rest_vars):
-        mixed = [0.0] * n_vals
-        for ri, rv in enumerate(root_var.values):
-            probs = reduce_tree(
-                child_tree, {**assignment, name: rv}
-            )
-            assert isinstance(probs, Leaf)
-            for k in range(n_vals):
-                mixed[k] += prior.dist.probs[ri] * probs.dist.probs[k]
-        rows.append(Distribution(tuple(mixed)))
-    new_child = NodeSpec(child, rest, CptTable(tuple(rows)))
-    variables = tuple(v for v in net.variables if v.name != name)
-    nodes = tuple(
-        new_child if s.var == child else s for s in net.nodes if s.var != name
-    )
-    return Network(variables, nodes)
-
-
 # -- rendering ---------------------------------------------------------------
 
 

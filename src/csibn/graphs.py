@@ -32,10 +32,6 @@ def two_core(adj: dict[str, set[str]]) -> set[str]:
     return set(work)
 
 
-def has_cycle(adj: dict[str, set[str]]) -> bool:
-    return bool(two_core(adj))
-
-
 def connected_components(adj: dict[str, set[str]]) -> list[set[str]]:
     seen: set[str] = set()
     comps: list[set[str]] = []

@@ -23,7 +23,8 @@ from .model import (
     CptTable,
     Distribution,
     Network,
-    as_tree,
+    cpt_array,
+    parent_assignments,
     row_index,
     tree_lookup,
 )
@@ -75,20 +76,12 @@ def joint_probability(net: Network, assignment: Mapping[str, str]) -> float:
     return prob
 
 
-def _all_assignments(net: Network):
-    names = net.var_names
-    import itertools
-
-    for combo in itertools.product(*(net.values(v) for v in names)):
-        yield dict(zip(names, combo))
-
-
 def query_enumerate(net: Network, query: Query) -> InferenceResult:
     """Posterior by brute-force summation over all full assignments."""
     net.check_context(query.evidence)
     target_var = net.variable(query.target)
     weights = [0.0] * len(target_var.values)
-    for assignment in _all_assignments(net):
+    for assignment in parent_assignments(net.variables):
         if not query.evidence.consistent_with(assignment):
             continue
         weights[target_var.index(assignment[query.target])] += joint_probability(
@@ -131,7 +124,7 @@ def contextually_independent(
                 raise ValueError("X, Y, Z and context variables must be pairwise disjoint")
 
     p_xyz: dict[tuple, float] = {}
-    for assignment in _all_assignments(net):
+    for assignment in parent_assignments(net.variables):
         if not all(assignment[v] == val for v, val in context.items()):
             continue
         key_x = tuple(assignment[v] for v in xs)
@@ -169,18 +162,7 @@ class _Factor:
 
 
 def _family_factor(net: Network, name: str) -> _Factor:
-    spec = net.node(name)
-    parent_vars = [net.variable(p) for p in spec.parents]
-    var = net.variable(name)
-    shape = tuple(len(v.values) for v in parent_vars) + (len(var.values),)
-    table = np.empty(shape)
-    tree = as_tree(net, name)
-    import itertools
-
-    for idxs in itertools.product(*(range(len(v.values)) for v in parent_vars)):
-        assignment = {v.name: v.values[i] for v, i in zip(parent_vars, idxs)}
-        table[idxs] = tree_lookup(tree, assignment).probs
-    return _Factor(tuple(spec.parents) + (name,), table)
+    return _Factor(net.parents(name) + (name,), cpt_array(net, name))
 
 
 def _restrict(factor: _Factor, var: str, index: int) -> _Factor:
@@ -246,16 +228,12 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
             combined = _multiply(combined, f)
         factors = rest + [_sum_out(combined, var)]
 
+    # the target's own family factor keeps it in scope, so the product
+    # ranges over the target alone
     result = _Factor((), np.array(1.0))
     for f in factors:
         result = _multiply(result, f)
-    if result.vars == ():
-        weights = np.full(len(net.values(query.target)), float(result.table))
-        # target disconnected from all factors can't happen: its own family factor
-        # always mentions it, so this branch is unreachable; kept for safety.
-    else:
-        weights = np.transpose(result.table, [result.vars.index(query.target)])
-    return _finish([float(w) for w in np.atleast_1d(weights)], evaluations=1)
+    return _finish([float(w) for w in result.table], evaluations=1)
 
 
 # -- singly connected solver -------------------------------------------------
@@ -279,7 +257,7 @@ def _forest_weights(net: Network, target: str, evidence: Mapping[str, str]) -> n
     if graphs.two_core(skeleton):
         raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
 
-    trees = {spec.var: as_tree(net, spec.var) for spec in net.nodes}
+    tables = {spec.var: cpt_array(net, spec.var) for spec in net.nodes}
 
     def ev_vector(v: str) -> np.ndarray:
         values = net.values(v)
@@ -288,8 +266,6 @@ def _forest_weights(net: Network, target: str, evidence: Mapping[str, str]) -> n
             vec[net.variable(v).index(evidence[v])] = 1.0
             return vec
         return np.ones(len(values))
-
-    import itertools
 
     memo: dict[tuple[str, str, str], np.ndarray] = {}
 
@@ -309,37 +285,24 @@ def _forest_weights(net: Network, target: str, evidence: Mapping[str, str]) -> n
             lam = ev_vector(c)
             for child in net.children(c):
                 lam = lam * lambda_msg(child, c)
-            others = [p for p in net.parents(c) if p != u]
-            incoming = {p: pi_msg(p, c) for p in others}
-            u_values = net.values(u)
-            out = np.zeros(len(u_values))
-            for ui, u_val in enumerate(u_values):
-                acc = 0.0
-                for combo in itertools.product(*(net.values(p) for p in others)):
-                    assignment = dict(zip(others, combo))
-                    assignment[u] = u_val
-                    w = 1.0
-                    for p, val in zip(others, combo):
-                        w *= incoming[p][net.variable(p).index(val)]
-                    dist = tree_lookup(trees[c], assignment)
-                    acc += w * float(np.dot(lam, dist.probs))
-                out[ui] = acc
-            memo[key] = out
+            parents = net.parents(c)
+            own = len(parents)
+            operands = [tables[c], list(range(own + 1)), lam, [own]]
+            for i, p in enumerate(parents):
+                if p != u:
+                    operands += [pi_msg(p, c), [i]]
+            memo[key] = np.einsum(*operands, [parents.index(u)])
         return memo[key]
 
     def pi_value(v: str) -> np.ndarray:
         key = ("pival", v, "")
         if key not in memo:
             parents = net.parents(v)
-            incoming = {p: pi_msg(p, v) for p in parents}
-            out = np.zeros(len(net.values(v)))
-            for combo in itertools.product(*(net.values(p) for p in parents)):
-                assignment = dict(zip(parents, combo))
-                w = 1.0
-                for p, val in zip(parents, combo):
-                    w *= incoming[p][net.variable(p).index(val)]
-                out = out + w * np.asarray(tree_lookup(trees[v], assignment).probs)
-            memo[key] = out
+            own = len(parents)
+            operands = [tables[v], list(range(own + 1))]
+            for i, p in enumerate(parents):
+                operands += [pi_msg(p, v), [i]]
+            memo[key] = np.einsum(*operands, [own]) if parents else tables[v]
         return memo[key]
 
     def belief(v: str) -> np.ndarray:

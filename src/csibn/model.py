@@ -33,6 +33,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
+import numpy as np
+
 NORMALIZATION_TOL = 1e-9
 
 
@@ -71,7 +73,7 @@ class Context(Mapping[str, str]):
     __slots__ = ("_bindings",)
 
     def __init__(self, bindings: Mapping[str, str] | Iterable[tuple[str, str]] = ()):
-        object.__setattr__(self, "_bindings", dict(bindings))
+        self._bindings = dict(bindings)
 
     def __getitem__(self, var: str) -> str:
         return self._bindings[var]
@@ -244,8 +246,8 @@ class Network:
     def topological_order(self) -> list[str]:
         """Parent-before-child order, stable w.r.t. declared variable order."""
         indeg = {v.name: 0 for v in self._variables}
-        for _, c in self.edges():
-            if c in indeg:
+        for p, c in self.edges():
+            if p in indeg and c in indeg:
                 indeg[c] += 1
         order: list[str] = []
         ready = [v for v in self.var_names if indeg[v] == 0]
@@ -256,8 +258,6 @@ class Network:
                 indeg[child] -= 1
                 if indeg[child] == 0:
                     ready.append(child)
-        ready_set = set(order)
-        ready.extend(v for v in self.var_names if v not in ready_set)
         if len(order) != len(self._variables):
             raise ValueError("parent relation contains a cycle")
         return order
@@ -374,6 +374,38 @@ def as_tree(net: Network, name: str) -> CptTree:
     return spec.cpt
 
 
+def cpt_array(net: Network, name: str) -> np.ndarray:
+    """The node's CPT as a dense array: one axis per parent in declared
+    order, then the node's own axis, each in declared value order.
+
+    A tree is walked once, each leaf filling the slice its path selects;
+    parents the path does not test span their whole axis.  Branches are
+    taken to be in declared value order, as :func:`validate` requires.
+    """
+    spec = net.node(name)
+    cpt, parents = spec.cpt, spec.parents
+    if isinstance(cpt, Leaf) and not parents:
+        return np.array(cpt.dist.probs)
+    shape = tuple(len(net.values(p)) for p in parents) + (len(net.values(name)),)
+    if isinstance(cpt, CptTable):
+        return np.array([row.probs for row in cpt.rows]).reshape(shape)
+    out = np.empty(shape)
+    index: list = [slice(None)] * len(parents)
+
+    def fill(tree: CptTree) -> None:
+        if isinstance(tree, Leaf):
+            out[tuple(index)] = tree.dist.probs
+            return
+        i = parents.index(tree.test)
+        for k, (_, sub) in enumerate(tree.branches):
+            index[i] = k
+            fill(sub)
+        index[i] = slice(None)
+
+    fill(cpt)
+    return out
+
+
 # -- validation --------------------------------------------------------------
 
 
@@ -482,7 +514,9 @@ def network_from_json(doc: object) -> Network:
     for rv in raw_vars:
         if not isinstance(rv, dict) or "name" not in rv or "values" not in rv:
             raise NetworkSemanticsError(["variable entries need name and values"])
-        variables.append(Variable(str(rv["name"]), tuple(str(v) for v in rv["values"])))
+        name = str(rv["name"])
+        values = _array_of(rv["values"], str, f"variable: values of {name}")
+        variables.append(Variable(name, values))
     by_name = {v.name: v for v in variables}
 
     nodes = []
@@ -492,10 +526,22 @@ def network_from_json(doc: object) -> Network:
         var = str(rn["var"])
         if var not in by_name:
             raise NetworkSemanticsError([f"unknown variable: node {var!r}"])
-        parents = tuple(str(p) for p in rn.get("parents", []))
+        parents = _array_of(rn.get("parents", []), str, f"node: parents of {var}")
         cpt = _cpt_from_json(rn["cpt"], var, by_name)
         nodes.append(NodeSpec(var, parents, cpt, bool(rn.get("deterministic", False))))
     return Network(variables, nodes)
+
+
+_NUMBER = (int, float)
+
+
+def _array_of(raw: object, kind: type | tuple[type, ...], what: str) -> tuple:
+    """``raw`` as a tuple; raises unless it is a JSON array of ``kind`` items
+    (booleans are not numbers)."""
+    if isinstance(raw, list) and all(isinstance(x, kind) and not isinstance(x, bool) for x in raw):
+        return tuple(raw)
+    noun = "strings" if kind is str else "numbers"
+    raise NetworkSemanticsError([f"malformed {what} must be an array of {noun}"])
 
 
 def _cpt_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> Cpt:
@@ -506,7 +552,12 @@ def _cpt_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> Cpt:
         rows = raw.get("rows")
         if not isinstance(rows, list):
             raise NetworkSemanticsError([f"malformed CPT: node {var} table needs rows"])
-        return CptTable(tuple(Distribution(tuple(row)) for row in rows))
+        return CptTable(
+            tuple(
+                Distribution(_array_of(row, _NUMBER, f"CPT: node {var} row {i}"))
+                for i, row in enumerate(rows)
+            )
+        )
     if kind == "tree":
         return _tree_from_json(raw.get("root"), var, by_name)
     raise NetworkSemanticsError([f"malformed CPT: node {var} has unknown kind {kind!r}"])
@@ -516,7 +567,7 @@ def _tree_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> CptT
     if not isinstance(raw, dict):
         raise NetworkSemanticsError([f"malformed CPT: node {var} tree entry must be an object"])
     if "leaf" in raw:
-        return Leaf(Distribution(tuple(raw["leaf"])))
+        return Leaf(Distribution(_array_of(raw["leaf"], _NUMBER, f"CPT: node {var} leaf")))
     if "test" not in raw or "branches" not in raw:
         raise NetworkSemanticsError([f"malformed CPT: node {var} tree entry needs test/branches"])
     test = str(raw["test"])

@@ -50,6 +50,23 @@ class TestValidate:
         for line in err.strip().splitlines():
             assert line.startswith("error[semantics]: ")
 
+    @pytest.mark.parametrize(
+        "values, leaf",
+        [(["t", "f"], ["x", 1]), (["t", "f"], 5), ("tf", [0.5, 0.5])],
+        ids=["leaf-with-string", "leaf-not-array", "values-string"],
+    )
+    def test_mistyped_fields_are_semantic_errors(self, capsys, tmp_path, values, leaf):
+        doc = {
+            "variables": [{"name": "A", "values": values}],
+            "nodes": [{"var": "A", "parents": [], "cpt": {"kind": "tree", "root": {"leaf": leaf}}}],
+        }
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert err.startswith("error[semantics]: malformed ")
+        assert len(err.splitlines()) == 1
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "validate", FIG1, "--json")
         doc = json.loads(out)

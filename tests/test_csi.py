@@ -162,6 +162,19 @@ class TestContextNetwork:
         assert cn.deleted_edges == frozenset()
         assert cn.network == fig1 or cn.network.edges() == fig1.edges()
 
+    def test_deleted_edges_are_the_vacuous_arcs(self, fig1, fig2, fig3):
+        for net in (fig1, fig2, fig3):
+            for size in (0, 1, 2):
+                for names in itertools.combinations(net.var_names, size):
+                    for vals in itertools.product(*(net.values(n) for n in names)):
+                        ctx = dict(zip(names, vals))
+                        want = {
+                            (p, x)
+                            for x in net.var_names
+                            for p in vacuous_parents(net, x, ctx)
+                        }
+                        assert context_network(net, ctx).deleted_edges == want, ctx
+
 
 class TestCsiSeparated:
     def test_fig2_context_claims(self, fig2):

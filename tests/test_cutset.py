@@ -1,4 +1,4 @@
-"""Cutset heuristics, tree construction, branch enumeration, stripping."""
+"""Cutset heuristics, tree construction, branch enumeration."""
 
 import math
 
@@ -19,7 +19,6 @@ from csibn.cutset import (
     flat_cutset,
     format_cutset_tree,
     rank_variables,
-    strip_singly_connected,
     weight,
 )
 from csibn.model import Variable
@@ -28,7 +27,6 @@ from conftest import (
     all_assignments,
     chain_net,
     diamond_net,
-    full_joint_tensor,
     oracle_has_undirected_cycle,
     random_loopy_net,
     random_polytree_net,
@@ -185,40 +183,6 @@ class TestBranchContexts:
         tree = flat_cutset(fig1, ["U", "V"])
         got = [cb.format_context(c) for c in branch_contexts(tree)]
         assert got == ["U=t,V=t", "U=t,V=f", "U=f,V=t", "U=f,V=f"]
-
-
-class TestStrip:
-    def test_polytree_strips_to_empty(self):
-        assert strip_singly_connected(chain_net()).var_names == ()
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            net = random_polytree_net(rng)
-            assert strip_singly_connected(net).var_names == ()
-
-    def test_fig1_residual(self, fig1):
-        residual = strip_singly_connected(fig1)
-        assert set(residual.var_names) == {"S", "U", "V", "W", "X"}
-
-    def test_diamond_unchanged(self):
-        net = diamond_net()
-        assert strip_singly_connected(net) == net
-
-    def test_residual_networks_stay_valid(self, fig1):
-        residual = strip_singly_connected(fig1)
-        assert cb.validate(residual) == []
-
-    def test_stripping_preserves_residual_marginal(self, fig1):
-        # summed-out nodes must not change the joint over the survivors
-        residual = strip_singly_connected(fig1)
-        keep = list(residual.var_names)
-        want = full_joint_tensor(fig1)
-        order = list(fig1.var_names)
-        drop = tuple(order.index(v) for v in order if v not in keep)
-        want = want.sum(axis=drop)
-        got = full_joint_tensor(residual)
-        kept_order = [v for v in order if v in keep]
-        perm = [kept_order.index(v) for v in residual.var_names]
-        np.testing.assert_allclose(np.transpose(got, perm), want, atol=1e-12)
 
 
 class TestRendering:

@@ -15,6 +15,7 @@ from csibn.model import (
     NodeSpec,
     Variable,
     as_tree,
+    cpt_array,
     parent_assignments,
     row_index,
     table_to_tree,
@@ -109,6 +110,30 @@ class TestValidation:
         doc["nodes"][1]["parents"] = ["Q", "A"]
         with pytest.raises(cb.NetworkSemanticsError):
             cb.parse_network(json.dumps(doc))
+
+    def test_unknown_parent_is_not_a_cycle(self):
+        doc = mini_doc()
+        doc["nodes"][0]["parents"] = ["Q"]
+        assert cb.validate(cb.network_from_json(doc)) == ["unknown parent: Q in node A"]
+
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("variables", 0, "values"), ["t", 1]),
+            (("nodes", 1, "parents"), "A"),
+            (("nodes", 0, "cpt", "root", "leaf"), [True, False]),
+            (("nodes", 0, "cpt"), {"kind": "table", "rows": [[0.3, "0.7"]]}),
+            (("nodes", 0, "cpt"), {"kind": "table", "rows": [0.3]}),
+        ],
+        ids=["values-number", "parents-string", "leaf-booleans", "row-with-string", "row-not-array"],
+    )
+    def test_mistyped_fields_rejected(self, path, bad):
+        doc = mini_doc()
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        self.check(doc, "must be an array of")
 
     def test_cycle_detected(self):
         doc = mini_doc()
@@ -216,6 +241,23 @@ class TestTrees:
     def test_as_tree_passthrough(self, fig2):
         assert as_tree(fig2, "X") is fig2.cpt("X")
 
+    def test_cpt_array_matches_lookup_and_rows(self, fig1, fig2, fig3):
+        # fig1 mixes tables and trees; the decomposed fig1 adds multiplexer tables
+        nets = (fig1, fig2, fig3, cb.decompose_network(fig1)[0])
+        for net in nets:
+            for spec in net.nodes:
+                parent_vars = [net.variable(p) for p in spec.parents]
+                array = cpt_array(net, spec.var)
+                assert array.shape == tuple(len(v.values) for v in parent_vars) + (
+                    len(net.values(spec.var)),
+                )
+                tree = as_tree(net, spec.var)
+                for assignment in parent_assignments(parent_vars):
+                    got = tuple(array[tuple(v.index(assignment[v.name]) for v in parent_vars)])
+                    assert got == tree_lookup(tree, assignment).probs
+                    if isinstance(spec.cpt, CptTable):
+                        assert got == spec.cpt.rows[row_index(parent_vars, assignment)].probs
+
 
 class TestNetwork:
     def test_accessors(self, fig1):
@@ -283,3 +325,8 @@ class TestDistribution:
         assert v.index("f") == 1
         with pytest.raises(ValueError):
             v.index("q")
+
+
+def test_every_exported_name_resolves():
+    missing = [name for name in cb.__all__ if not hasattr(cb, name)]
+    assert missing == []

@@ -32,25 +32,6 @@ def two_core(adj: dict[str, set[str]]) -> set[str]:
     return set(work)
 
 
-def connected_components(adj: dict[str, set[str]]) -> list[set[str]]:
-    seen: set[str] = set()
-    comps: list[set[str]] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for n in adj[cur]:
-                if n not in comp:
-                    comp.add(n)
-                    frontier.append(n)
-        seen |= comp
-        comps.append(comp)
-    return comps
-
-
 def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
     """Elimination order greedily minimizing fill-in edges.
 

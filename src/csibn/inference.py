@@ -7,6 +7,10 @@ probability alongside.  ``query_enumerate`` is the ground truth the other
 engines are tested against.  All engines are deterministic: identical
 inputs produce bit-identical results because every summation runs in a
 fixed order.
+
+The polytree and cutset engines share one forest solver, run on the network
+reduced by the evidence and compiled for the query, which a cutset walk
+instantiates in place branch by branch.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Mapping
 import numpy as np
 
 from . import cutset as cutset_mod
-from .csi import reduce_network
+from .csi import reduce_network, reduce_tree
 from .model import (
     Context,
     CptTable,
@@ -27,6 +31,7 @@ from .model import (
     parent_assignments,
     row_index,
     tree_lookup,
+    tree_tested_vars,
 )
 from . import graphs
 
@@ -236,93 +241,79 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     return _finish([float(w) for w in result.table], evaluations=1)
 
 
-# -- singly connected solver -------------------------------------------------
+# -- forest solver and cutset conditioning -----------------------------------
 
 
-def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
-    """Exact posterior for networks whose undirected skeleton is a forest.
+def _forest_weights(parents, children, tables, ind, observed, target: int) -> np.ndarray:
+    """Unnormalized vector P(target = x, indicators) by π/λ messages over
+    integer-indexed families; zero vector allowed.
 
-    Message passing with two message kinds per skeleton edge; work is
-    linear in total CPT size.  Raises :class:`NotSinglyConnectedError` on
-    loopy input.
+    A union-find pass over the arcs raises :class:`NotSinglyConnectedError`
+    at the first arc that closes a cycle.  Each other component holding an
+    observed variable multiplies in its total weight; one without sums to 1.
     """
-    net.check_context(query.evidence)
-    weights = _forest_weights(net, query.target, query.evidence)
-    return _finish([float(w) for w in weights], evaluations=1)
+    root = list(range(len(parents)))
 
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
 
-def _forest_weights(net: Network, target: str, evidence: Mapping[str, str]) -> np.ndarray:
-    """Unnormalized vector P(target = x, evidence); zero vector allowed."""
-    skeleton = net.skeleton()
-    if graphs.two_core(skeleton):
-        raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
+    for c, ps in enumerate(parents):
+        for p in ps:
+            a, b = find(p), find(c)
+            if a == b:
+                raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
+            root[a] = b
 
-    tables = {spec.var: cpt_array(net, spec.var) for spec in net.nodes}
+    memo: dict[tuple, np.ndarray] = {}
 
-    def ev_vector(v: str) -> np.ndarray:
-        values = net.values(v)
-        if v in evidence:
-            vec = np.zeros(len(values))
-            vec[net.variable(v).index(evidence[v])] = 1.0
-            return vec
-        return np.ones(len(values))
-
-    memo: dict[tuple[str, str, str], np.ndarray] = {}
-
-    def pi_msg(u: str, c: str) -> np.ndarray:
-        key = ("pi", u, c)
-        if key not in memo:
-            vec = ev_vector(u) * pi_value(u)
-            for other in net.children(u):
+    def pi_msg(u: int, c: int | None) -> np.ndarray:
+        """π message from ``u`` to child ``c``; ``u``'s belief when ``c`` is None."""
+        if ("pi", u, c) not in memo:
+            if ("value", u) not in memo:
+                own = len(parents[u])
+                operands = [tables[u], list(range(own + 1))]
+                for i, p in enumerate(parents[u]):
+                    operands += [pi_msg(p, u), [i]]
+                memo["value", u] = np.einsum(*operands, [own]) if own else tables[u]
+            vec = ind[u] * memo["value", u]
+            for other in children[u]:
                 if other != c:
                     vec = vec * lambda_msg(other, u)
-            memo[key] = vec
-        return memo[key]
+            memo["pi", u, c] = vec
+        return memo["pi", u, c]
 
-    def lambda_msg(c: str, u: str) -> np.ndarray:
-        key = ("lambda", c, u)
-        if key not in memo:
-            lam = ev_vector(c)
-            for child in net.children(c):
+    def lambda_msg(c: int, u: int) -> np.ndarray:
+        if ("lambda", c, u) not in memo:
+            lam = ind[c]
+            for child in children[c]:
                 lam = lam * lambda_msg(child, c)
-            parents = net.parents(c)
-            own = len(parents)
+            own = len(parents[c])
             operands = [tables[c], list(range(own + 1)), lam, [own]]
-            for i, p in enumerate(parents):
+            for i, p in enumerate(parents[c]):
                 if p != u:
                     operands += [pi_msg(p, c), [i]]
-            memo[key] = np.einsum(*operands, [parents.index(u)])
-        return memo[key]
+            memo["lambda", c, u] = np.einsum(*operands, [parents[c].index(u)])
+        return memo["lambda", c, u]
 
-    def pi_value(v: str) -> np.ndarray:
-        key = ("pival", v, "")
-        if key not in memo:
-            parents = net.parents(v)
-            own = len(parents)
-            operands = [tables[v], list(range(own + 1))]
-            for i, p in enumerate(parents):
-                operands += [pi_msg(p, v), [i]]
-            memo[key] = np.einsum(*operands, [own]) if parents else tables[v]
-        return memo[key]
-
-    def belief(v: str) -> np.ndarray:
-        vec = ev_vector(v) * pi_value(v)
-        for child in net.children(v):
-            vec = vec * lambda_msg(child, v)
-        return vec
-
-    components = graphs.connected_components(skeleton)
-    weights = np.ones(len(net.values(target)))
-    for comp in components:
-        if target in comp:
-            weights = weights * belief(target)
-        else:
-            anchor = min(comp)
-            weights = weights * float(belief(anchor).sum())
+    weights = pi_msg(target, None)
+    done = {find(target)}
+    for i, seen in enumerate(observed):
+        if seen and find(i) not in done:
+            done.add(find(i))
+            weights = weights * float(pi_msg(i, None).sum())
     return weights
 
 
-# -- cutset conditioning -----------------------------------------------------
+def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
+    """Exact posterior for networks that are singly connected once the
+    evidence is instantiated: :func:`cutset_infer` with the empty cutset.
+    Evidence that makes arcs vacuous can thus break the loops they closed.
+    Raises :class:`NotSinglyConnectedError` when a cycle is left.
+    """
+    return cutset_infer(net, query, cutset_mod.EMPTY)
 
 
 def cutset_infer(
@@ -330,32 +321,67 @@ def cutset_infer(
 ) -> InferenceResult:
     """Posterior by conditioning on the branches of a conditional cutset.
 
-    Each branch context, joined with the evidence, instantiates enough
-    variables (and deletes enough vacuous arcs) to leave a singly connected
-    network, which the forest solver evaluates for the branch's
-    unnormalized weight.  Weights accumulate in the canonical depth-first
-    branch order; branches whose weight is zero still count as
-    evaluations.
+    The network is reduced by the evidence and compiled once (integer-indexed
+    parents, CPT arrays, indicator vectors).  A depth-first walk of the cutset
+    tree instantiates each arc value in place and undoes it on the way back;
+    each leaf's forest solve adds the branch weight, in canonical branch order.
+    A branch contradicting evidence on a cutset variable weighs 0 unsolved.
+    ``evaluations`` counts every branch.  Raises
+    :class:`NotSinglyConnectedError` when a branch leaves a cycle.
     """
     net.check_context(query.evidence)
-    ct_vars = cutset_mod.cutset_variables(ct)
-    overlap = ct_vars & set(query.evidence)
-    if overlap:
-        raise ValueError(
-            f"evidence binds cutset variable {sorted(overlap)[0]!r}; "
-            "cutsets are built evidence-blind, pick disjoint evidence"
-        )
-    contexts = cutset_mod.branch_contexts(ct)
-    target_var = net.variable(query.target)
-    weights = np.zeros(len(target_var.values))
-    for branch in contexts:
-        full = query.evidence.union(branch)
-        reduced = reduce_network(net, full)
-        branch_weights = _forest_weights(reduced, query.target, full)
-        if query.target in full:
-            mask = np.zeros(len(target_var.values))
-            mask[target_var.index(full[query.target])] = 1.0
-            branch_weights = branch_weights * mask
-        weights = weights + branch_weights
-    result = _finish([float(w) for w in weights], evaluations=len(contexts))
-    return result
+    reduced = reduce_network(net, query.evidence)
+    names = net.var_names
+    index = {v: i for i, v in enumerate(names)}
+    values = [net.values(v) for v in names]
+    trees = [reduced.cpt(v) for v in names]
+    parents = [tuple(index[p] for p in reduced.parents(v)) for v in names]
+    children = [tuple(index[c] for c in reduced.children(v)) for v in names]
+    tables = [cpt_array(reduced, v) for v in names]
+    eyes = {n: np.eye(n) for n in {len(vals) for vals in values}}
+    ones = {n: np.ones(n) for n in eyes}
+    ind = [
+        eyes[len(vs)][vs.index(query.evidence[v])] if v in query.evidence else ones[len(vs)]
+        for v, vs in zip(names, values)
+    ]
+    observed = [v in query.evidence for v in names]
+    target = index[query.target]
+    weights = np.zeros(len(values[target]))
+
+    def bind(x: int, k: int) -> list:
+        """Instantiate ``x`` to its ``k``-th value; returns the undo record.
+        Each child of ``x`` drops every parent its reduced tree no longer
+        tests: its table takes index ``k`` on the axis of ``x`` and 0 on the
+        other dropped axes, along which it is constant."""
+        saved = [(ind, x, ind[x]), (observed, x, observed[x])]
+        ind[x], observed[x] = eyes[len(values[x])][k], True
+        for c in children[x]:
+            tree = reduce_tree(trees[c], {names[x]: values[x][k]})
+            tested = tree_tested_vars(tree)  # never names[x]
+            at = tuple(k if p == x else slice(None) if names[p] in tested else 0 for p in parents[c])
+            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, parents[c])]
+            for p in parents[c]:
+                if names[p] not in tested:
+                    saved.append((children, p, children[p]))
+                    children[p] = tuple(q for q in children[p] if q != c)
+            trees[c], tables[c] = tree, tables[c][at]
+            parents[c] = tuple(p for p in parents[c] if names[p] in tested)
+        return saved
+
+    def walk(tree: "cutset_mod.CutsetTree", live: bool) -> int:
+        if isinstance(tree, cutset_mod.EmptyLeaf):
+            if live:
+                weights[:] += _forest_weights(parents, children, tables, ind, observed, target)
+            return 1
+        x, leaves = index[tree.test], 0
+        for arc_values, child in tree.arcs:
+            for value in arc_values:
+                agrees = live and query.evidence.get(tree.test, value) == value
+                saved = bind(x, values[x].index(value)) if agrees else []
+                leaves += walk(child, agrees)
+                for store, i, old in reversed(saved):
+                    store[i] = old
+        return leaves
+
+    evaluations = walk(ct, True)
+    return _finish([float(w) for w in weights], evaluations=evaluations)

@@ -514,7 +514,7 @@ def network_from_json(doc: object) -> Network:
     for rv in raw_vars:
         if not isinstance(rv, dict) or "name" not in rv or "values" not in rv:
             raise NetworkSemanticsError(["variable entries need name and values"])
-        name = str(rv["name"])
+        name = _string(rv["name"], "variable: name")
         values = _array_of(rv["values"], str, f"variable: values of {name}")
         variables.append(Variable(name, values))
     by_name = {v.name: v for v in variables}
@@ -523,12 +523,15 @@ def network_from_json(doc: object) -> Network:
     for rn in raw_nodes:
         if not isinstance(rn, dict) or "var" not in rn or "cpt" not in rn:
             raise NetworkSemanticsError(["node entries need var and cpt"])
-        var = str(rn["var"])
+        var = _string(rn["var"], "node: var")
         if var not in by_name:
             raise NetworkSemanticsError([f"unknown variable: node {var!r}"])
         parents = _array_of(rn.get("parents", []), str, f"node: parents of {var}")
         cpt = _cpt_from_json(rn["cpt"], var, by_name)
-        nodes.append(NodeSpec(var, parents, cpt, bool(rn.get("deterministic", False))))
+        deterministic = rn.get("deterministic", False)
+        if not isinstance(deterministic, bool):
+            raise NetworkSemanticsError([f"malformed node: deterministic of {var} must be a boolean"])
+        nodes.append(NodeSpec(var, parents, cpt, deterministic))
     return Network(variables, nodes)
 
 
@@ -542,6 +545,12 @@ def _array_of(raw: object, kind: type | tuple[type, ...], what: str) -> tuple:
         return tuple(raw)
     noun = "strings" if kind is str else "numbers"
     raise NetworkSemanticsError([f"malformed {what} must be an array of {noun}"])
+
+
+def _string(raw: object, what: str) -> str:
+    if isinstance(raw, str):
+        return raw
+    raise NetworkSemanticsError([f"malformed {what} must be a string"])
 
 
 def _cpt_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> Cpt:
@@ -570,7 +579,7 @@ def _tree_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> CptT
         return Leaf(Distribution(_array_of(raw["leaf"], _NUMBER, f"CPT: node {var} leaf")))
     if "test" not in raw or "branches" not in raw:
         raise NetworkSemanticsError([f"malformed CPT: node {var} tree entry needs test/branches"])
-    test = str(raw["test"])
+    test = _string(raw["test"], f"CPT: node {var} test")
     raw_branches = raw["branches"]
     if test not in by_name:
         raise NetworkSemanticsError([f"unknown variable: test {test!r} in node {var}"])

@@ -67,6 +67,30 @@ class TestValidate:
         assert err.startswith("error[semantics]: malformed ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "path, bad",
+        [
+            (("variables", 0, "name"), 7),
+            (("nodes", 0, "var"), 7),
+            (("nodes", 4, "cpt", "root", "test"), 7),
+            (("nodes", 0, "deterministic"), "no"),
+        ],
+        ids=["name-number", "var-number", "test-number", "deterministic-string"],
+    )
+    def test_coerced_scalars_are_semantic_errors(self, capsys, tmp_path, path, bad):
+        with open(FIG2, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = bad
+        path_out = tmp_path / "bad.json"
+        path_out.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "validate", str(path_out))
+        assert (code, out) == (1, "")
+        assert err.startswith("error[semantics]: malformed ")
+        assert len(err.splitlines()) == 1
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "validate", FIG1, "--json")
         doc = json.loads(out)
@@ -134,6 +158,24 @@ class TestInfer:
             capsys, "infer", FIG1, "-q", "Z", "--method", "polytree"
         )
         assert code == 1
+        assert err.startswith("error[not-singly-connected]: ")
+
+    def test_evidence_on_cutset_variable(self, capsys):
+        outputs = []
+        for method in ("enum", "cutset", "polytree"):
+            code, out, err = invoke(
+                capsys, "infer", FIG1, "-q", "Z", "-e", "U=t", "--method", method
+            )
+            assert (code, err) == (0, "")
+            assert out.startswith("Z=t: 0.583297\n")
+            outputs.append(out)
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_polytree_rejects_evidence_that_keeps_the_loop(self, capsys):
+        code, out, err = invoke(
+            capsys, "infer", FIG1, "-q", "Z", "-e", "U=f", "--method", "polytree"
+        )
+        assert (code, out) == (1, "")
         assert err.startswith("error[not-singly-connected]: ")
 
     def test_impossible_evidence(self, capsys, tmp_path):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 import csibn as cb
-from csibn.cutset import EMPTY, build_conditional_cutset, cutset_variables, flat_cutset
+from csibn.cutset import (
+    EMPTY,
+    CutsetNode,
+    build_conditional_cutset,
+    cutset_variables,
+    flat_cutset,
+)
 from csibn.inference import (
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
@@ -141,6 +147,17 @@ class TestSinglyConnected:
         with pytest.raises(NotSinglyConnectedError):
             solve_singly_connected(diamond_net(), Query("D", Context()))
 
+    def test_evidence_reduces_first(self, fig1):
+        # U=t makes V and W vacuous for X, which breaks fig1's only loop
+        q = Query("Z", Context({"U": "t"}))
+        got = solve_singly_connected(fig1, q)
+        posteriors_close(got, query_enumerate(fig1, q))
+        assert got.posterior.probs[0] == pytest.approx(0.583297, abs=1e-6)
+        assert got.evidence_probability == pytest.approx(0.61)
+        # under U=f the skeleton keeps the cycle through S, V, W, X, Z
+        with pytest.raises(NotSinglyConnectedError):
+            solve_singly_connected(fig1, Query("Z", Context({"U": "f"})))
+
     def test_matches_oracle_random_polytrees(self):
         rng = np.random.default_rng(202)
         for _ in range(30):
@@ -191,10 +208,87 @@ class TestCutsetInfer:
         posteriors_close(result, query_enumerate(net, q))
         assert result.evaluations == 1
 
-    def test_evidence_on_cutset_variable_rejected(self, fig1):
+    def test_evidence_on_cutset_variables_matches_oracle(self, fig1):
         auto = build_conditional_cutset(fig1)
-        with pytest.raises(ValueError):
-            cutset_infer(fig1, Query("Z", Context({"V": "t"})), auto)
+        branches = len(cb.branch_contexts(auto))
+        for var in sorted(cutset_variables(auto)):
+            for value in fig1.values(var):
+                for target in fig1.var_names:
+                    if target == var:
+                        continue
+                    q = Query(target, Context({var: value}))
+                    got = cutset_infer(fig1, q, auto)
+                    posteriors_close(got, query_enumerate(fig1, q))
+                    assert got.evaluations == branches
+        rng = np.random.default_rng(404)
+        checked = 0
+        while checked < 20:
+            net = random_loopy_net(rng, max_vars=8)
+            tree = build_conditional_cutset(net)
+            names = list(net.var_names)
+            target = names[int(rng.integers(len(names)))]
+            ev = {
+                v: ("t" if rng.random() < 0.5 else "f")
+                for v in sorted(cutset_variables(tree) - {target})
+                if rng.random() < 0.7
+            }
+            ev.update(
+                (v, "t" if rng.random() < 0.5 else "f")
+                for v in names
+                if v != target and v not in ev and rng.random() < 0.2
+            )
+            if not set(ev) & cutset_variables(tree):
+                continue
+            q = Query(target, Context(ev))
+            try:
+                want = query_enumerate(net, q)
+            except ImpossibleEvidenceError:
+                continue
+            posteriors_close(cutset_infer(net, q, tree), want)
+            checked += 1
+
+    def test_bindings_compose_along_a_branch(self):
+        # C's arc from Q is vacuous only under X=t and Y=t together; the loop
+        # Q-C-D breaks on that branch only if binding Y reduces the tree
+        # that binding X already reduced
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        d_on = lambda a, b: Node("D", (("t", leaf(a)), ("f", leaf(b))))
+        q_then_d = Node("Q", (("t", d_on(0.9, 0.2)), ("f", d_on(0.6, 0.35))))
+        c_tree = Node(
+            "X",
+            (
+                ("t", Node("Y", (("t", d_on(0.7, 0.1)), ("f", q_then_d)))),
+                ("f", Node("Q", (("t", d_on(0.15, 0.8)), ("f", d_on(0.5, 0.45))))),
+            ),
+        )
+        net = Network(
+            tuple(Variable(v, ("t", "f")) for v in "XYQDC"),
+            (
+                NodeSpec("X", (), leaf(0.3)),
+                NodeSpec("Y", (), leaf(0.6)),
+                NodeSpec("Q", (), leaf(0.45)),
+                NodeSpec("D", ("Q",), Node("Q", (("t", leaf(0.8)), ("f", leaf(0.25))))),
+                NodeSpec("C", ("X", "Y", "Q", "D"), c_tree),
+            ),
+        )
+        cut_q = CutsetNode("Q", ((("t", "f"), EMPTY),))
+        tree = CutsetNode(
+            "X",
+            (
+                (("t",), CutsetNode("Y", ((("t",), EMPTY), (("f",), cut_q)))),
+                (("f",), cut_q),
+            ),
+        )
+        for ev in ({}, {"D": "t"}, {"Y": "t", "D": "f"}):
+            q = Query("C", Context(ev))
+            got = cutset_infer(net, q, tree)
+            posteriors_close(got, query_enumerate(net, q))
+            assert got.evaluations == 5
+
+    def test_branch_left_loopy_rejected(self, fig1):
+        # U=t makes V and W vacuous for X; U=f leaves the loop through them
+        with pytest.raises(NotSinglyConnectedError):
+            cutset_infer(fig1, Query("Z", Context()), flat_cutset(fig1, ["U"]))
 
     def test_all_branches_zero_is_impossible_evidence(self):
         net = deterministic_diamond_net()

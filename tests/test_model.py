@@ -117,23 +117,30 @@ class TestValidation:
         assert cb.validate(cb.network_from_json(doc)) == ["unknown parent: Q in node A"]
 
     @pytest.mark.parametrize(
-        "path, bad",
+        "path, bad, fragment",
         [
-            (("variables", 0, "values"), ["t", 1]),
-            (("nodes", 1, "parents"), "A"),
-            (("nodes", 0, "cpt", "root", "leaf"), [True, False]),
-            (("nodes", 0, "cpt"), {"kind": "table", "rows": [[0.3, "0.7"]]}),
-            (("nodes", 0, "cpt"), {"kind": "table", "rows": [0.3]}),
+            (("variables", 0, "values"), ["t", 1], "must be an array of"),
+            (("nodes", 1, "parents"), "A", "must be an array of"),
+            (("nodes", 0, "cpt", "root", "leaf"), [True, False], "must be an array of"),
+            (("nodes", 0, "cpt"), {"kind": "table", "rows": [[0.3, "0.7"]]}, "must be an array of"),
+            (("nodes", 0, "cpt"), {"kind": "table", "rows": [0.3]}, "must be an array of"),
+            (("variables", 0, "name"), 7, "must be a string"),
+            (("nodes", 0, "var"), 7, "must be a string"),
+            (("nodes", 1, "cpt", "root", "test"), 7, "must be a string"),
+            (("nodes", 0, "deterministic"), "no", "must be a boolean"),
         ],
-        ids=["values-number", "parents-string", "leaf-booleans", "row-with-string", "row-not-array"],
+        ids=[
+            "values-number", "parents-string", "leaf-booleans", "row-with-string", "row-not-array",
+            "name-number", "var-number", "test-number", "deterministic-string",
+        ],
     )
-    def test_mistyped_fields_rejected(self, path, bad):
+    def test_mistyped_fields_rejected(self, path, bad, fragment):
         doc = mini_doc()
         target = doc
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = bad
-        self.check(doc, "must be an array of")
+        self.check(doc, fragment)
 
     def test_cycle_detected(self):
         doc = mini_doc()

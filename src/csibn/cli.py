@@ -185,6 +185,7 @@ def _render_result(net, args, result) -> int:
                     v: result.posterior.probs[i] for i, v in enumerate(values)
                 },
                 "evidence_probability": result.evidence_probability,
+                "log_evidence_probability": result.log_evidence_probability,
                 "evaluations": result.evaluations,
             }
         )

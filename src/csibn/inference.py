@@ -6,7 +6,9 @@ variable given evidence -- and reports the unnormalized evidence
 probability alongside.  ``query_enumerate`` is the ground truth the other
 engines are tested against.  All engines are deterministic: identical
 inputs produce bit-identical results because every summation runs in a
-fixed order.
+fixed order.  Each result also carries the natural log of the evidence
+probability, which variable elimination keeps finite where the probability
+itself underflows.
 
 The polytree and cutset engines share one forest solver, run on the network
 reduced by the evidence and compiled for the query, which a cutset walk
@@ -15,6 +17,7 @@ instantiates in place branch by branch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -61,6 +64,7 @@ class InferenceResult:
     posterior: Distribution
     evidence_probability: float
     evaluations: int
+    log_evidence_probability: float
 
 
 def joint_probability(net: Network, assignment: Mapping[str, str]) -> float:
@@ -95,14 +99,17 @@ def query_enumerate(net: Network, query: Query) -> InferenceResult:
     return _finish(weights, evaluations=1)
 
 
-def _finish(weights, evaluations: int) -> InferenceResult:
+def _finish(weights, evaluations: int, exponent: int = 0) -> InferenceResult:
+    """Normalize ``weights``, which hold the unnormalized posterior times
+    ``2 ** -exponent``."""
     total = float(sum(weights))
     if total <= 0.0:
         raise ImpossibleEvidenceError("evidence has probability zero")
     return InferenceResult(
         posterior=Distribution(tuple(w / total for w in weights)),
-        evidence_probability=total,
+        evidence_probability=math.ldexp(total, exponent),
         evaluations=evaluations,
+        log_evidence_probability=math.log(total) + exponent * math.log(2.0),
     )
 
 
@@ -200,9 +207,25 @@ def _sum_out(factor: _Factor, var: str) -> _Factor:
     )
 
 
+def _rescaled(factor: _Factor) -> tuple[_Factor, int]:
+    """``factor`` divided by the power of two that brings its largest entry
+    into [0.5, 1), and that power's exponent.  Exact in binary floating
+    point, so it changes no quotient of normal numbers."""
+    peak = float(factor.table.max())
+    if peak <= 0.0:
+        return factor, 0
+    _, exponent = math.frexp(peak)
+    return _Factor(factor.vars, np.ldexp(factor.table, -exponent)), exponent
+
+
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
     """Posterior via factor elimination in min-fill order (lexicographic
-    tie-break), which makes the computation reproducible bit for bit."""
+    tie-break), which makes the computation reproducible bit for bit.
+
+    Every sum-out result and every step of the final product is rescaled
+    by a power of two whose exponent is carried, so evidence of tiny but
+    non-zero probability does not underflow to an impossible-evidence error.
+    """
     net.check_context(query.evidence)
     factors = [_family_factor(net, spec.var) for spec in net.nodes]
     for var in sorted(query.evidence):
@@ -223,6 +246,7 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
             for b in scope[i + 1 :]:
                 adj[a].add(b)
                 adj[b].add(a)
+    exponent = 0
     for var in graphs.min_fill_order(adj):
         touching = [f for f in factors if var in f.vars]
         rest = [f for f in factors if var not in f.vars]
@@ -231,14 +255,17 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
         combined = touching[0]
         for f in touching[1:]:
             combined = _multiply(combined, f)
-        factors = rest + [_sum_out(combined, var)]
+        summed, shift = _rescaled(_sum_out(combined, var))
+        exponent += shift
+        factors = rest + [summed]
 
     # the target's own family factor keeps it in scope, so the product
     # ranges over the target alone
     result = _Factor((), np.array(1.0))
     for f in factors:
-        result = _multiply(result, f)
-    return _finish([float(w) for w in result.table], evaluations=1)
+        result, shift = _rescaled(_multiply(result, f))
+        exponent += shift
+    return _finish([float(w) for w in result.table], evaluations=1, exponent=exponent)
 
 
 # -- forest solver and cutset conditioning -----------------------------------

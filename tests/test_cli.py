@@ -1,6 +1,7 @@
 """Command-line surface: golden outputs, JSON schemas, exit codes."""
 
 import json
+import math
 import re
 
 import pytest
@@ -120,6 +121,7 @@ class TestQuery:
         assert doc["method"] == "enum"
         assert doc["posterior"]["t"] == pytest.approx(0.79)
         assert doc["evidence_probability"] == pytest.approx(0.6)
+        assert doc["log_evidence_probability"] == pytest.approx(math.log(0.6))
         assert doc["evaluations"] == 1
 
     def test_unknown_target(self, capsys):

@@ -111,6 +111,35 @@ class TestVariableElimination:
         with pytest.raises(ImpossibleEvidenceError):
             variable_elimination(net, Query("D", Context({"B": "t", "C": "f"})))
 
+    def test_tiny_evidence_does_not_underflow(self):
+        # V0 -> V1 -> ... -> V199 with P(t | t) = 0.01: evidence t on
+        # V0..V198 has probability 0.5 * 0.01**198, about 1e-396
+        n = 200
+        names = [f"V{i}" for i in range(n)]
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        nodes = [NodeSpec("V0", (), leaf(0.5))] + [
+            NodeSpec(v, (u,), Node(u, (("t", leaf(0.01)), ("f", leaf(0.6)))))
+            for u, v in zip(names, names[1:])
+        ]
+        net = Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
+        evidence = Context({v: "t" for v in names[:-1]})
+        result = variable_elimination(net, Query(names[-1], evidence))
+        assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
+        want = np.log(0.5) + 198 * np.log(0.01)
+        assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
+
+    def test_log_evidence_probability_every_engine(self, fig1):
+        q = Query("Z", Context({"S": "s2"}))
+        results = [
+            query_enumerate(fig1, q),
+            variable_elimination(fig1, q),
+            cutset_infer(fig1, q, build_conditional_cutset(fig1)),
+        ]
+        for r in results:
+            assert r.log_evidence_probability == pytest.approx(
+                np.log(r.evidence_probability), rel=1e-12
+            )
+
 
 class TestSinglyConnected:
     def test_chain_matches_oracle(self):

@@ -187,6 +187,7 @@ def _render_result(net, args, result) -> int:
                 "evidence_probability": result.evidence_probability,
                 "log_evidence_probability": result.log_evidence_probability,
                 "evaluations": result.evaluations,
+                "messages_computed": result.messages_computed,
             }
         )
         return 0

@@ -7,12 +7,14 @@ probability alongside.  ``query_enumerate`` is the ground truth the other
 engines are tested against.  All engines are deterministic: identical
 inputs produce bit-identical results because every summation runs in a
 fixed order.  Each result also carries the natural log of the evidence
-probability, which variable elimination keeps finite where the probability
-itself underflows.
+probability, which variable elimination and the forest solver keep finite
+where the probability itself underflows, by rescaling with powers of two.
 
 The polytree and cutset engines share one forest solver, run on the network
 reduced by the evidence and compiled for the query, which a cutset walk
-instantiates in place branch by branch.
+instantiates in place branch by branch.  The walk keeps the connected
+components up to date as it binds, and solves each component once per
+binding of the cutset variables it depends on, by an iterative collect pass.
 """
 
 from __future__ import annotations
@@ -65,6 +67,7 @@ class InferenceResult:
     evidence_probability: float
     evaluations: int
     log_evidence_probability: float
+    messages_computed: int = 0
 
 
 def joint_probability(net: Network, assignment: Mapping[str, str]) -> float:
@@ -99,7 +102,9 @@ def query_enumerate(net: Network, query: Query) -> InferenceResult:
     return _finish(weights, evaluations=1)
 
 
-def _finish(weights, evaluations: int, exponent: int = 0) -> InferenceResult:
+def _finish(
+    weights, evaluations: int, exponent: int = 0, messages: int = 0
+) -> InferenceResult:
     """Normalize ``weights``, which hold the unnormalized posterior times
     ``2 ** -exponent``."""
     total = float(sum(weights))
@@ -110,6 +115,7 @@ def _finish(weights, evaluations: int, exponent: int = 0) -> InferenceResult:
         evidence_probability=math.ldexp(total, exponent),
         evaluations=evaluations,
         log_evidence_probability=math.log(total) + exponent * math.log(2.0),
+        messages_computed=messages,
     )
 
 
@@ -207,15 +213,20 @@ def _sum_out(factor: _Factor, var: str) -> _Factor:
     )
 
 
-def _rescaled(factor: _Factor) -> tuple[_Factor, int]:
-    """``factor`` divided by the power of two that brings its largest entry
+def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
+    """``array`` divided by the power of two that brings its largest entry
     into [0.5, 1), and that power's exponent.  Exact in binary floating
     point, so it changes no quotient of normal numbers."""
-    peak = float(factor.table.max())
+    peak = float(array.max())
     if peak <= 0.0:
-        return factor, 0
+        return array, 0
     _, exponent = math.frexp(peak)
-    return _Factor(factor.vars, np.ldexp(factor.table, -exponent)), exponent
+    return np.ldexp(array, -exponent), exponent
+
+
+def _rescaled(factor: _Factor) -> tuple[_Factor, int]:
+    table, exponent = _scaled(factor.table)
+    return _Factor(factor.vars, table), exponent
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
@@ -271,67 +282,52 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
 # -- forest solver and cutset conditioning -----------------------------------
 
 
-def _forest_weights(parents, children, tables, ind, observed, target: int) -> np.ndarray:
-    """Unnormalized vector P(target = x, indicators) by π/λ messages over
-    integer-indexed families; zero vector allowed.
+def _solve_component(root: int, parents, children, tables, ind, observed):
+    """Unnormalized belief vector at ``root`` over its singly connected
+    component, times ``2 ** -exponent``; returns it, the exponent and the
+    number of messages computed.
 
-    A union-find pass over the arcs raises :class:`NotSinglyConnectedError`
-    at the first arc that closes a cycle.  Each other component holding an
-    observed variable multiplies in its total weight; one without sums to 1.
+    One collect pass toward ``root``: a breadth-first order, then each node's
+    π/λ message to its neighbor on the root side, in reverse order, each
+    rescaled by a power of two.  A λ message out of a subtree holding no
+    observed node is all ones, so neither it nor any message feeding only it
+    is computed.
     """
-    root = list(range(len(parents)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for c, ps in enumerate(parents):
-        for p in ps:
-            a, b = find(p), find(c)
-            if a == b:
-                raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-            root[a] = b
-
-    memo: dict[tuple, np.ndarray] = {}
-
-    def pi_msg(u: int, c: int | None) -> np.ndarray:
-        """π message from ``u`` to child ``c``; ``u``'s belief when ``c`` is None."""
-        if ("pi", u, c) not in memo:
-            if ("value", u) not in memo:
-                own = len(parents[u])
-                operands = [tables[u], list(range(own + 1))]
-                for i, p in enumerate(parents[u]):
-                    operands += [pi_msg(p, u), [i]]
-                memo["value", u] = np.einsum(*operands, [own]) if own else tables[u]
-            vec = ind[u] * memo["value", u]
-            for other in children[u]:
-                if other != c:
-                    vec = vec * lambda_msg(other, u)
-            memo["pi", u, c] = vec
-        return memo["pi", u, c]
-
-    def lambda_msg(c: int, u: int) -> np.ndarray:
-        if ("lambda", c, u) not in memo:
-            lam = ind[c]
-            for child in children[c]:
-                lam = lam * lambda_msg(child, c)
-            own = len(parents[c])
-            operands = [tables[c], list(range(own + 1)), lam, [own]]
-            for i, p in enumerate(parents[c]):
+    up, order = {root: None}, [root]
+    for v in order:
+        for w in parents[v] + children[v]:
+            if w not in up:
+                up[w] = v
+                order.append(w)
+    informed = set()  # nodes whose subtree away from the root is observed
+    for v in reversed(order):
+        if observed[v] or v in informed:
+            informed.update((v, up[v]))
+    needed = {root}
+    for v in order[1:]:
+        if up[v] in needed and (v in informed or up[v] in children[v]):
+            needed.add(v)
+    msg, exponent = {}, 0
+    for v in reversed(order):
+        if v not in needed:
+            continue
+        u, own = up[v], len(parents[v])
+        lam = ind[v]
+        for c in children[v]:
+            if c != u and c in msg:
+                lam = lam * msg[c]
+        if not own:
+            vec = lam * tables[v]
+        else:
+            operands = [tables[v], list(range(own + 1)), lam, [own]]
+            for i, p in enumerate(parents[v]):
                 if p != u:
-                    operands += [pi_msg(p, c), [i]]
-            memo["lambda", c, u] = np.einsum(*operands, [parents[c].index(u)])
-        return memo["lambda", c, u]
-
-    weights = pi_msg(target, None)
-    done = {find(target)}
-    for i, seen in enumerate(observed):
-        if seen and find(i) not in done:
-            done.add(find(i))
-            weights = weights * float(pi_msg(i, None).sum())
-    return weights
+                    operands += [msg[p], [i]]
+            out = parents[v].index(u) if u in parents[v] else own
+            vec = np.einsum(*operands, [out])
+        msg[v], shift = _scaled(vec)
+        exponent += shift
+    return msg[root], exponent, len(needed) - 1
 
 
 def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
@@ -349,11 +345,23 @@ def cutset_infer(
     """Posterior by conditioning on the branches of a conditional cutset.
 
     The network is reduced by the evidence and compiled once (integer-indexed
-    parents, CPT arrays, indicator vectors).  A depth-first walk of the cutset
-    tree instantiates each arc value in place and undoes it on the way back;
-    each leaf's forest solve adds the branch weight, in canonical branch order.
-    A branch contradicting evidence on a cutset variable weighs 0 unsolved.
-    ``evaluations`` counts every branch.  Raises
+    parents, CPT arrays, indicator vectors), and its connected components are
+    found.  A depth-first walk of the cutset tree instantiates each arc value
+    in place and undoes it on the way back.  Binding ``X`` removes arcs only
+    inside ``X``'s component, so only that component is split again; a count
+    of the arcs beyond a spanning forest tells a leaf whether a cycle is left.
+
+    A leaf's weight is the target component's belief vector times the total
+    weight of every other component holding an evidence or bound variable
+    (one without sums to 1).  Each component weight is solved once per query
+    for each binding it can see -- the values bound on its nodes and on their
+    parents in the evidence-reduced network -- and reused by every later
+    branch with that binding; this is the context caching of recursive
+    conditioning.  Weights carry power-of-two exponents, so tiny evidence
+    probabilities do not underflow.  Branch weights are added in canonical
+    branch order.  A branch contradicting evidence on a cutset variable
+    weighs 0 unsolved.  ``evaluations`` counts every branch and
+    ``messages_computed`` the messages actually solved.  Raises
     :class:`NotSinglyConnectedError` when a branch leaves a cycle.
     """
     net.check_context(query.evidence)
@@ -364,6 +372,7 @@ def cutset_infer(
     trees = [reduced.cpt(v) for v in names]
     parents = [tuple(index[p] for p in reduced.parents(v)) for v in names]
     children = [tuple(index[c] for c in reduced.children(v)) for v in names]
+    reduced_children = list(children)
     tables = [cpt_array(reduced, v) for v in names]
     eyes = {n: np.eye(n) for n in {len(vals) for vals in values}}
     ones = {n: np.ones(n) for n in eyes}
@@ -372,16 +381,46 @@ def cutset_infer(
         for v, vs in zip(names, values)
     ]
     observed = [v in query.evidence for v in names]
+    watched = [index[v] for v in sorted(query.evidence)]  # evidence, then bindings
+    bound = np.zeros(len(names), dtype=np.int64)  # 1 + bound value index, or 0
+    cut = sorted(index[v] for v in cutset_mod.cutset_variables(ct))
     target = index[query.target]
-    weights = np.zeros(len(values[target]))
+
+    def split(nodes) -> list[frozenset]:
+        """The connected components of ``nodes`` under the current arcs."""
+        left, parts = set(nodes), []
+        while left:
+            part = [left.pop()]
+            for v in part:
+                for w in parents[v] + children[v]:
+                    if w in left:
+                        left.remove(w)
+                        part.append(w)
+            parts.append(frozenset(part))
+        return parts
+
+    # arcs minus (nodes minus components): each component has at least its
+    # size minus one arcs, so this is 0 exactly when every component is a tree
+    component = [frozenset()] * len(names)
+    excess = [sum(map(len, parents)) - len(names)]
+    for part in split(range(len(names))):
+        excess[0] += 1
+        for v in part:
+            component[v] = part
 
     def bind(x: int, k: int) -> list:
         """Instantiate ``x`` to its ``k``-th value; returns the undo record.
         Each child of ``x`` drops every parent its reduced tree no longer
         tests: its table takes index ``k`` on the axis of ``x`` and 0 on the
-        other dropped axes, along which it is constant."""
-        saved = [(ind, x, ind[x]), (observed, x, observed[x])]
-        ind[x], observed[x] = eyes[len(values[x])][k], True
+        other dropped axes, along which it is constant.  Every dropped arc
+        lies in ``x``'s component, which is then split again."""
+        saved = [(ind, x, ind[x]), (observed, x, observed[x]), (bound, x, bound[x])]
+        ind[x], observed[x], bound[x] = eyes[len(values[x])][k], True, k + 1
+        if not children[x]:
+            return saved
+        old = component[x]
+        saved.append((excess, 0, excess[0]))
+        excess[0] -= 1
         for c in children[x]:
             tree = reduce_tree(trees[c], {names[x]: values[x][k]})
             tested = tree_tested_vars(tree)  # never names[x]
@@ -392,23 +431,92 @@ def cutset_infer(
                     saved.append((children, p, children[p]))
                     children[p] = tuple(q for q in children[p] if q != c)
             trees[c], tables[c] = tree, tables[c][at]
-            parents[c] = tuple(p for p in parents[c] if names[p] in tested)
+            kept = tuple(p for p in parents[c] if names[p] in tested)
+            excess[0] -= len(parents[c]) - len(kept)
+            parents[c] = kept
+        saved.append((component, slice(None), component[:]))  # all at once
+        for part in split(old):
+            excess[0] += 1
+            for v in part:
+                component[v] = part
         return saved
+
+    cache: dict[tuple[frozenset, bytes], tuple] = {}
+    sees: dict[frozenset, np.ndarray] = {}  # cutset variables a component depends on
+    messages = 0
+
+    def weight(part: frozenset) -> tuple:
+        """``part``'s belief vector at the target if it holds the target,
+        else its total weight, with its power-of-two exponent."""
+        nonlocal messages
+        if part not in sees:
+            sees[part] = np.array(
+                [x for x in cut if x in part or not part.isdisjoint(reduced_children[x])],
+                dtype=np.intp,
+            )
+        key = (part, bound[sees[part]].tobytes())
+        if key not in cache:
+            root = target if target in part else min(part)
+            vec, exponent, count = _solve_component(
+                root, parents, children, tables, ind, observed
+            )
+            messages += count
+            if root != target:
+                mantissa, shift = math.frexp(float(vec.sum()))
+                vec, exponent = mantissa, exponent + shift
+            cache[key] = (vec, exponent)
+        return cache[key]
+
+    total, total_exponent = None, 0
+
+    def leaf() -> None:
+        nonlocal total, total_exponent
+        if excess[0]:
+            raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
+        vec, exponent = weight(component[target])
+        scale, done = 1.0, {component[target]}
+        for i in watched:
+            if component[i] not in done:
+                done.add(component[i])
+                mantissa, shift = weight(component[i])
+                scale, rescale = math.frexp(scale * mantissa)
+                exponent += shift + rescale
+        vec = vec * scale
+        if not vec.any():  # a zero weight has no exponent to align
+            return
+        if total is None:
+            total, total_exponent = vec, exponent
+            return
+        if exponent > total_exponent:
+            total, total_exponent = np.ldexp(total, total_exponent - exponent), exponent
+        if exponent < total_exponent:
+            vec = np.ldexp(vec, exponent - total_exponent)
+        total = total + vec
 
     def walk(tree: "cutset_mod.CutsetTree", live: bool) -> int:
         if isinstance(tree, cutset_mod.EmptyLeaf):
             if live:
-                weights[:] += _forest_weights(parents, children, tables, ind, observed, target)
+                leaf()
             return 1
         x, leaves = index[tree.test], 0
         for arc_values, child in tree.arcs:
             for value in arc_values:
-                agrees = live and query.evidence.get(tree.test, value) == value
-                saved = bind(x, values[x].index(value)) if agrees else []
-                leaves += walk(child, agrees)
+                if not (live and query.evidence.get(tree.test, value) == value):
+                    leaves += walk(child, False)
+                    continue
+                saved = bind(x, values[x].index(value))
+                watched.append(x)
+                leaves += walk(child, True)
+                watched.pop()
                 for store, i, old in reversed(saved):
                     store[i] = old
         return leaves
 
-    evaluations = walk(ct, True)
-    return _finish([float(w) for w in weights], evaluations=evaluations)
+    try:
+        evaluations = walk(ct, True)
+    finally:
+        # the recursive closure refers to itself, a cycle that would keep
+        # the query's state and cache alive until the cyclic GC ran
+        del walk
+    weights = [0.0] * len(values[target]) if total is None else [float(w) for w in total]
+    return _finish(weights, evaluations, total_exponent, messages)

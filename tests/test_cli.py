@@ -8,7 +8,9 @@ import pytest
 
 from csibn import fixtures
 from csibn.cli import run
-from csibn.model import parse_network, serialize_network
+from csibn.cutset import build_conditional_cutset
+from csibn.inference import Query, cutset_infer
+from csibn.model import Context, parse_network, serialize_network
 
 from conftest import deterministic_diamond_net
 
@@ -123,6 +125,7 @@ class TestQuery:
         assert doc["evidence_probability"] == pytest.approx(0.6)
         assert doc["log_evidence_probability"] == pytest.approx(math.log(0.6))
         assert doc["evaluations"] == 1
+        assert doc["messages_computed"] == 0
 
     def test_unknown_target(self, capsys):
         code, out, err = invoke(capsys, "query", FIG2, "-q", "NOPE")
@@ -154,6 +157,20 @@ class TestInfer:
         )
         assert code == 0
         assert out.endswith("evaluations: 5\n")
+
+    def test_cutset_json_counts_messages(self, capsys):
+        code, out, err = invoke(
+            capsys, "infer", FIG1, "-q", "Z", "-e", "S=s2", "--method", "cutset", "--json"
+        )
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        with open(FIG1) as f:
+            net = parse_network(f.read())
+        want = cutset_infer(
+            net, Query("Z", Context({"S": "s2"})), build_conditional_cutset(net)
+        )
+        assert doc["evaluations"] == 5
+        assert doc["messages_computed"] == want.messages_computed > 0
 
     def test_polytree_method_rejects_loopy(self, capsys):
         code, out, err = invoke(

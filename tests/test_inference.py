@@ -35,6 +35,18 @@ from conftest import (
 )
 
 
+def binary_chain(n, stay, leave) -> Network:
+    """V0 -> V1 -> ... with P(V0=t) = 0.5, P(t | t) = ``stay`` and
+    P(t | f) = ``leave``."""
+    names = [f"V{i}" for i in range(n)]
+    leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+    nodes = [NodeSpec("V0", (), leaf(0.5))] + [
+        NodeSpec(v, (u,), Node(u, (("t", leaf(stay)), ("f", leaf(leave)))))
+        for u, v in zip(names, names[1:])
+    ]
+    return Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
+
+
 def posteriors_close(a, b, tol=1e-9):
     np.testing.assert_allclose(a.posterior.probs, b.posterior.probs, atol=tol)
     np.testing.assert_allclose(
@@ -114,19 +126,19 @@ class TestVariableElimination:
     def test_tiny_evidence_does_not_underflow(self):
         # V0 -> V1 -> ... -> V199 with P(t | t) = 0.01: evidence t on
         # V0..V198 has probability 0.5 * 0.01**198, about 1e-396
-        n = 200
-        names = [f"V{i}" for i in range(n)]
-        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
-        nodes = [NodeSpec("V0", (), leaf(0.5))] + [
-            NodeSpec(v, (u,), Node(u, (("t", leaf(0.01)), ("f", leaf(0.6)))))
-            for u, v in zip(names, names[1:])
-        ]
-        net = Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
-        evidence = Context({v: "t" for v in names[:-1]})
-        result = variable_elimination(net, Query(names[-1], evidence))
-        assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
+        net = binary_chain(200, stay=0.01, leave=0.6)
+        names = net.var_names
+        q = Query(names[-1], Context({v: "t" for v in names[:-1]}))
         want = np.log(0.5) + 198 * np.log(0.01)
-        assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
+        # conditioning on the target gives two branches whose weights need
+        # different power-of-two exponents
+        for result in (
+            variable_elimination(net, q),
+            solve_singly_connected(net, q),
+            cutset_infer(net, q, flat_cutset(net, [names[-1]])),
+        ):
+            assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
+            assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
 
     def test_log_evidence_probability_every_engine(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
@@ -200,6 +212,15 @@ class TestSinglyConnected:
             }
             q = Query(target, Context(ev))
             posteriors_close(solve_singly_connected(net, q), query_enumerate(net, q))
+
+    def test_deep_chain(self):
+        # one π message per arc, scheduled without recursion; the evidence
+        # on V0 deletes the arc V0 -> V1
+        net = binary_chain(5000, stay=0.7, leave=0.2)
+        q = Query("V4999", Context({"V0": "t"}))
+        got = solve_singly_connected(net, q)
+        posteriors_close(got, variable_elimination(net, q))
+        assert got.messages_computed == 4998
 
     def test_disconnected_components_multiply(self):
         variables = (Variable("A", ("t", "f")), Variable("B", ("t", "f")))
@@ -354,6 +375,88 @@ class TestCutsetInfer:
             except ImpossibleEvidenceError:
                 continue
             posteriors_close(cutset_infer(net, q, tree), want)
+
+
+    def test_cut_off_parent_selects_the_table(self):
+        # binding X deletes X -> A and X -> C, so {A, C} is a component
+        # without X whose tables still depend on X's value: its cached
+        # weight must be keyed on X's binding too
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        a_given_x = Node("X", (("t", leaf(0.9)), ("f", leaf(0.2))))
+        c_given = lambda a, b: Node("A", (("t", leaf(a)), ("f", leaf(b))))
+        net = Network(
+            tuple(Variable(v, ("t", "f")) for v in "XAC"),
+            (
+                NodeSpec("X", (), leaf(0.4)),
+                NodeSpec("A", ("X",), a_given_x),
+                NodeSpec(
+                    "C",
+                    ("X", "A"),
+                    Node("X", (("t", c_given(0.8, 0.3)), ("f", c_given(0.1, 0.65)))),
+                ),
+            ),
+        )
+        tree = flat_cutset(net, ["X"])
+        for target, ev in (("C", {}), ("A", {"C": "t"}), ("X", {"C": "f"})):
+            q = Query(target, Context(ev))
+            posteriors_close(cutset_infer(net, q, tree), query_enumerate(net, q))
+
+    def test_component_solved_once_per_binding_it_sees(self):
+        # two disjoint loops Xi -> Ai, Bi -> Ci, each broken by binding Xi,
+        # which leaves the components {Xi} and the path Ai - Ci - Bi
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        on = lambda var, a, b: Node(var, (("t", leaf(a)), ("f", leaf(b))))
+        variables, nodes = [], []
+        for i, (px, pc) in enumerate(((0.3, 0.85), (0.55, 0.2)), start=1):
+            x, a, b, c = (f"{v}{i}" for v in "XABC")
+            variables += [Variable(v, ("t", "f")) for v in (x, a, b, c)]
+            nodes += [
+                NodeSpec(x, (), leaf(px)),
+                NodeSpec(a, (x,), on(x, 0.7, 0.25)),
+                NodeSpec(b, (x,), on(x, 0.4, 0.9)),
+                NodeSpec(c, (a, b), Node(a, (("t", on(b, pc, 0.5)), ("f", on(b, 0.35, 0.6))))),
+            ]
+        net = Network(tuple(variables), tuple(nodes))
+        q = Query("A1", Context({"C1": "t", "C2": "f"}))
+        got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
+        posteriors_close(got, query_enumerate(net, q))
+        assert got.evaluations == 4
+        # each path is solved for the 2 values of its own Xi, by 2 messages
+        # (solving it at each of the 4 leaves would take 16); {Xi} takes none
+        assert got.messages_computed == 2 * 2 * 2
+
+    def test_evidence_sweep_over_cutset_variables(self, fig1, fig2, fig3):
+        # criterion 07's networks, with evidence that may bind cutset variables
+        nets_rng = np.random.default_rng(20260826)
+        nets = [fig1, fig2, fig3] + [random_loopy_net(nets_rng) for _ in range(20)]
+        rng = np.random.default_rng(707)
+        bound_cutset = 0
+        for net in nets:
+            tree = build_conditional_cutset(net)
+            names = list(net.var_names)
+            for _ in range(3):
+                target = names[rng.integers(len(names))]
+                ev = {}
+                for name in names:
+                    if name != target and rng.random() < 0.4:
+                        values = net.variable(name).values
+                        ev[name] = values[rng.integers(len(values))]
+                bound_cutset += bool(set(ev) & cutset_variables(tree))
+                q = Query(target, Context(ev))
+                try:
+                    want = query_enumerate(net, q)
+                except ImpossibleEvidenceError:
+                    with pytest.raises(ImpossibleEvidenceError):
+                        cutset_infer(net, q, tree)
+                    continue
+                posteriors_close(cutset_infer(net, q, tree), want)
+        assert bound_cutset >= 20
+
+    def test_engines_without_messages_count_none(self, fig1):
+        q = Query("Z", Context({"S": "s2"}))
+        assert query_enumerate(fig1, q).messages_computed == 0
+        assert variable_elimination(fig1, q).messages_computed == 0
+        assert cutset_infer(fig1, q, build_conditional_cutset(fig1)).messages_computed > 0
 
 
 class TestContextualIndependence:

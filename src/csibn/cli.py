@@ -91,15 +91,13 @@ def _context(net, text: str) -> Context:
 def _names(net, text: str) -> list[str]:
     names = [n for n in (s.strip() for s in text.split(",")) if n]
     for n in names:
-        try:
-            net.variable(n)
-        except KeyError as exc:
-            _fail("domain", exc.args[0])
+        net.variable(n)  # an unknown name is a domain error
     return names
 
 
-def _emit_json(doc: dict):
-    print(json.dumps(doc, indent=2))
+def _emit_json(**fields):
+    """Print one ``--json`` document, stamped with the schema version."""
+    print(json.dumps({"schema_version": SCHEMA_VERSION, **fields}, indent=2))
 
 
 def _format_tree(tree, indent: int = 0) -> str:
@@ -124,22 +122,14 @@ def _cmd_validate(args) -> int:
         parse_network(text)
     except NetworkFormatError as exc:
         if args.json:
-            _emit_json(
-                {"schema_version": SCHEMA_VERSION, "valid": False, "violations": [str(exc)]}
-            )
+            _emit_json(valid=False, violations=[str(exc)])
         else:
             print(f"error[format]: {exc}", file=sys.stderr)
         return 1
     except NetworkSemanticsError as exc:
         violations = list(exc.violations)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "valid": not violations,
-                "violations": violations,
-            }
-        )
+        _emit_json(valid=not violations, violations=violations)
         return 1 if violations else 0
     if violations:
         for v in violations:
@@ -150,11 +140,7 @@ def _cmd_validate(args) -> int:
 
 
 def _run_query(net, args):
-    evidence = _context(net, args.evidence)
-    try:
-        query = Query(args.target, evidence)
-    except ValueError as exc:
-        _fail("domain", str(exc))
+    query = Query(args.target, _context(net, args.evidence))
     try:
         if args.method == "enum":
             return query_enumerate(net, query)
@@ -168,27 +154,20 @@ def _run_query(net, args):
         _fail("impossible-evidence", str(exc))
     except NotSinglyConnectedError as exc:
         _fail("not-singly-connected", str(exc))
-    except (KeyError, ValueError) as exc:
-        _fail("domain", exc.args[0] if exc.args else str(exc))
 
 
 def _render_result(net, args, result) -> int:
     values = net.values(args.target)
     if args.json:
         _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "method": args.method,
-                "target": args.target,
-                "evidence": dict(sorted(_context(net, args.evidence).items())),
-                "posterior": {
-                    v: result.posterior.probs[i] for i, v in enumerate(values)
-                },
-                "evidence_probability": result.evidence_probability,
-                "log_evidence_probability": result.log_evidence_probability,
-                "evaluations": result.evaluations,
-                "messages_computed": result.messages_computed,
-            }
+            method=args.method,
+            target=args.target,
+            evidence=dict(sorted(_context(net, args.evidence).items())),
+            posterior={v: result.posterior.probs[i] for i, v in enumerate(values)},
+            evidence_probability=result.evidence_probability,
+            log_evidence_probability=result.log_evidence_probability,
+            evaluations=result.evaluations,
+            messages_computed=result.messages_computed,
         )
         return 0
     for i, v in enumerate(values):
@@ -201,34 +180,17 @@ def _render_result(net, args, result) -> int:
 
 def _cmd_infer(args) -> int:
     net = _load(args.network)
-    _check_target(net, args.target)
+    net.variable(args.target)  # an unknown target fails before the evidence is read
     result = _run_query(net, args)
     return _render_result(net, args, result)
-
-
-def _check_target(net, target: str):
-    try:
-        net.variable(target)
-    except KeyError as exc:
-        _fail("domain", exc.args[0])
 
 
 def _cmd_vacuous(args) -> int:
     net = _load(args.network)
     ctx = _context(net, args.context)
-    try:
-        vac = sorted(vacuous_parents(net, args.node, ctx))
-    except (KeyError, ValueError) as exc:
-        _fail("domain", exc.args[0] if exc.args else str(exc))
+    vac = sorted(vacuous_parents(net, args.node, ctx))
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "node": args.node,
-                "context": dict(sorted(ctx.items())),
-                "vacuous": vac,
-            }
-        )
+        _emit_json(node=args.node, context=dict(sorted(ctx.items())), vacuous=vac)
         return 0
     print(" ".join(vac) if vac else "(none)")
     return 0
@@ -237,19 +199,9 @@ def _cmd_vacuous(args) -> int:
 def _cmd_reduce(args) -> int:
     net = _load(args.network)
     ctx = _context(net, args.context)
-    try:
-        tree = reduce_tree(as_tree(net, args.node), ctx)
-    except (KeyError, ValueError) as exc:
-        _fail("domain", exc.args[0] if exc.args else str(exc))
+    tree = reduce_tree(as_tree(net, args.node), ctx)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "node": args.node,
-                "context": dict(sorted(ctx.items())),
-                "tree": _tree_to_json(tree),
-            }
-        )
+        _emit_json(node=args.node, context=dict(sorted(ctx.items())), tree=_tree_to_json(tree))
         return 0
     sys.stdout.write(_format_tree(tree))
     return 0
@@ -259,20 +211,9 @@ def _cmd_dsep(args) -> int:
     net = _load(args.network)
     xs, ys = _names(net, args.x), _names(net, args.y)
     zs = _names(net, args.z)
-    try:
-        sep = d_separated(net, xs, ys, zs)
-    except (KeyError, ValueError) as exc:
-        _fail("domain", exc.args[0] if exc.args else str(exc))
+    sep = d_separated(net, xs, ys, zs)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "x": xs,
-                "y": ys,
-                "z": zs,
-                "separated": sep,
-            }
-        )
+        _emit_json(x=xs, y=ys, z=zs, separated=sep)
         return 0
     print(f"d-separated: {'yes' if sep else 'no'}")
     return 0
@@ -283,21 +224,9 @@ def _cmd_csisep(args) -> int:
     xs, ys = _names(net, args.x), _names(net, args.y)
     zs = _names(net, args.z)
     ctx = _context(net, args.context)
-    try:
-        sep = csi_separated(net, xs, ys, zs, ctx)
-    except (KeyError, ValueError) as exc:
-        _fail("domain", exc.args[0] if exc.args else str(exc))
+    sep = csi_separated(net, xs, ys, zs, ctx)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "x": xs,
-                "y": ys,
-                "z": zs,
-                "context": dict(sorted(ctx.items())),
-                "separated": sep,
-            }
-        )
+        _emit_json(x=xs, y=ys, z=zs, context=dict(sorted(ctx.items())), separated=sep)
         return 0
     print(f"csi-separated: {'yes' if sep else 'no'}")
     return 0
@@ -320,16 +249,17 @@ def _report_to_obj(report) -> dict:
 def _cmd_decompose(args) -> int:
     net = _load(args.network)
     decomposed, reports = transform.decompose_network(net)
-    if args.json:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "reports": [_report_to_obj(r) for r in reports],
-            "network": network_to_json(decomposed),
-        }
-        if args.output:
+    if args.output:
+        try:
             with open(args.output, "w", encoding="utf-8") as handle:
                 handle.write(serialize_network(decomposed))
-        _emit_json(doc)
+        except OSError as exc:
+            _fail("io", str(exc))
+    if args.json:
+        _emit_json(
+            reports=[_report_to_obj(r) for r in reports],
+            network=network_to_json(decomposed),
+        )
         return 0
     if not reports:
         print("nothing to decompose")
@@ -343,8 +273,6 @@ def _cmd_decompose(args) -> int:
             print(f"  {name} <- {src} (entries: {entries})")
         print(f"  multiplexer {r.multiplexer[0]}: {r.multiplexer[1]} rows")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(serialize_network(decomposed))
         print(f"wrote {args.output}")
     else:
         print("---")
@@ -377,13 +305,7 @@ def _cmd_cliques(args) -> int:
     decomposed, _ = transform.decompose_network(net)
     after = transform.clique_report(decomposed)
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "before": _clique_obj(before),
-                "after": _clique_obj(after),
-            }
-        )
+        _emit_json(before=_clique_obj(before), after=_clique_obj(after))
         return 0
     _render_cliques("before", before)
     _render_cliques("after", after)
@@ -395,13 +317,7 @@ def _cmd_cutset(args) -> int:
     tree = cutset_mod.build_conditional_cutset(net)
     branches = len(cutset_mod.branch_contexts(tree))
     if args.json:
-        _emit_json(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "tree": cutset_mod.cutset_tree_to_obj(tree),
-                "branches": branches,
-            }
-        )
+        _emit_json(tree=cutset_mod.cutset_tree_to_obj(tree), branches=branches)
         return 0
     sys.stdout.write(cutset_mod.format_cutset_tree(tree))
     print(f"branches: {branches}")
@@ -476,6 +392,9 @@ def run(argv) -> int:
         return args.func(args)
     except _Exit as exc:
         return exc.code
+    except (KeyError, ValueError) as exc:  # unknown names, impossible requests
+        print(f"error[domain]: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return 1
     except SystemExit as exc:  # argparse help/version paths
         return int(exc.code or 0)
 

@@ -33,17 +33,17 @@ def occurs_consistent(tree: CptTree, y: str, context: Mapping[str, str]) -> bool
     """
     if y in context:
         raise ValueError(f"variable {y!r} is bound by the context")
+    return _occurs(tree, y, context)
 
-    def walk(t: CptTree) -> bool:
-        if isinstance(t, Leaf):
-            return False
-        if t.test == y:
-            return True
-        if t.test in context:
-            return walk(t.branch(context[t.test]))
-        return any(walk(sub) for _, sub in t.branches)
 
-    return walk(tree)
+def _occurs(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
+    if isinstance(tree, Leaf):
+        return False
+    if tree.test == y:
+        return True
+    if tree.test in context:
+        return _occurs(tree.branch(context[tree.test]), y, context)
+    return any(_occurs(sub, y, context) for _, sub in tree.branches)
 
 
 def vacuous_parents(net: Network, x: str, context: Mapping[str, str]) -> frozenset[str]:

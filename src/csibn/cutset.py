@@ -15,7 +15,6 @@ given network always yields the same cutset tree.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -274,7 +273,3 @@ def cutset_tree_to_obj(tree: CutsetTree):
             for values, child in tree.arcs
         ],
     }
-
-
-def cutset_tree_to_json(tree: CutsetTree) -> str:
-    return json.dumps(cutset_tree_to_obj(tree), indent=2) + "\n"

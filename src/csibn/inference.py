@@ -10,11 +10,16 @@ fixed order.  Each result also carries the natural log of the evidence
 probability, which variable elimination and the forest solver keep finite
 where the probability itself underflows, by rescaling with powers of two.
 
-The polytree and cutset engines share one forest solver, run on the network
-reduced by the evidence and compiled for the query, which a cutset walk
-instantiates in place branch by branch.  The walk keeps the connected
-components up to date as it binds, and solves each component once per
-binding of the cutset variables it depends on, by an iterative collect pass.
+The numeric engines share one integer-indexed compiled form of a network:
+variable indices, parent and child index tuples, and one CPT array per
+family.  Variable elimination is bucket elimination over it: the evidence
+indexes the family arrays, and each bucket is multiplied and summed out by
+one einsum.  The polytree and cutset engines share one forest solver, run on
+the network reduced by the evidence and compiled for the query, which one
+private walk object instantiates in place branch by branch.  The walk keeps
+the connected components up to date as it binds, and solves each component
+once per binding of the cutset variables it depends on, by an iterative
+collect pass.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .model import (
     tree_tested_vars,
 )
 from . import graphs
+from .transform import moral_adjacency
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -170,47 +176,19 @@ def contextually_independent(
     return True
 
 
-# -- variable elimination ----------------------------------------------------
+# -- compiled form -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Factor:
-    vars: tuple[str, ...]
-    table: np.ndarray  # axis i indexes vars[i] in declared value order
-
-
-def _family_factor(net: Network, name: str) -> _Factor:
-    return _Factor(net.parents(name) + (name,), cpt_array(net, name))
-
-
-def _restrict(factor: _Factor, var: str, index: int) -> _Factor:
-    axis = factor.vars.index(var)
-    return _Factor(
-        factor.vars[:axis] + factor.vars[axis + 1 :],
-        np.take(factor.table, index, axis=axis),
-    )
-
-
-def _multiply(a: _Factor, b: _Factor) -> _Factor:
-    out_vars = a.vars + tuple(v for v in b.vars if v not in a.vars)
-    a_tab = a.table.reshape(
-        tuple(a.table.shape[a.vars.index(v)] if v in a.vars else 1 for v in out_vars)
-    )
-    perm = [b.vars.index(v) for v in out_vars if v in b.vars]
-    b_moved = np.transpose(b.table, perm)
-    b_tab = b_moved.reshape(
-        tuple(b_moved.shape[[v for v in out_vars if v in b.vars].index(v)]
-              if v in b.vars else 1 for v in out_vars)
-    )
-    return _Factor(out_vars, a_tab * b_tab)
-
-
-def _sum_out(factor: _Factor, var: str) -> _Factor:
-    axis = factor.vars.index(var)
-    return _Factor(
-        factor.vars[:axis] + factor.vars[axis + 1 :],
-        factor.table.sum(axis=axis),
-    )
+def _compile(net: Network) -> tuple[dict[str, int], list, list, list]:
+    """The integer-indexed form both numeric engines run on: each variable's
+    index in declared order, its parents' and children's index tuples, and
+    its family's :func:`cpt_array` (parent axes in declared order, then its
+    own axis)."""
+    index = {v: i for i, v in enumerate(net.var_names)}
+    parents = [tuple(index[p] for p in net.parents(v)) for v in index]
+    children = [tuple(index[c] for c in net.children(v)) for v in index]
+    tables = [cpt_array(net, v) for v in index]
+    return index, parents, children, tables
 
 
 def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
@@ -224,59 +202,79 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(array, -exponent), exponent
 
 
-def _rescaled(factor: _Factor) -> tuple[_Factor, int]:
-    table, exponent = _scaled(factor.table)
-    return _Factor(factor.vars, table), exponent
+# -- variable elimination ----------------------------------------------------
+
+# np.einsum takes at most 31 operands under numpy 1.x
+_MAX_OPERANDS = 31
+
+
+def _product(factors: list, drop: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The product of ``(table, scope)`` factors, summed over the variable
+    ``drop`` if it is in scope, by one einsum; returns the table and its
+    scope, variables in order of first appearance.  Labels are renumbered
+    from 0 because einsum's sublist labels must be below 52."""
+    labels: dict[int, int] = {}
+    operands: list = []
+    for table, scope in factors:
+        operands += [table, [labels.setdefault(v, len(labels)) for v in scope]]
+    scope = tuple(v for v in labels if v != drop)
+    return np.einsum(*operands, [labels[v] for v in scope]), scope
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
-    """Posterior via factor elimination in min-fill order (lexicographic
+    """Posterior by bucket elimination in min-fill order (lexicographic
     tie-break), which makes the computation reproducible bit for bit.
 
-    Every sum-out result and every step of the final product is rescaled
-    by a power of two whose exponent is carried, so evidence of tiny but
-    non-zero probability does not underflow to an impossible-evidence error.
+    Each family's CPT array is indexed at the evidence values, and each
+    factor goes once into the bucket of its first-eliminated variable.  A
+    bucket is multiplied and its variable summed out by one einsum over
+    integer axes, and the result goes into the bucket of its own first
+    eliminated variable; what is left ranges over the target alone.  Every
+    bucket result and every step of the final product is rescaled by a power
+    of two whose exponent is carried, so evidence of tiny but non-zero
+    probability does not underflow to an impossible-evidence error.
     """
     net.check_context(query.evidence)
-    factors = [_family_factor(net, spec.var) for spec in net.nodes]
-    for var in sorted(query.evidence):
-        idx = net.variable(var).index(query.evidence[var])
-        factors = [
-            _restrict(f, var, idx) if var in f.vars else f for f in factors
-        ]
+    index, parents, _, tables = _compile(net)
+    evidence = {index[v]: net.values(v).index(x) for v, x in query.evidence.items()}
+    factors = []
+    for v, table in enumerate(tables):
+        scope = parents[v] + (v,)
+        at = tuple(evidence.get(u, slice(None)) for u in scope)
+        factors.append((table[at], tuple(u for u in scope if u not in evidence)))
 
-    elim = [
-        v
-        for v in net.var_names
-        if v != query.target and v not in query.evidence
-    ]
-    adj: dict[str, set[str]] = {v: set() for v in elim}
-    for f in factors:
-        scope = [v for v in f.vars if v in adj]
-        for i, a in enumerate(scope):
-            for b in scope[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
+    # the factor scopes are the families without the evidence, so their
+    # interaction graph is the moral graph without the target and evidence
+    kept = set(index) - {query.target} - set(query.evidence)
+    adj = {v: ns & kept for v, ns in moral_adjacency(net).items() if v in kept}
+    order = [index[v] for v in graphs.min_fill_order(adj)]
+    position = {v: k for k, v in enumerate(order)}
+    buckets: list[list] = [[] for _ in range(len(order) + 1)]  # the last: target only
+    for factor in factors:
+        buckets[min((position[u] for u in factor[1] if u in position), default=-1)].append(factor)
+
     exponent = 0
-    for var in graphs.min_fill_order(adj):
-        touching = [f for f in factors if var in f.vars]
-        rest = [f for f in factors if var not in f.vars]
-        if not touching:
-            continue
-        combined = touching[0]
-        for f in touching[1:]:
-            combined = _multiply(combined, f)
-        summed, shift = _rescaled(_sum_out(combined, var))
+    for k, v in enumerate(order):
+        bucket = buckets[k]
+        while len(bucket) > _MAX_OPERANDS:
+            table, scope = _product(bucket[:_MAX_OPERANDS])
+            table, shift = _scaled(table)
+            exponent += shift
+            bucket = [(table, scope)] + bucket[_MAX_OPERANDS:]
+        table, scope = _product(bucket, drop=v)
+        table, shift = _scaled(table)
         exponent += shift
-        factors = rest + [summed]
+        buckets[min((position[u] for u in scope if u in position), default=-1)].append(
+            (table, scope)
+        )
 
     # the target's own family factor keeps it in scope, so the product
     # ranges over the target alone
-    result = _Factor((), np.array(1.0))
-    for f in factors:
-        result, shift = _rescaled(_multiply(result, f))
+    result = np.array(1.0)
+    for table, _ in buckets[-1]:
+        result, shift = _scaled(result * table)
         exponent += shift
-    return _finish([float(w) for w in result.table], evaluations=1, exponent=exponent)
+    return _finish([float(w) for w in result], evaluations=1, exponent=exponent)
 
 
 # -- forest solver and cutset conditioning -----------------------------------
@@ -339,6 +337,170 @@ def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
     return cutset_infer(net, query, cutset_mod.EMPTY)
 
 
+class _Walk:
+    """One cutset-conditioning query: the evidence-reduced network compiled
+    once, instantiated in place along a depth-first walk of the cutset tree.
+
+    It holds the compiled lists that :meth:`bind` changes and the walk
+    restores from the undo record, the connected components with ``excess``
+    (arcs minus nodes plus components: each component has at least its size
+    minus one arcs, so this is 0 exactly when every component is a tree),
+    the component-weight cache, and the running branch total.
+    """
+
+    def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
+        reduced = reduce_network(net, query.evidence)
+        index, self.parents, self.children, self.tables = _compile(reduced)
+        names, evidence = net.var_names, query.evidence
+        self.names, self.index, self.evidence = names, index, evidence
+        self.values = values = [net.values(v) for v in names]
+        self.trees = [reduced.cpt(v) for v in names]
+        self.reduced_children = tuple(self.children)
+        self.eyes = eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
+        ones = {n: np.ones(n) for n in eyes}
+        self.ind = [
+            eyes[len(vs)][vs.index(evidence[v])] if v in evidence else ones[len(vs)]
+            for v, vs in zip(names, values)
+        ]
+        self.observed = [v in evidence for v in names]
+        self.watched = [index[v] for v in sorted(evidence)]  # evidence, then bindings
+        self.bound = np.zeros(len(names), dtype=np.int64)  # 1 + bound value index, or 0
+        self.cut = sorted(index[v] for v in cutset_mod.cutset_variables(ct))
+        self.target = index[query.target]
+        self.component = [frozenset()] * len(names)
+        self.excess = sum(map(len, self.parents)) - len(names)
+        self.split(range(len(names)))
+        self.cache: dict[tuple[frozenset, bytes], tuple] = {}
+        self.sees: dict[frozenset, np.ndarray] = {}  # cutset variables a component depends on
+        self.messages = 0
+        self.total, self.total_exponent = None, 0
+
+    def split(self, nodes) -> None:
+        """Recompute the connected components of ``nodes`` under the current
+        arcs, counting each new component in ``excess``."""
+        parents, children, component = self.parents, self.children, self.component
+        left = set(nodes)
+        while left:
+            part = [left.pop()]
+            for v in part:
+                for w in parents[v] + children[v]:
+                    if w in left:
+                        left.remove(w)
+                        part.append(w)
+            part = frozenset(part)
+            self.excess += 1
+            for v in part:
+                component[v] = part
+
+    def bind(self, x: int, k: int) -> list:
+        """Instantiate ``x`` to its ``k``-th value; returns the undo record
+        (``excess`` is the caller's to restore).  Each child of ``x`` drops
+        every parent its reduced tree no longer tests: its table takes index
+        ``k`` on the axis of ``x`` and 0 on the other dropped axes, along
+        which it is constant.  Every dropped arc lies in ``x``'s component,
+        which is then split again."""
+        ind, observed, bound = self.ind, self.observed, self.bound
+        saved = [(ind, x, ind[x]), (observed, x, observed[x]), (bound, x, bound[x])]
+        ind[x], observed[x], bound[x] = self.eyes[len(self.values[x])][k], True, k + 1
+        names, parents, children = self.names, self.parents, self.children
+        if not children[x]:
+            return saved
+        trees, tables, context = self.trees, self.tables, {names[x]: self.values[x][k]}
+        self.excess -= 1
+        for c in children[x]:
+            tree = reduce_tree(trees[c], context)
+            tested = tree_tested_vars(tree)  # never names[x]
+            at = tuple(k if p == x else slice(None) if names[p] in tested else 0 for p in parents[c])
+            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, parents[c])]
+            for p in parents[c]:
+                if names[p] not in tested:
+                    saved.append((children, p, children[p]))
+                    children[p] = tuple(q for q in children[p] if q != c)
+            trees[c], tables[c] = tree, tables[c][at]
+            kept = tuple(p for p in parents[c] if names[p] in tested)
+            self.excess -= len(parents[c]) - len(kept)
+            parents[c] = kept
+        old = self.component[x]
+        saved.append((self.component, slice(None), self.component[:]))  # all at once
+        self.split(old)
+        return saved
+
+    def weight(self, part: frozenset) -> tuple:
+        """``part``'s belief vector at the target if it holds the target,
+        else its total weight, with its power-of-two exponent."""
+        sees = self.sees.get(part)
+        if sees is None:
+            reach = self.reduced_children
+            sees = self.sees[part] = np.array(
+                [x for x in self.cut if x in part or not part.isdisjoint(reach[x])],
+                dtype=np.intp,
+            )
+        key = (part, self.bound[sees].tobytes())
+        cache = self.cache
+        hit = cache.get(key)
+        if hit is None:
+            target = self.target
+            root = target if target in part else min(part)
+            vec, exponent, count = _solve_component(
+                root, self.parents, self.children, self.tables, self.ind, self.observed
+            )
+            self.messages += count
+            if root != target:
+                mantissa, shift = math.frexp(float(vec.sum()))
+                vec, exponent = mantissa, exponent + shift
+            hit = cache[key] = (vec, exponent)
+        return hit
+
+    def leaf(self) -> None:
+        """Add the current branch's weight to the running total."""
+        if self.excess:
+            raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
+        component, weight, own = self.component, self.weight, self.component[self.target]
+        vec, exponent = weight(own)
+        scale, done = 1.0, {own}
+        for i in self.watched:
+            part = component[i]
+            if part not in done:
+                done.add(part)
+                mantissa, shift = weight(part)
+                scale, rescale = math.frexp(scale * mantissa)
+                exponent += shift + rescale
+        vec = vec * scale
+        if not vec.any():  # a zero weight has no exponent to align
+            return
+        total, total_exponent = self.total, self.total_exponent
+        if total is None:
+            self.total, self.total_exponent = vec, exponent
+            return
+        if exponent > total_exponent:
+            total, self.total_exponent = np.ldexp(total, total_exponent - exponent), exponent
+        elif exponent < total_exponent:
+            vec = np.ldexp(vec, exponent - total_exponent)
+        self.total = total + vec
+
+    def visit(self, tree: "cutset_mod.CutsetTree", live: bool) -> int:
+        """Visit ``tree``'s branches depth first and return its leaf count.
+        Only live branches, which agree with the evidence, are solved."""
+        if isinstance(tree, cutset_mod.EmptyLeaf):
+            if live:
+                self.leaf()
+            return 1
+        x, leaves = self.index[tree.test], 0
+        for arc_values, child in tree.arcs:
+            for value in arc_values:
+                if not (live and self.evidence.get(tree.test, value) == value):
+                    leaves += self.visit(child, False)
+                    continue
+                excess, saved = self.excess, self.bind(x, self.values[x].index(value))
+                self.watched.append(x)
+                leaves += self.visit(child, True)
+                self.watched.pop()
+                self.excess = excess
+                for store, i, old in reversed(saved):
+                    store[i] = old
+        return leaves
+
+
 def cutset_infer(
     net: Network, query: Query, ct: "cutset_mod.CutsetTree"
 ) -> InferenceResult:
@@ -346,10 +508,11 @@ def cutset_infer(
 
     The network is reduced by the evidence and compiled once (integer-indexed
     parents, CPT arrays, indicator vectors), and its connected components are
-    found.  A depth-first walk of the cutset tree instantiates each arc value
-    in place and undoes it on the way back.  Binding ``X`` removes arcs only
-    inside ``X``'s component, so only that component is split again; a count
-    of the arcs beyond a spanning forest tells a leaf whether a cycle is left.
+    found.  A depth-first walk of the cutset tree, run by one private
+    ``_Walk`` object, instantiates each arc value in place and undoes it on
+    the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
+    so only that component is split again; a count of the arcs beyond a
+    spanning forest tells a leaf whether a cycle is left.
 
     A leaf's weight is the target component's belief vector times the total
     weight of every other component holding an evidence or bound variable
@@ -365,158 +528,7 @@ def cutset_infer(
     :class:`NotSinglyConnectedError` when a branch leaves a cycle.
     """
     net.check_context(query.evidence)
-    reduced = reduce_network(net, query.evidence)
-    names = net.var_names
-    index = {v: i for i, v in enumerate(names)}
-    values = [net.values(v) for v in names]
-    trees = [reduced.cpt(v) for v in names]
-    parents = [tuple(index[p] for p in reduced.parents(v)) for v in names]
-    children = [tuple(index[c] for c in reduced.children(v)) for v in names]
-    reduced_children = list(children)
-    tables = [cpt_array(reduced, v) for v in names]
-    eyes = {n: np.eye(n) for n in {len(vals) for vals in values}}
-    ones = {n: np.ones(n) for n in eyes}
-    ind = [
-        eyes[len(vs)][vs.index(query.evidence[v])] if v in query.evidence else ones[len(vs)]
-        for v, vs in zip(names, values)
-    ]
-    observed = [v in query.evidence for v in names]
-    watched = [index[v] for v in sorted(query.evidence)]  # evidence, then bindings
-    bound = np.zeros(len(names), dtype=np.int64)  # 1 + bound value index, or 0
-    cut = sorted(index[v] for v in cutset_mod.cutset_variables(ct))
-    target = index[query.target]
-
-    def split(nodes) -> list[frozenset]:
-        """The connected components of ``nodes`` under the current arcs."""
-        left, parts = set(nodes), []
-        while left:
-            part = [left.pop()]
-            for v in part:
-                for w in parents[v] + children[v]:
-                    if w in left:
-                        left.remove(w)
-                        part.append(w)
-            parts.append(frozenset(part))
-        return parts
-
-    # arcs minus (nodes minus components): each component has at least its
-    # size minus one arcs, so this is 0 exactly when every component is a tree
-    component = [frozenset()] * len(names)
-    excess = [sum(map(len, parents)) - len(names)]
-    for part in split(range(len(names))):
-        excess[0] += 1
-        for v in part:
-            component[v] = part
-
-    def bind(x: int, k: int) -> list:
-        """Instantiate ``x`` to its ``k``-th value; returns the undo record.
-        Each child of ``x`` drops every parent its reduced tree no longer
-        tests: its table takes index ``k`` on the axis of ``x`` and 0 on the
-        other dropped axes, along which it is constant.  Every dropped arc
-        lies in ``x``'s component, which is then split again."""
-        saved = [(ind, x, ind[x]), (observed, x, observed[x]), (bound, x, bound[x])]
-        ind[x], observed[x], bound[x] = eyes[len(values[x])][k], True, k + 1
-        if not children[x]:
-            return saved
-        old = component[x]
-        saved.append((excess, 0, excess[0]))
-        excess[0] -= 1
-        for c in children[x]:
-            tree = reduce_tree(trees[c], {names[x]: values[x][k]})
-            tested = tree_tested_vars(tree)  # never names[x]
-            at = tuple(k if p == x else slice(None) if names[p] in tested else 0 for p in parents[c])
-            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, parents[c])]
-            for p in parents[c]:
-                if names[p] not in tested:
-                    saved.append((children, p, children[p]))
-                    children[p] = tuple(q for q in children[p] if q != c)
-            trees[c], tables[c] = tree, tables[c][at]
-            kept = tuple(p for p in parents[c] if names[p] in tested)
-            excess[0] -= len(parents[c]) - len(kept)
-            parents[c] = kept
-        saved.append((component, slice(None), component[:]))  # all at once
-        for part in split(old):
-            excess[0] += 1
-            for v in part:
-                component[v] = part
-        return saved
-
-    cache: dict[tuple[frozenset, bytes], tuple] = {}
-    sees: dict[frozenset, np.ndarray] = {}  # cutset variables a component depends on
-    messages = 0
-
-    def weight(part: frozenset) -> tuple:
-        """``part``'s belief vector at the target if it holds the target,
-        else its total weight, with its power-of-two exponent."""
-        nonlocal messages
-        if part not in sees:
-            sees[part] = np.array(
-                [x for x in cut if x in part or not part.isdisjoint(reduced_children[x])],
-                dtype=np.intp,
-            )
-        key = (part, bound[sees[part]].tobytes())
-        if key not in cache:
-            root = target if target in part else min(part)
-            vec, exponent, count = _solve_component(
-                root, parents, children, tables, ind, observed
-            )
-            messages += count
-            if root != target:
-                mantissa, shift = math.frexp(float(vec.sum()))
-                vec, exponent = mantissa, exponent + shift
-            cache[key] = (vec, exponent)
-        return cache[key]
-
-    total, total_exponent = None, 0
-
-    def leaf() -> None:
-        nonlocal total, total_exponent
-        if excess[0]:
-            raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-        vec, exponent = weight(component[target])
-        scale, done = 1.0, {component[target]}
-        for i in watched:
-            if component[i] not in done:
-                done.add(component[i])
-                mantissa, shift = weight(component[i])
-                scale, rescale = math.frexp(scale * mantissa)
-                exponent += shift + rescale
-        vec = vec * scale
-        if not vec.any():  # a zero weight has no exponent to align
-            return
-        if total is None:
-            total, total_exponent = vec, exponent
-            return
-        if exponent > total_exponent:
-            total, total_exponent = np.ldexp(total, total_exponent - exponent), exponent
-        if exponent < total_exponent:
-            vec = np.ldexp(vec, exponent - total_exponent)
-        total = total + vec
-
-    def walk(tree: "cutset_mod.CutsetTree", live: bool) -> int:
-        if isinstance(tree, cutset_mod.EmptyLeaf):
-            if live:
-                leaf()
-            return 1
-        x, leaves = index[tree.test], 0
-        for arc_values, child in tree.arcs:
-            for value in arc_values:
-                if not (live and query.evidence.get(tree.test, value) == value):
-                    leaves += walk(child, False)
-                    continue
-                saved = bind(x, values[x].index(value))
-                watched.append(x)
-                leaves += walk(child, True)
-                watched.pop()
-                for store, i, old in reversed(saved):
-                    store[i] = old
-        return leaves
-
-    try:
-        evaluations = walk(ct, True)
-    finally:
-        # the recursive closure refers to itself, a cycle that would keep
-        # the query's state and cache alive until the cyclic GC ran
-        del walk
-    weights = [0.0] * len(values[target]) if total is None else [float(w) for w in total]
-    return _finish(weights, evaluations, total_exponent, messages)
+    walk = _Walk(net, query, ct)
+    evaluations = walk.visit(ct, True)
+    total = np.zeros(len(walk.values[walk.target])) if walk.total is None else walk.total
+    return _finish([float(w) for w in total], evaluations, walk.total_exponent, walk.messages)

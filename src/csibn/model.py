@@ -349,21 +349,24 @@ def table_to_tree(tab: CptTable, parent_order: Sequence[Variable]) -> CptTree:
         raise ValueError(
             f"table has {len(tab.rows)} rows, expected {expected} for the given parents"
         )
+    return _table_subtree(tab.rows, parent_order, 0, 0)
 
-    def build(depth: int, offset: int) -> CptTree:
-        if depth == len(parent_order):
-            return Leaf(tab.rows[offset])
-        var = parent_order[depth]
-        stride = 1
-        for v in parent_order[depth + 1 :]:
-            stride *= len(v.values)
-        branches = tuple(
-            (val, build(depth + 1, offset + i * stride))
-            for i, val in enumerate(var.values)
-        )
-        return Node(var.name, branches)
 
-    return build(0, 0)
+def _table_subtree(
+    rows: Sequence[Distribution], parent_order: Sequence[Variable], depth: int, offset: int
+) -> CptTree:
+    """The full tree over ``parent_order[depth:]`` for the rows from ``offset``."""
+    if depth == len(parent_order):
+        return Leaf(rows[offset])
+    var = parent_order[depth]
+    stride = 1
+    for v in parent_order[depth + 1 :]:
+        stride *= len(v.values)
+    branches = tuple(
+        (val, _table_subtree(rows, parent_order, depth + 1, offset + i * stride))
+        for i, val in enumerate(var.values)
+    )
+    return Node(var.name, branches)
 
 
 def as_tree(net: Network, name: str) -> CptTree:
@@ -390,20 +393,21 @@ def cpt_array(net: Network, name: str) -> np.ndarray:
     if isinstance(cpt, CptTable):
         return np.array([row.probs for row in cpt.rows]).reshape(shape)
     out = np.empty(shape)
-    index: list = [slice(None)] * len(parents)
-
-    def fill(tree: CptTree) -> None:
-        if isinstance(tree, Leaf):
-            out[tuple(index)] = tree.dist.probs
-            return
-        i = parents.index(tree.test)
-        for k, (_, sub) in enumerate(tree.branches):
-            index[i] = k
-            fill(sub)
-        index[i] = slice(None)
-
-    fill(cpt)
+    _fill(out, cpt, parents, [slice(None)] * len(parents))
     return out
+
+
+def _fill(out: np.ndarray, tree: CptTree, parents: tuple[str, ...], index: list) -> None:
+    """Assign each leaf of ``tree`` to the slice of ``out`` its path selects;
+    ``index`` holds the path so far, one entry per parent."""
+    if isinstance(tree, Leaf):
+        out[tuple(index)] = tree.dist.probs
+        return
+    i = parents.index(tree.test)
+    for k, (_, sub) in enumerate(tree.branches):
+        index[i] = k
+        _fill(out, sub, parents, index)
+    index[i] = slice(None)
 
 
 # -- validation --------------------------------------------------------------
@@ -460,28 +464,33 @@ def _check_cpt(net: Network, spec: NodeSpec) -> list[str]:
                 out.append(f"unnormalized row: node {spec.var} row {i}")
         return out
 
-    def walk(tree: CptTree, path: tuple[str, ...]) -> None:
-        if isinstance(tree, Leaf):
-            if len(tree.dist.probs) != width:
-                out.append(f"malformed CPT: leaf of node {spec.var} has wrong width")
-            elif not tree.dist.is_normalized():
-                out.append(f"unnormalized leaf: node {spec.var}")
-            return
-        if tree.test not in spec.parents:
-            out.append(f"test not a parent: {tree.test} in node {spec.var}")
-        if tree.test in path:
-            out.append(f"repeated test on a path: {tree.test} in node {spec.var}")
-        branch_vals = tuple(val for val, _ in tree.branches)
-        if tree.test in net.var_names and branch_vals != net.values(tree.test):
-            out.append(
-                f"malformed CPT: node {spec.var} branches on {tree.test} "
-                f"do not cover its values exactly"
-            )
-        for _, sub in tree.branches:
-            walk(sub, path + (tree.test,))
-
-    walk(spec.cpt, ())
+    _check_tree(net, spec, width, spec.cpt, (), out)
     return out
+
+
+def _check_tree(
+    net: Network, spec: NodeSpec, width: int, tree: CptTree, path: tuple[str, ...], out: list[str]
+) -> None:
+    """Append to ``out`` the violations in ``tree``, a subtree of
+    ``spec``'s CPT reached by testing the variables in ``path``."""
+    if isinstance(tree, Leaf):
+        if len(tree.dist.probs) != width:
+            out.append(f"malformed CPT: leaf of node {spec.var} has wrong width")
+        elif not tree.dist.is_normalized():
+            out.append(f"unnormalized leaf: node {spec.var}")
+        return
+    if tree.test not in spec.parents:
+        out.append(f"test not a parent: {tree.test} in node {spec.var}")
+    if tree.test in path:
+        out.append(f"repeated test on a path: {tree.test} in node {spec.var}")
+    branch_vals = tuple(val for val, _ in tree.branches)
+    if tree.test in net.var_names and branch_vals != net.values(tree.test):
+        out.append(
+            f"malformed CPT: node {spec.var} branches on {tree.test} "
+            f"do not cover its values exactly"
+        )
+    for _, sub in tree.branches:
+        _check_tree(net, spec, width, sub, path + (tree.test,), out)
 
 
 # -- JSON I/O ----------------------------------------------------------------

@@ -306,6 +306,47 @@ class TestDecompose:
         assert {n["var"] for n in doc["network"]["nodes"]} >= {"X", "X@A=t"}
 
 
+    def test_unwritable_output_is_io_error(self, capsys, tmp_path):
+        code, out, err = invoke(capsys, "decompose", FIG2, "-o", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error[io]: ")
+
+    @pytest.mark.parametrize("command", ["decompose", "cliques"])
+    def test_name_collision_is_domain_error(self, capsys, tmp_path, command):
+        # splitting X on its root test A would name a conditional node X@A=t,
+        # which the network already declares
+        leaf = {"leaf": [0.5, 0.5]}
+        doc = {
+            "variables": [{"name": v, "values": ["t", "f"]} for v in ("A", "B", "X", "X@A=t")],
+            "nodes": [
+                {"var": "A", "cpt": {"kind": "tree", "root": leaf}},
+                {"var": "B", "cpt": {"kind": "tree", "root": leaf}},
+                {"var": "X@A=t", "cpt": {"kind": "tree", "root": leaf}},
+                {
+                    "var": "X",
+                    "parents": ["A", "B"],
+                    "cpt": {
+                        "kind": "tree",
+                        "root": {
+                            "test": "A",
+                            "branches": {
+                                "t": leaf,
+                                "f": {"test": "B", "branches": {"t": leaf, "f": leaf}},
+                            },
+                        },
+                    },
+                },
+            ],
+        }
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(doc))
+        assert invoke(capsys, "validate", str(path)) == (0, "valid\n", "")
+        code, out, err = invoke(capsys, command, str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error[domain]: decomposition name collision: 'X@A=t' already declared\n"
+
+
 class TestCliques:
     def test_human(self, capsys):
         code, out, err = invoke(capsys, "cliques", FIG2)

@@ -1,5 +1,7 @@
 """Inference engines: oracle, elimination, forest solver, cutset loop."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,18 @@ from csibn.inference import (
     solve_singly_connected,
     variable_elimination,
 )
-from csibn.model import Context, Distribution, Leaf, Network, Node, NodeSpec, Variable
+from csibn.csi import vacuous_parents
+from csibn.model import (
+    Context,
+    Distribution,
+    Leaf,
+    Network,
+    Node,
+    NodeSpec,
+    Variable,
+    parse_network,
+    serialize_network,
+)
 
 from conftest import (
     all_assignments,
@@ -139,6 +152,25 @@ class TestVariableElimination:
         ):
             assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
             assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
+
+    def test_many_factors_in_one_bucket(self):
+        # C -> F0..F199: eliminating C multiplies 201 factors, more than one
+        # einsum takes; 199 are observed at P(t | C) of 0.01 or 0.02, whose
+        # product (below 1e-337) underflows unless it is rescaled part by part
+        n = 200
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        names = ["C"] + [f"F{i}" for i in range(n)]
+        nodes = [NodeSpec("C", (), leaf(0.3))] + [
+            NodeSpec(f, ("C",), Node("C", (("t", leaf(0.01)), ("f", leaf(0.02)))))
+            for f in names[1:]
+        ]
+        net = Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
+        q = Query("F0", Context({f: "t" for f in names[2:]}))
+        got, want = variable_elimination(net, q), solve_singly_connected(net, q)
+        np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, rtol=1e-12)
+        assert got.log_evidence_probability == pytest.approx(
+            want.log_evidence_probability, rel=1e-12
+        )
 
     def test_log_evidence_probability_every_engine(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
@@ -492,3 +524,42 @@ class TestDeterminism:
         third = variable_elimination(fig1, q)
         fourth = variable_elimination(fig1, q)
         assert third.posterior.probs == fourth.posterior.probs
+
+
+def test_no_reference_cycles(fig1, fig2, fig3):
+    """Parsing, vacuity, cutset building and every engine free their objects
+    by reference counting alone: the cyclic collector finds nothing."""
+    nets = [fig1, fig2, fig3]
+    # json's pure-Python encoder behind indent=2 makes cycles of its own
+    texts = [serialize_network(net) for net in nets]
+    queries = [
+        Query(net.var_names[-1], Context({net.var_names[0]: net.values(net.var_names[0])[0]}))
+        for net in nets
+    ]
+    polytree = []
+    for net, q in zip(nets, queries):
+        try:
+            solve_singly_connected(net, q)
+            polytree.append(True)
+        except NotSinglyConnectedError:
+            polytree.append(False)
+    assert polytree == [False, True, True]
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for net, text, q, singly in zip(nets, texts, queries, polytree):
+            parse_network(text)
+            for name in net.var_names:
+                vacuous_parents(net, name, Context())
+            tree = build_conditional_cutset(net)
+            query_enumerate(net, q)
+            variable_elimination(net, q)
+            cutset_infer(net, q, tree)
+            if singly:
+                solve_singly_connected(net, q)
+        gc.collect()
+        garbage = [type(obj).__name__ for obj in gc.garbage]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == []

@@ -3,11 +3,11 @@ inference modules.
 
 Adjacency maps are ``dict[str, set[str]]``; all procedures are deterministic,
 breaking ties in lexicographic node order.  Node elimination (connect the
-node's neighbors, drop the node) is one helper that both the min-fill order
-and the elimination cliques use.  The min-fill order is incremental: each
-node's fill count is computed once, and after an elimination only the
-eliminated node's neighbors are recounted, while each other common neighbor
-of a fill edge's two ends loses one per such edge.
+node's neighbors, drop the node) is one helper that the elimination cliques
+use.  The min-fill order runs on integer bitsets instead: nodes are ranked by
+sorted name, each holds its neighbors as an ``int`` mask and its count of
+edges among them, and an elimination updates those counts exactly where they
+change, so no node's fill is ever recounted from scratch.
 """
 
 from __future__ import annotations
@@ -39,32 +39,28 @@ def two_core(adj: dict[str, set[str]]) -> set[str]:
     return set(work)
 
 
-def _fill(adj: dict[str, set[str]], v: str) -> int:
-    """Number of missing edges among ``v``'s neighbors."""
-    ns = adj[v]
-    present = sum(len(ns & adj[a]) for a in ns) // 2
-    return len(ns) * (len(ns) - 1) // 2 - present
+def _bits(mask: int) -> list[int]:
+    """The positions of ``mask``'s set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
-def _eliminate(
-    adj: dict[str, set[str]], v: str
-) -> tuple[set[str], list[tuple[str, str]]]:
-    """Connect ``v``'s neighbors pairwise and drop ``v`` from ``adj``.
+def _missing(ns: int, tri: int) -> int:
+    """Missing edges among the neighbors ``ns`` that have ``tri`` edges among them."""
+    d = ns.bit_count()
+    return d * (d - 1) // 2 - tri
 
-    Returns ``v``'s neighbor set and the fill edges that were added.
-    """
+
+def _eliminate(adj: dict[str, set[str]], v: str) -> None:
+    """Connect ``v``'s neighbors pairwise and drop ``v`` from ``adj``."""
     ns = adj.pop(v)
     for n in ns:
-        adj[n].discard(v)
-    added: list[tuple[str, str]] = []
-    ns_list = list(ns)
-    for i, a in enumerate(ns_list):
-        for b in ns_list[i + 1 :]:
-            if b not in adj[a]:
-                adj[a].add(b)
-                adj[b].add(a)
-                added.append((a, b))
-    return ns, added
+        adj[n] |= ns
+        adj[n] -= {n, v}
 
 
 def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
@@ -73,33 +69,48 @@ def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
     Each step eliminates the node of least ``(fill, name)``: the fewest
     missing edges among its neighbors, ties broken toward the
     lexicographically smallest name, which keeps the order (and everything
-    derived from it) reproducible.  Fill counts are computed once and kept
-    current incrementally in a heap with lazily skipped stale entries: after
-    eliminating ``v`` only ``v``'s neighbors are recounted, and every other
-    common neighbor of a fill edge's two ends loses one per such edge; no
-    other node's fill can change.
+    derived from it) reproducible.  Nodes are ranked by sorted name, so the
+    heap can key on ``(fill, rank)``; stale entries are skipped lazily.  Each
+    node holds its neighbors as a bitset and ``tri``, the number of edges
+    among them, so its fill is ``deg (deg - 1) / 2 - tri``.  Eliminating
+    ``v`` takes from each neighbor's ``tri`` the edges it had to ``v``'s other
+    neighbors; each fill edge ``(a, b)`` adds their common neighbors to
+    ``tri[a]`` and ``tri[b]``, and one to each common neighbor's.
     """
-    work = copy_adjacency(adj)
-    fill = {v: _fill(work, v) for v in work}
-    heap = [(f, v) for v, f in fill.items()]
+    names = sorted(adj)
+    rank = {v: i for i, v in enumerate(names)}
+    near = [[rank[n] for n in adj[v]] for v in names]
+    nb = [sum(1 << n for n in ns) for ns in near]
+    tri = [sum((nb[n] & mask).bit_count() for n in ns) // 2 for ns, mask in zip(near, nb)]
+    fill: list = [_missing(mask, t) for mask, t in zip(nb, tri)]
+    heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     order: list[str] = []
     while heap:
         f, v = heapq.heappop(heap)
-        if fill.get(v) != f:
+        if fill[v] != f:
             continue
-        order.append(v)
-        del fill[v]
-        ns, added = _eliminate(work, v)
-        for n in ns:
-            fill[n] = _fill(work, n)
-        touched = set(ns)
-        for a, b in added:
-            for u in (work[a] & work[b]) - ns:
-                fill[u] -= 1
-                touched.add(u)
-        for u in touched:
-            heapq.heappush(heap, (fill[u], u))
+        order.append(names[v])
+        fill[v] = None
+        ns = touched = nb[v]
+        for n in _bits(ns):
+            nb[n] ^= 1 << v
+            tri[n] -= (nb[n] & ns).bit_count()
+        for a in _bits(ns):
+            for b in _bits(ns & ~nb[a] & -(2 << a)):  # non-neighbors above a
+                common = nb[a] & nb[b]
+                tri[a] += common.bit_count()
+                tri[b] += common.bit_count()
+                for c in _bits(common):
+                    tri[c] += 1
+                touched |= common
+                nb[a] |= 1 << b
+                nb[b] |= 1 << a
+        for u in _bits(touched):
+            new = _missing(nb[u], tri[u])
+            if new != fill[u]:  # else its heap entry is still current
+                fill[u] = new
+                heapq.heappush(heap, (new, u))
     return order
 
 

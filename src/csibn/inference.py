@@ -11,15 +11,17 @@ probability, which variable elimination and the forest solver keep finite
 where the probability itself underflows, by rescaling with powers of two.
 
 The numeric engines share one integer-indexed compiled form of a network:
-variable indices, parent and child index tuples, and one CPT array per
-family.  Variable elimination is bucket elimination over it: the evidence
-indexes the family arrays, and each bucket is multiplied and summed out by
-one einsum.  The polytree and cutset engines share one forest solver, run on
-the network reduced by the evidence and compiled for the query, which one
-private walk object instantiates in place branch by branch.  The walk keeps
-the connected components up to date as it binds, and solves each component
-once per binding of the cutset variables it depends on, by an iterative
-collect pass.
+variable indices, parent and child index tuples, one read-only CPT array per
+family, and the moral adjacency.  A network builds it on its first query and
+keeps it.  Variable elimination is bucket elimination over it: the evidence
+indexes the family arrays, the min-fill order comes from the cached moral
+graph, and each bucket is multiplied and summed out by one einsum.  The
+polytree and cutset engines share one forest solver, run on the network
+reduced by the evidence and compiled for the query, which one private walk
+object instantiates in place branch by branch, on its own copies of the
+compiled lists.  The walk keeps the connected components up to date as it
+binds, and solves each component once per binding of the cutset variables
+it depends on, by an iterative collect pass.
 """
 
 from __future__ import annotations
@@ -179,16 +181,22 @@ def contextually_independent(
 # -- compiled form -----------------------------------------------------------
 
 
-def _compile(net: Network) -> tuple[dict[str, int], list, list, list]:
+def _compile(net: Network) -> tuple[dict[str, int], tuple, tuple, tuple, dict[str, set[str]]]:
     """The integer-indexed form both numeric engines run on: each variable's
-    index in declared order, its parents' and children's index tuples, and
-    its family's :func:`cpt_array` (parent axes in declared order, then its
-    own axis)."""
-    index = {v: i for i, v in enumerate(net.var_names)}
-    parents = [tuple(index[p] for p in net.parents(v)) for v in index]
-    children = [tuple(index[c] for c in net.children(v)) for v in index]
-    tables = [cpt_array(net, v) for v in index]
-    return index, parents, children, tables
+    index in declared order, its parents' and children's index tuples, its
+    family's :func:`cpt_array` (parent axes in declared order, then its own
+    axis; not writeable) and the moral adjacency.  It depends on the network
+    alone, so it is built on the first call and kept on the network, which
+    it does not refer to."""
+    if net._compiled is None:
+        index = {v: i for i, v in enumerate(net.var_names)}
+        parents = tuple(tuple(index[p] for p in net.parents(v)) for v in index)
+        children = tuple(tuple(index[c] for c in net.children(v)) for v in index)
+        tables = tuple(cpt_array(net, v) for v in index)
+        for table in tables:
+            table.flags.writeable = False
+        net._compiled = index, parents, children, tables, moral_adjacency(net)
+    return net._compiled
 
 
 def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
@@ -225,17 +233,21 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     """Posterior by bucket elimination in min-fill order (lexicographic
     tie-break), which makes the computation reproducible bit for bit.
 
-    Each family's CPT array is indexed at the evidence values, and each
-    factor goes once into the bucket of its first-eliminated variable.  A
-    bucket is multiplied and its variable summed out by one einsum over
-    integer axes, and the result goes into the bucket of its own first
-    eliminated variable; what is left ranges over the target alone.  Every
-    bucket result and every step of the final product is rescaled by a power
-    of two whose exponent is carried, so evidence of tiny but non-zero
-    probability does not underflow to an impossible-evidence error.
+    The family arrays and the moral adjacency come from the network's
+    compiled form, built on its first query and kept; the query pays only
+    for the min-fill order of the moral graph without the target and the
+    evidence, and for the elimination itself.  Each family's CPT array is
+    indexed at the evidence values, and each factor goes once into the
+    bucket of its first-eliminated variable.  A bucket is multiplied and its
+    variable summed out by one einsum over integer axes, and the result goes
+    into the bucket of its own first eliminated variable; what is left
+    ranges over the target alone.  Every bucket result and every step of the
+    final product is rescaled by a power of two whose exponent is carried,
+    so evidence of tiny but non-zero probability does not underflow to an
+    impossible-evidence error.
     """
     net.check_context(query.evidence)
-    index, parents, _, tables = _compile(net)
+    index, parents, _, tables, moral = _compile(net)
     evidence = {index[v]: net.values(v).index(x) for v, x in query.evidence.items()}
     factors = []
     for v, table in enumerate(tables):
@@ -246,7 +258,7 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     # the factor scopes are the families without the evidence, so their
     # interaction graph is the moral graph without the target and evidence
     kept = set(index) - {query.target} - set(query.evidence)
-    adj = {v: ns & kept for v, ns in moral_adjacency(net).items() if v in kept}
+    adj = {v: ns & kept for v, ns in moral.items() if v in kept}
     order = [index[v] for v in graphs.min_fill_order(adj)]
     position = {v: k for k, v in enumerate(order)}
     buckets: list[list] = [[] for _ in range(len(order) + 1)]  # the last: target only
@@ -350,12 +362,14 @@ class _Walk:
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
         reduced = reduce_network(net, query.evidence)
-        index, self.parents, self.children, self.tables = _compile(reduced)
+        index, parents, children, tables, _ = _compile(reduced)
+        # bind changes these three in place, so the walk holds its own lists
+        self.parents, self.children, self.tables = list(parents), list(children), list(tables)
         names, evidence = net.var_names, query.evidence
         self.names, self.index, self.evidence = names, index, evidence
         self.values = values = [net.values(v) for v in names]
         self.trees = [reduced.cpt(v) for v in names]
-        self.reduced_children = tuple(self.children)
+        self.reduced_children = children
         self.eyes = eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
         ones = {n: np.ones(n) for n in eyes}
         self.ind = [

@@ -191,6 +191,9 @@ class Network:
         self._children: dict[str, tuple[str, ...]] = {
             v: tuple(cs) for v, cs in children.items()
         }
+        self._var_names = tuple(v.name for v in self._variables)
+        self._node_specs = tuple(self._nodes[v] for v in self._var_names if v in self._nodes)
+        self._compiled = None  # inference._compile's form, built on its first call
 
     # -- structure accessors -------------------------------------------------
 
@@ -200,11 +203,11 @@ class Network:
 
     @property
     def var_names(self) -> tuple[str, ...]:
-        return tuple(v.name for v in self._variables)
+        return self._var_names
 
     @property
     def nodes(self) -> tuple[NodeSpec, ...]:
-        return tuple(self._nodes[v.name] for v in self._variables if v.name in self._nodes)
+        return self._node_specs
 
     def variable(self, name: str) -> Variable:
         try:

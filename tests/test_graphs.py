@@ -1,5 +1,6 @@
 """Graph helpers: incremental min-fill order and elimination cliques against
-the naive full-rescan versions, plus the fixtures' clique reports."""
+the naive full-rescan versions, pinned min-fill orders on small graphs, plus
+the fixtures' clique reports."""
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +99,38 @@ def test_min_fill_order_matches_full_rescan(graph):
     assert adj == before
     assert sorted(order) == sorted(adj)
     assert order == oracle_min_fill_order(adj)
+
+
+
+def _graph(edges, isolated=()):
+    adj = {v: set() for v in isolated}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    return adj
+
+
+# ties go to the lexicographically smallest name: "V10" before "V2"
+PINNED_ORDERS = {
+    "empty": ({}, []),
+    "isolated": (_graph([], ["b", "V10", "a", "V2"]), ["V10", "V2", "a", "b"]),
+    "star": (_graph([("V1", "V2"), ("V1", "V10")]), ["V10", "V1", "V2"]),
+    "four-cycle": (
+        _graph([("V2", "V10"), ("V10", "V3"), ("V3", "V20"), ("V20", "V2")]),
+        ["V10", "V2", "V20", "V3"],
+    ),
+    "disconnected": (
+        _graph([("a", "b"), ("b", "c"), ("a", "c"), ("x", "y"), ("y", "z")], ["m"]),
+        ["a", "b", "c", "m", "x", "y", "z"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_ORDERS))
+def test_min_fill_order_pinned(case):
+    adj, expected = PINNED_ORDERS[case]
+    assert min_fill_order(adj) == expected
+    assert oracle_min_fill_order(adj) == expected
 
 
 @settings(max_examples=200, deadline=None)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
+from csibn import fixtures, inference
 from csibn.cutset import (
     EMPTY,
     CutsetNode,
@@ -22,6 +23,7 @@ from csibn.inference import (
     joint_probability,
     query_enumerate,
     solve_singly_connected,
+    _compile,
     variable_elimination,
 )
 from csibn.csi import vacuous_parents
@@ -526,9 +528,68 @@ class TestDeterminism:
         assert third.posterior.probs == fourth.posterior.probs
 
 
+def _outcome(engine, net, query):
+    """The engine's result, or the name of the inference error it raised."""
+    try:
+        return engine(net, query)
+    except (ImpossibleEvidenceError, NotSinglyConnectedError) as exc:
+        return type(exc).__name__
+
+
+class TestCompiledForm:
+    """Each network compiles once, and no query changes what it compiled."""
+
+    def test_cpt_arrays_built_once_per_family(self, fig1, monkeypatch):
+        net = parse_network(serialize_network(fig1))
+        built = []
+        real = inference.cpt_array
+        monkeypatch.setattr(
+            inference, "cpt_array", lambda n, name: built.append(name) or real(n, name)
+        )
+        names = net.var_names
+        for i, target in enumerate(names):
+            other = names[i - 1]
+            for evidence in (Context(), Context({other: net.values(other)[0]})):
+                variable_elimination(net, Query(target, evidence))
+        assert sorted(built) == sorted(names)
+
+    def test_cached_arrays_are_read_only(self, fig1):
+        net = parse_network(serialize_network(fig1))
+        variable_elimination(net, Query("Z", Context()))
+        tables = _compile(net)[3]
+        assert len(tables) == len(net.var_names)
+        assert not any(table.flags.writeable for table in tables)
+        with pytest.raises(ValueError):
+            tables[0][...] = 0.0
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
+    def test_interleaved_engines_match_a_fresh_copy(self, fig):
+        text = serialize_network(fixtures.load(fig))
+        net = parse_network(text)
+        tree = build_conditional_cutset(net)
+        engines = [
+            lambda n, q: cutset_infer(n, q, tree),
+            solve_singly_connected,
+            variable_elimination,
+        ]
+        names = net.var_names
+        for i, target in enumerate(names):
+            other = names[i - 1]
+            for evidence in (Context(), Context({other: net.values(other)[-1]})):
+                query = Query(target, evidence)
+                for engine in engines:
+                    fresh = parse_network(text)
+                    assert _outcome(engine, net, query) == _outcome(engine, fresh, query)
+        cached, rebuilt = _compile(net), _compile(parse_network(text))
+        assert cached[:3] == rebuilt[:3] and cached[4] == rebuilt[4]
+        for table, expected in zip(cached[3], rebuilt[3]):
+            assert table.tobytes() == expected.tobytes()
+
+
 def test_no_reference_cycles(fig1, fig2, fig3):
     """Parsing, vacuity, cutset building and every engine free their objects
-    by reference counting alone: the cyclic collector finds nothing."""
+    by reference counting alone, a network holding its compiled form too: the
+    cyclic collector finds nothing."""
     nets = [fig1, fig2, fig3]
     # json's pure-Python encoder behind indent=2 makes cycles of its own
     texts = [serialize_network(net) for net in nets]
@@ -548,7 +609,7 @@ def test_no_reference_cycles(fig1, fig2, fig3):
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
         for net, text, q, singly in zip(nets, texts, queries, polytree):
-            parse_network(text)
+            variable_elimination(parse_network(text), q)
             for name in net.var_names:
                 vacuous_parents(net, name, Context())
             tree = build_conditional_cutset(net)

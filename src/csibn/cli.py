@@ -50,14 +50,20 @@ class _Exit(Exception):
         self.code = code
 
 
+def _error(code: str, message: object) -> None:
+    # what str.splitlines splits on is escaped, so that an error stays one line
+    breaks = {ord(c): repr(c)[1:-1] for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+    print(f"error[{code}]: {str(message).translate(breaks)}", file=sys.stderr)
+
+
 def _fail(code: str, message: str, exit_code: int = 1):
-    print(f"error[{code}]: {message}", file=sys.stderr)
+    _error(code, message)
     raise _Exit(exit_code)
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"error[usage]: {message}", file=sys.stderr)
+        _error("usage", message)
         raise _Exit(2)
 
 
@@ -124,7 +130,7 @@ def _cmd_validate(args) -> int:
         if args.json:
             _emit_json(valid=False, violations=[str(exc)])
         else:
-            print(f"error[format]: {exc}", file=sys.stderr)
+            _error("format", exc)
         return 1
     except NetworkSemanticsError as exc:
         violations = list(exc.violations)
@@ -133,7 +139,7 @@ def _cmd_validate(args) -> int:
         return 1 if violations else 0
     if violations:
         for v in violations:
-            print(f"error[semantics]: {v}", file=sys.stderr)
+            _error("semantics", v)
         return 1
     print("valid")
     return 0
@@ -393,7 +399,7 @@ def run(argv) -> int:
     except _Exit as exc:
         return exc.code
     except (KeyError, ValueError) as exc:  # unknown names, impossible requests
-        print(f"error[domain]: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        _error("domain", exc.args[0] if exc.args else exc)
         return 1
     except SystemExit as exc:  # argparse help/version paths
         return int(exc.code or 0)

@@ -16,10 +16,10 @@ family, and the moral adjacency.  A network builds it on its first query and
 keeps it.  Variable elimination is bucket elimination over it: the evidence
 indexes the family arrays, the min-fill order comes from the cached moral
 graph, and each bucket is multiplied and summed out by one einsum.  The
-polytree and cutset engines share one forest solver, run on the network
-reduced by the evidence and compiled for the query, which one private walk
-object instantiates in place branch by branch, on its own copies of the
-compiled lists.  The walk keeps the connected components up to date as it
+polytree and cutset engines share one forest solver, run by one private walk
+object on its own copies of the cached compiled lists.  The evidence and
+each cutset branch are contexts, and the walk instantiates both in place by
+one per-family step.  It keeps the connected components up to date as it
 binds, and solves each component once per binding of the cutset variables
 it depends on, by an iterative collect pass.
 """
@@ -33,12 +33,14 @@ from typing import Mapping
 import numpy as np
 
 from . import cutset as cutset_mod
-from .csi import reduce_network, reduce_tree
+# nothing here calls reduce_network, but benches/tracing.py wraps this module's name
+from .csi import reduce_network, reduce_tree  # noqa: F401
 from .model import (
     Context,
     CptTable,
     Distribution,
     Network,
+    as_tree,
     cpt_array,
     parent_assignments,
     row_index,
@@ -110,9 +112,7 @@ def query_enumerate(net: Network, query: Query) -> InferenceResult:
     return _finish(weights, evaluations=1)
 
 
-def _finish(
-    weights, evaluations: int, exponent: int = 0, messages: int = 0
-) -> InferenceResult:
+def _finish(weights, evaluations: int, exponent: int = 0, messages: int = 0) -> InferenceResult:
     """Normalize ``weights``, which hold the unnormalized posterior times
     ``2 ** -exponent``."""
     total = float(sum(weights))
@@ -153,12 +153,8 @@ def contextually_independent(
     for assignment in parent_assignments(net.variables):
         if not all(assignment[v] == val for v, val in context.items()):
             continue
-        key_x = tuple(assignment[v] for v in xs)
-        key_y = tuple(assignment[v] for v in ys)
-        key_z = tuple(assignment[v] for v in zs)
-        p_xyz[(key_x, key_y, key_z)] = p_xyz.get(
-            (key_x, key_y, key_z), 0.0
-        ) + joint_probability(net, assignment)
+        key = tuple(tuple(assignment[v] for v in vs) for vs in (xs, ys, zs))
+        p_xyz[key] = p_xyz.get(key, 0.0) + joint_probability(net, assignment)
 
     p_yz: dict[tuple, float] = {}
     p_xz: dict[tuple, float] = {}
@@ -292,7 +288,7 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
 # -- forest solver and cutset conditioning -----------------------------------
 
 
-def _solve_component(root: int, parents, children, tables, ind, observed):
+def _solve_component(root: int, parents, children, tables, ind, bound):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
     number of messages computed.
@@ -300,8 +296,8 @@ def _solve_component(root: int, parents, children, tables, ind, observed):
     One collect pass toward ``root``: a breadth-first order, then each node's
     π/λ message to its neighbor on the root side, in reverse order, each
     rescaled by a power of two.  A λ message out of a subtree holding no
-    observed node is all ones, so neither it nor any message feeding only it
-    is computed.
+    observed node (one whose ``bound`` entry is not 0) is all ones, so
+    neither it nor any message feeding only it is computed.
     """
     up, order = {root: None}, [root]
     for v in order:
@@ -311,7 +307,7 @@ def _solve_component(root: int, parents, children, tables, ind, observed):
                 order.append(w)
     informed = set()  # nodes whose subtree away from the root is observed
     for v in reversed(order):
-        if observed[v] or v in informed:
+        if bound[v] or v in informed:
             informed.update((v, up[v]))
     needed = {root}
     for v in order[1:]:
@@ -350,42 +346,42 @@ def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
 
 
 class _Walk:
-    """One cutset-conditioning query: the evidence-reduced network compiled
-    once, instantiated in place along a depth-first walk of the cutset tree.
+    """One cutset-conditioning query: the network's cached compiled form,
+    instantiated in place by the evidence and then along a depth-first walk
+    of the cutset tree, both by one per-family step, :meth:`instantiate`.
 
-    It holds the compiled lists that :meth:`bind` changes and the walk
-    restores from the undo record, the connected components with ``excess``
-    (arcs minus nodes plus components: each component has at least its size
-    minus one arcs, so this is 0 exactly when every component is a tree),
-    the component-weight cache, and the running branch total.
+    It holds its own copies of the compiled lists that step changes, which
+    the walk restores from the undo record, the connected components with
+    ``excess`` (arcs minus nodes plus components: each component has at
+    least its size minus one arcs, so this is 0 exactly when every component
+    is a tree), the component-weight cache, and the running branch total.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
-        reduced = reduce_network(net, query.evidence)
-        index, parents, children, tables, _ = _compile(reduced)
-        # bind changes these three in place, so the walk holds its own lists
+        index, parents, children, tables, _ = _compile(net)
+        # instantiate changes these three in place, so the walk holds its own lists
         self.parents, self.children, self.tables = list(parents), list(children), list(tables)
-        names, evidence = net.var_names, query.evidence
-        self.names, self.index, self.evidence = names, index, evidence
+        self.names = names = net.var_names
+        self.index = index
         self.values = values = [net.values(v) for v in names]
-        self.trees = [reduced.cpt(v) for v in names]
-        self.reduced_children = children
-        self.eyes = eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
-        ones = {n: np.ones(n) for n in eyes}
-        self.ind = [
-            eyes[len(vs)][vs.index(evidence[v])] if v in evidence else ones[len(vs)]
-            for v, vs in zip(names, values)
-        ]
-        self.observed = [v in evidence for v in names]
-        self.watched = [index[v] for v in sorted(evidence)]  # evidence, then bindings
-        self.bound = np.zeros(len(names), dtype=np.int64)  # 1 + bound value index, or 0
+        self.trees = [as_tree(net, v) for v in names]
+        self.eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
+        self.ind = [np.ones(len(vs)) for vs in values]
+        self.bound = [0] * len(names)  # 1 + bound value index, or 0
+        self.watched = [index[v] for v in sorted(query.evidence)]  # evidence, then bindings
+        for x in self.watched:
+            self.observe(x, values[x].index(query.evidence[names[x]]))
+        # every family, evidence-free ones too: a declared parent its tree
+        # never tests drops here
+        self.excess = sum(map(len, parents)) - len(names)
+        self.instantiate(range(len(names)), [])
+        self.reduced_children = tuple(self.children)
         self.cut = sorted(index[v] for v in cutset_mod.cutset_variables(ct))
         self.target = index[query.target]
         self.component = [frozenset()] * len(names)
-        self.excess = sum(map(len, self.parents)) - len(names)
         self.split(range(len(names)))
-        self.cache: dict[tuple[frozenset, bytes], tuple] = {}
-        self.sees: dict[frozenset, np.ndarray] = {}  # cutset variables a component depends on
+        self.cache: dict[tuple[frozenset, tuple], tuple] = {}
+        self.sees: dict[frozenset, tuple] = {}  # cutset variables a component depends on
         self.messages = 0
         self.total, self.total_exponent = None, 0
 
@@ -406,34 +402,50 @@ class _Walk:
             for v in part:
                 component[v] = part
 
-    def bind(self, x: int, k: int) -> list:
-        """Instantiate ``x`` to its ``k``-th value; returns the undo record
-        (``excess`` is the caller's to restore).  Each child of ``x`` drops
-        every parent its reduced tree no longer tests: its table takes index
-        ``k`` on the axis of ``x`` and 0 on the other dropped axes, along
-        which it is constant.  Every dropped arc lies in ``x``'s component,
-        which is then split again."""
-        ind, observed, bound = self.ind, self.observed, self.bound
-        saved = [(ind, x, ind[x]), (observed, x, observed[x]), (bound, x, bound[x])]
-        ind[x], observed[x], bound[x] = self.eyes[len(self.values[x])][k], True, k + 1
-        names, parents, children = self.names, self.parents, self.children
-        if not children[x]:
-            return saved
-        trees, tables, context = self.trees, self.tables, {names[x]: self.values[x][k]}
-        self.excess -= 1
-        for c in children[x]:
-            tree = reduce_tree(trees[c], context)
-            tested = tree_tested_vars(tree)  # never names[x]
-            at = tuple(k if p == x else slice(None) if names[p] in tested else 0 for p in parents[c])
-            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, parents[c])]
-            for p in parents[c]:
-                if names[p] not in tested:
+    def observe(self, x: int, k: int) -> list:
+        """Set ``x``'s indicator and bound value to its ``k``-th value;
+        returns the undo record."""
+        ind, bound = self.ind, self.bound
+        saved = [(ind, x, ind[x]), (bound, x, bound[x])]
+        ind[x], bound[x] = self.eyes[len(self.values[x])][k], k + 1
+        return saved
+
+    def instantiate(self, families, saved: list) -> None:
+        """Reduce each family's tree by the values bound on its parents and
+        drop every parent the reduced tree no longer tests, recording the
+        undo in ``saved``.  The family's table takes the bound value's index
+        on a bound parent's axis and 0 on a dropped unbound one, along which
+        it is constant."""
+        names, values, bound = self.names, self.values, self.bound
+        parents, children, trees, tables = self.parents, self.children, self.trees, self.tables
+        for c in families:
+            family = parents[c]
+            context = {names[p]: values[p][bound[p] - 1] for p in family if bound[p]}
+            tree = reduce_tree(trees[c], context) if context else trees[c]
+            tested = tree_tested_vars(tree)  # no bound parent
+            kept = tuple(p for p in family if names[p] in tested)
+            at = tuple(
+                bound[p] - 1 if bound[p] else slice(None) if p in kept else 0 for p in family
+            )
+            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, family)]
+            for p in family:
+                if p not in kept:
                     saved.append((children, p, children[p]))
                     children[p] = tuple(q for q in children[p] if q != c)
-            trees[c], tables[c] = tree, tables[c][at]
-            kept = tuple(p for p in parents[c] if names[p] in tested)
-            self.excess -= len(parents[c]) - len(kept)
-            parents[c] = kept
+            trees[c], tables[c], parents[c] = tree, tables[c][at], kept
+            self.excess -= len(family) - len(kept)
+
+    def bind(self, x: int, k: int) -> list:
+        """Instantiate ``x`` to its ``k``-th value; returns the undo record
+        (``excess`` is the caller's to restore).  Each child of ``x`` loses
+        the arc from ``x`` and every other arc its reduced tree no longer
+        needs.  Every dropped arc lies in ``x``'s component, which is then
+        split again."""
+        saved = self.observe(x, k)
+        if not self.children[x]:
+            return saved
+        self.excess -= 1
+        self.instantiate(self.children[x], saved)
         old = self.component[x]
         saved.append((self.component, slice(None), self.component[:]))  # all at once
         self.split(old)
@@ -445,18 +457,18 @@ class _Walk:
         sees = self.sees.get(part)
         if sees is None:
             reach = self.reduced_children
-            sees = self.sees[part] = np.array(
-                [x for x in self.cut if x in part or not part.isdisjoint(reach[x])],
-                dtype=np.intp,
+            sees = self.sees[part] = tuple(
+                x for x in self.cut if x in part or not part.isdisjoint(reach[x])
             )
-        key = (part, self.bound[sees].tobytes())
+        bound = self.bound
+        key = (part, tuple([bound[x] for x in sees]))
         cache = self.cache
         hit = cache.get(key)
         if hit is None:
             target = self.target
             root = target if target in part else min(part)
             vec, exponent, count = _solve_component(
-                root, self.parents, self.children, self.tables, self.ind, self.observed
+                root, self.parents, self.children, self.tables, self.ind, self.bound
             )
             self.messages += count
             if root != target:
@@ -502,10 +514,11 @@ class _Walk:
         x, leaves = self.index[tree.test], 0
         for arc_values, child in tree.arcs:
             for value in arc_values:
-                if not (live and self.evidence.get(tree.test, value) == value):
+                k = self.values[x].index(value)
+                if not (live and self.bound[x] in (0, k + 1)):  # unbound, or bound to value
                     leaves += self.visit(child, False)
                     continue
-                excess, saved = self.excess, self.bind(x, self.values[x].index(value))
+                excess, saved = self.excess, self.bind(x, k)
                 self.watched.append(x)
                 leaves += self.visit(child, True)
                 self.watched.pop()
@@ -515,16 +528,15 @@ class _Walk:
         return leaves
 
 
-def cutset_infer(
-    net: Network, query: Query, ct: "cutset_mod.CutsetTree"
-) -> InferenceResult:
+def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
     """Posterior by conditioning on the branches of a conditional cutset.
 
-    The network is reduced by the evidence and compiled once (integer-indexed
-    parents, CPT arrays, indicator vectors), and its connected components are
-    found.  A depth-first walk of the cutset tree, run by one private
-    ``_Walk`` object, instantiates each arc value in place and undoes it on
-    the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
+    One private ``_Walk`` object copies the network's cached compiled form
+    (integer-indexed parents, CPT arrays) and instantiates the evidence in
+    place, by the same per-family step that instantiates cutset branches;
+    then it finds the connected components.  A depth-first walk of the
+    cutset tree instantiates each arc value in place and undoes it on the
+    way back.  Binding ``X`` removes arcs only inside ``X``'s component,
     so only that component is split again; a count of the arcs beyond a
     spanning forest tells a leaf whether a cycle is left.
 
@@ -532,7 +544,7 @@ def cutset_infer(
     weight of every other component holding an evidence or bound variable
     (one without sums to 1).  Each component weight is solved once per query
     for each binding it can see -- the values bound on its nodes and on their
-    parents in the evidence-reduced network -- and reused by every later
+    parents once the evidence is instantiated -- and reused by every later
     branch with that binding; this is the context caching of recursive
     conditioning.  Weights carry power-of-two exponents, so tiny evidence
     probabilities do not underflow.  Branch weights are added in canonical

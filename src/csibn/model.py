@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -345,9 +346,7 @@ def row_index(parent_vars: Sequence[Variable], assignment: Mapping[str, str]) ->
 
 def table_to_tree(tab: CptTable, parent_order: Sequence[Variable]) -> CptTree:
     """Expand a table into the equivalent full tree in declared parent order."""
-    expected = 1
-    for v in parent_order:
-        expected *= len(v.values)
+    expected = math.prod(len(v.values) for v in parent_order)
     if len(tab.rows) != expected:
         raise ValueError(
             f"table has {len(tab.rows)} rows, expected {expected} for the given parents"
@@ -362,9 +361,7 @@ def _table_subtree(
     if depth == len(parent_order):
         return Leaf(rows[offset])
     var = parent_order[depth]
-    stride = 1
-    for v in parent_order[depth + 1 :]:
-        stride *= len(v.values)
+    stride = math.prod(len(v.values) for v in parent_order[depth + 1 :])
     branches = tuple(
         (val, _table_subtree(rows, parent_order, depth + 1, offset + i * stride))
         for i, val in enumerate(var.values)
@@ -390,8 +387,6 @@ def cpt_array(net: Network, name: str) -> np.ndarray:
     """
     spec = net.node(name)
     cpt, parents = spec.cpt, spec.parents
-    if isinstance(cpt, Leaf) and not parents:
-        return np.array(cpt.dist.probs)
     shape = tuple(len(net.values(p)) for p in parents) + (len(net.values(name)),)
     if isinstance(cpt, CptTable):
         return np.array([row.probs for row in cpt.rows]).reshape(shape)
@@ -453,9 +448,7 @@ def _check_cpt(net: Network, spec: NodeSpec) -> list[str]:
     out: list[str] = []
     width = len(net.values(spec.var))
     if isinstance(spec.cpt, CptTable):
-        expected = 1
-        for p in spec.parents:
-            expected *= len(net.values(p))
+        expected = math.prod(len(net.values(p)) for p in spec.parents)
         if len(spec.cpt.rows) != expected:
             out.append(
                 f"malformed CPT: node {spec.var} has {len(spec.cpt.rows)} rows, expected {expected}"

@@ -24,8 +24,8 @@ from .model import (
     Node,
     NodeSpec,
     Variable,
-    as_tree,
     parent_assignments,
+    table_to_tree,
     tree_size,
     tree_tested_vars,
 )
@@ -73,67 +73,67 @@ def _conditional_name(base: str, test: str, value: str) -> str:
 
 
 def decompose_node(net: Network, x: str) -> Network:
-    new_net, _ = _decompose_node(net, x)
-    return new_net
+    net.node(x)  # an unknown name raises the network's KeyError
+    parts = _Parts(net)
+    parts.split(x)
+    return parts.network()
 
 
-def _decompose_node(net: Network, x: str) -> tuple[Network, DecompositionReport]:
-    spec = net.node(x)
-    tree = as_tree(net, x)
-    if not isinstance(tree, Node):
-        raise ValueError(f"node {x!r} has no root test to split on")
+class _Parts:
+    """A network under decomposition: the variable order, and the variables
+    and node specs by name, which each split changes in place.  One
+    :class:`Network` is built from them at the end."""
 
-    x_var = net.variable(x)
-    selector = tree.test
-    table_before = 1
-    for p in spec.parents:
-        table_before *= len(net.values(p))
+    def __init__(self, net: Network):
+        self.order = list(net.var_names)
+        self.variables = {v.name: v for v in net.variables}
+        self.specs = {s.var: s for s in net.nodes}
 
-    conditional_specs: list[NodeSpec] = []
-    conditional_vars: list[Variable] = []
-    cond_summary: list[tuple[str, tuple[str, ...], int]] = []
-    for value, subtree in tree.branches:
-        name = _conditional_name(x, selector, value)
-        if name in net.var_names:
-            raise ValueError(f"decomposition name collision: {name!r} already declared")
-        occurring = tree_tested_vars(subtree)
-        parents = tuple(p for p in spec.parents if p in occurring)
-        conditional_vars.append(Variable(name, x_var.values))
-        conditional_specs.append(NodeSpec(name, parents, subtree))
-        cond_summary.append((name, parents, tree_size(subtree)))
+    def network(self) -> Network:
+        order, specs = self.order, self.specs
+        return Network([self.variables[v] for v in order], [specs[v] for v in order if v in specs])
 
-    # The multiplexer copies the conditional node picked by the selector.
-    mux_parents = (selector,) + tuple(v.name for v in conditional_vars)
-    mux_parent_vars = [net.variable(selector)] + conditional_vars
-    rows = []
-    selector_values = net.values(selector)
-    for assignment in parent_assignments(mux_parent_vars):
-        chosen = conditional_vars[selector_values.index(assignment[selector])].name
-        picked = assignment[chosen]
-        rows.append(
-            Distribution(tuple(1.0 if v == picked else 0.0 for v in x_var.values))
+    def split(self, x: str) -> DecompositionReport:
+        """Replace ``x`` by its conditional nodes, declared just before it,
+        and a multiplexer over them."""
+        variables, specs, spec = self.variables, self.specs, self.specs[x]
+        tree = spec.cpt
+        if isinstance(tree, CptTable):
+            tree = table_to_tree(tree, [variables[p] for p in spec.parents])
+        if not isinstance(tree, Node):
+            raise ValueError(f"node {x!r} has no root test to split on")
+
+        x_values, selector = variables[x].values, tree.test
+        conditional_vars: list[Variable] = []
+        cond_summary: list[tuple[str, tuple[str, ...], int]] = []
+        for value, subtree in tree.branches:
+            name = _conditional_name(x, selector, value)
+            if name in variables:
+                raise ValueError(f"decomposition name collision: {name!r} already declared")
+            occurring = tree_tested_vars(subtree)
+            parents = tuple(p for p in spec.parents if p in occurring)
+            conditional_vars.append(Variable(name, x_values))
+            specs[name] = NodeSpec(name, parents, subtree)
+            cond_summary.append((name, parents, tree_size(subtree)))
+
+        # The multiplexer copies the conditional node picked by the selector.
+        selector_values, rows = variables[selector].values, []
+        for assignment in parent_assignments([variables[selector]] + conditional_vars):
+            chosen = conditional_vars[selector_values.index(assignment[selector])].name
+            rows.append(Distribution(tuple(float(v == assignment[chosen]) for v in x_values)))
+        mux_parents = (selector,) + tuple(v.name for v in conditional_vars)
+        specs[x] = NodeSpec(x, mux_parents, CptTable(tuple(rows)), deterministic=True)
+        variables.update((v.name, v) for v in conditional_vars)
+        at = self.order.index(x)
+        self.order[at:at] = [v.name for v in conditional_vars]
+        return DecompositionReport(
+            node=x,
+            table_entries_before=math.prod(len(variables[p].values) for p in spec.parents),
+            tree_entries_before=tree_size(tree),
+            conditional_nodes=tuple(cond_summary),
+            multiplexer=(x, len(rows)),
+            entries_after=sum(s for _, _, s in cond_summary) + len(rows),
         )
-    mux_spec = NodeSpec(x, mux_parents, CptTable(tuple(rows)), deterministic=True)
-
-    variables = list(net.variables)
-    insert_at = [v.name for v in variables].index(x)
-    variables[insert_at:insert_at] = conditional_vars
-    nodes = []
-    for old in net.nodes:
-        if old.var == x:
-            nodes.extend(conditional_specs)
-            nodes.append(mux_spec)
-        else:
-            nodes.append(old)
-    report = DecompositionReport(
-        node=x,
-        table_entries_before=table_before,
-        tree_entries_before=tree_size(tree),
-        conditional_nodes=tuple(cond_summary),
-        multiplexer=(x, len(rows)),
-        entries_after=sum(s for _, _, s in cond_summary) + len(rows),
-    )
-    return Network(variables, nodes), report
 
 
 def decompose_network(net: Network) -> tuple[Network, list[DecompositionReport]]:
@@ -145,19 +145,15 @@ def decompose_network(net: Network) -> tuple[Network, list[DecompositionReport]]
     transform on its own output is the identity.
     """
     reports: list[DecompositionReport] = []
-    current = net
-    agenda = [v for v in net.topological_order() if v in {s.var for s in net.nodes}]
+    parts = _Parts(net)
+    agenda = [v for v in net.topological_order() if v in parts.specs]
     while agenda:
-        name = agenda.pop(0)
-        spec = current.node(name)
-        if isinstance(spec.cpt, CptTable) or spec.deterministic:
+        spec = parts.specs[agenda.pop(0)]
+        if isinstance(spec.cpt, CptTable) or spec.deterministic or is_full_tree(spec.cpt):
             continue
-        if is_full_tree(spec.cpt):
-            continue
-        current, report = _decompose_node(current, name)
-        reports.append(report)
-        agenda[0:0] = [cname for cname, _, _ in report.conditional_nodes]
-    return current, reports
+        reports.append(parts.split(spec.var))
+        agenda[0:0] = [name for name, _, _ in reports[-1].conditional_nodes]
+    return (parts.network() if reports else net), reports
 
 
 # -- join-tree size metrics --------------------------------------------------
@@ -193,15 +189,8 @@ def clique_report(net: Network) -> CliqueReport:
     adj = moral_adjacency(net)
     order = graphs.min_fill_order(adj)
     cliques = graphs.elimination_cliques(adj, order)
-    weights = [
-        sum(math.log2(len(net.values(v))) for v in clique) for clique in cliques
-    ]
-    sizes = []
-    for clique in cliques:
-        size = 1
-        for v in clique:
-            size *= len(net.values(v))
-        sizes.append(float(size))
+    weights = [sum(math.log2(len(net.values(v))) for v in clique) for clique in cliques]
+    sizes = [float(math.prod(len(net.values(v)) for v in clique)) for clique in cliques]
     return CliqueReport(
         elimination_order=tuple(order),
         cliques=tuple(cliques),

@@ -94,6 +94,18 @@ class TestValidate:
         assert err.startswith("error[semantics]: malformed ")
         assert len(err.splitlines()) == 1
 
+    def test_line_breaks_in_names_are_escaped(self, capsys, tmp_path):
+        # a parent named "\r" must not split its error line in two
+        with open(FIG1, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["nodes"][2]["parents"][0] = "\r"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for command in ("validate", "cutset"):
+            code, out, err = invoke(capsys, command, str(bad))
+            assert code == 1
+            assert err.splitlines() == ["error[semantics]: unknown parent: \\r in node V"]
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "validate", FIG1, "--json")
         doc = json.loads(out)

@@ -435,6 +435,28 @@ class TestCutsetInfer:
             q = Query(target, Context(ev))
             posteriors_close(cutset_infer(net, q, tree), query_enumerate(net, q))
 
+    def test_loop_closed_by_an_untested_parent(self):
+        # C declares A and B but tests only B, and B depends on A: the
+        # declared arc A -> C closes the only loop, which the empty context
+        # already deletes, so the network is singly connected as it stands
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        net = Network(
+            tuple(Variable(v, ("t", "f")) for v in "ABC"),
+            (
+                NodeSpec("A", (), leaf(0.35)),
+                NodeSpec("B", ("A",), Node("A", (("t", leaf(0.8)), ("f", leaf(0.15))))),
+                NodeSpec("C", ("A", "B"), Node("B", (("t", leaf(0.6)), ("f", leaf(0.05))))),
+            ),
+        )
+        tree = build_conditional_cutset(net)
+        for target in "ABC":
+            contexts = [{}] + [{v: x} for v in "ABC" if v != target for x in ("t", "f")]
+            for ev in contexts:
+                q = Query(target, Context(ev))
+                want = query_enumerate(net, q)
+                posteriors_close(solve_singly_connected(net, q), want)
+                posteriors_close(cutset_infer(net, q, tree), want)
+
     def test_component_solved_once_per_binding_it_sees(self):
         # two disjoint loops Xi -> Ai, Bi -> Ci, each broken by binding Xi,
         # which leaves the components {Xi} and the path Ai - Ci - Bi
@@ -539,19 +561,35 @@ def _outcome(engine, net, query):
 class TestCompiledForm:
     """Each network compiles once, and no query changes what it compiled."""
 
-    def test_cpt_arrays_built_once_per_family(self, fig1, monkeypatch):
-        net = parse_network(serialize_network(fig1))
+    def test_cpt_arrays_built_once_per_family(self, monkeypatch):
+        # every numeric engine, with and without evidence, reads the one
+        # compiled form: no query after the first builds an array or a
+        # moral graph
         built = []
-        real = inference.cpt_array
+        real_array, real_moral = inference.cpt_array, inference.moral_adjacency
         monkeypatch.setattr(
-            inference, "cpt_array", lambda n, name: built.append(name) or real(n, name)
+            inference, "cpt_array", lambda n, name: built.append(name) or real_array(n, name)
         )
-        names = net.var_names
-        for i, target in enumerate(names):
-            other = names[i - 1]
-            for evidence in (Context(), Context({other: net.values(other)[0]})):
-                variable_elimination(net, Query(target, evidence))
-        assert sorted(built) == sorted(names)
+        monkeypatch.setattr(
+            inference, "moral_adjacency", lambda n: built.append(None) or real_moral(n)
+        )
+        for fig in ("fig1", "fig2", "fig3"):
+            net = parse_network(serialize_network(fixtures.load(fig)))
+            tree = build_conditional_cutset(net)
+            engines = [
+                variable_elimination,
+                lambda n, q: cutset_infer(n, q, tree),
+                solve_singly_connected,
+            ]
+            built.clear()
+            names = net.var_names
+            for i, target in enumerate(names):
+                other = names[i - 1]
+                for evidence in (Context(), Context({other: net.values(other)[0]})):
+                    for engine in engines:
+                        _outcome(engine, net, Query(target, evidence))
+            assert built.count(None) == 1, fig
+            assert sorted(v for v in built if v) == sorted(names), fig
 
     def test_cached_arrays_are_read_only(self, fig1):
         net = parse_network(serialize_network(fig1))

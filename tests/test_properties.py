@@ -1,14 +1,22 @@
 """Property tests on generated networks: the JSON round trip, and agreement
 of variable elimination and cutset conditioning with enumeration, before and
-after decomposition."""
+after decomposition; and the CLI contract on mutated network documents."""
 
+import contextlib
+import copy
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csibn import fixtures
+from csibn.cli import run
 from csibn.cutset import build_conditional_cutset
 from csibn.inference import (
     ImpossibleEvidenceError,
@@ -142,3 +150,65 @@ def test_engines_agree_with_enumeration(data):
             got = engine()
             np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, atol=1e-9)
             assert got.evidence_probability == pytest.approx(want.evidence_probability, abs=1e-9)
+
+
+FIG1_DOC = json.loads(fixtures.path("fig1").read_text())
+
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 10**6),
+    st.floats(),
+    st.text(max_size=6),
+    st.lists(st.integers(-1, 3), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(0, 2), max_size=2),
+)
+
+
+def _locations(doc, at=()) -> list[tuple]:
+    """The key path of every value nested in ``doc``'s lists and dicts."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return []
+    out = []
+    for key, value in items:
+        out.append(at + (key,))
+        out += _locations(value, at + (key,))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_documents_keep_the_cli_contract(data):
+    """fig1's document with one or two fields deleted or replaced by junk:
+    every command exits 0, 1 or 2 without raising, and every stderr line is
+    an ``error[...]`` line, never a traceback."""
+    doc = copy.deepcopy(FIG1_DOC)
+    for _ in range(data.draw(st.integers(1, 2))):
+        *path, key = data.draw(st.sampled_from(_locations(doc)))
+        holder = doc
+        for step in path:
+            holder = holder[step]
+        if data.draw(st.booleans()):
+            del holder[key]
+        else:
+            holder[key] = data.draw(JUNK)
+    with tempfile.TemporaryDirectory() as tmp:
+        file = str(Path(tmp) / "net.json")
+        Path(file).write_text(json.dumps(doc))
+        for argv in (
+            ["validate", file],
+            ["infer", file, "-q", "Z", "-e", "U=t"],
+            ["cutset", file],
+            ["cliques", file],
+            ["decompose", file],
+        ):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run(argv)
+            assert code in (0, 1, 2), argv
+            assert "Traceback" not in err.getvalue()
+            assert all(line.startswith("error[") for line in err.getvalue().splitlines()), argv

@@ -12,16 +12,20 @@ where the probability itself underflows, by rescaling with powers of two.
 
 The numeric engines share one integer-indexed compiled form of a network:
 variable indices, parent and child index tuples, one read-only CPT array per
-family, and the moral adjacency.  A network builds it on its first query and
-keeps it.  Variable elimination is bucket elimination over it: the evidence
+family, the moral adjacency, each family's CPT as a tree, and a memo of
+instantiated families.  A network builds it on its first query and keeps
+it.  Variable elimination is bucket elimination over it: the evidence
 indexes the family arrays, the min-fill order comes from the cached moral
 graph, and each bucket is multiplied and summed out by one einsum.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, and the walk instantiates both in place by
-one per-family step.  It keeps the connected components up to date as it
-binds, and solves each component once per binding of the cutset variables
-it depends on, by an iterative collect pass.
+one per-family step, whose result -- kept parents and table -- depends only
+on the values bound on the family's declared parents and is memoized on the
+network.  The walk keeps the connected components up to date as it binds,
+solves each component once per binding of the cutset variables it depends
+on, by an iterative collect pass, and multiplies in a component that no
+binding below a cutset-tree node can change once, at that node.
 """
 
 from __future__ import annotations
@@ -177,13 +181,15 @@ def contextually_independent(
 # -- compiled form -----------------------------------------------------------
 
 
-def _compile(net: Network) -> tuple[dict[str, int], tuple, tuple, tuple, dict[str, set[str]]]:
+def _compile(net: Network) -> tuple:
     """The integer-indexed form both numeric engines run on: each variable's
     index in declared order, its parents' and children's index tuples, its
     family's :func:`cpt_array` (parent axes in declared order, then its own
-    axis; not writeable) and the moral adjacency.  It depends on the network
-    alone, so it is built on the first call and kept on the network, which
-    it does not refer to."""
+    axis; not writeable), the moral adjacency, each family's CPT in tree form,
+    and the cutset walk's memo of instantiated families (see
+    :meth:`_Walk.instantiate`).  It depends on the network alone, so it is
+    built on the first call and kept on the network, which it does not refer
+    to."""
     if net._compiled is None:
         index = {v: i for i, v in enumerate(net.var_names)}
         parents = tuple(tuple(index[p] for p in net.parents(v)) for v in index)
@@ -191,7 +197,8 @@ def _compile(net: Network) -> tuple[dict[str, int], tuple, tuple, tuple, dict[st
         tables = tuple(cpt_array(net, v) for v in index)
         for table in tables:
             table.flags.writeable = False
-        net._compiled = index, parents, children, tables, moral_adjacency(net)
+        trees = tuple(as_tree(net, v) for v in index)
+        net._compiled = index, parents, children, tables, moral_adjacency(net), trees, {}
     return net._compiled
 
 
@@ -243,7 +250,7 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     impossible-evidence error.
     """
     net.check_context(query.evidence)
-    index, parents, _, tables, moral = _compile(net)
+    index, parents, _, tables, moral = _compile(net)[:5]
     evidence = {index[v]: net.values(v).index(x) for v, x in query.evidence.items()}
     factors = []
     for v, table in enumerate(tables):
@@ -354,36 +361,55 @@ class _Walk:
     the walk restores from the undo record, the connected components with
     ``excess`` (arcs minus nodes plus components: each component has at
     least its size minus one arcs, so this is 0 exactly when every component
-    is a tree), the component-weight cache, and the running branch total.
+    is a tree), each cutset-tree node's below-set (the cutset variables its
+    subtree tests), the component-weight cache, and the running branch
+    total.  Instantiated families are memoized on the network, since they
+    depend only on the values bound on the family's declared parents.  The
+    walk passes down a list of components still to weigh and a prefix
+    product of those already weighed: a node settles each pending component
+    its below-set misses, and a leaf the rest.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
-        index, parents, children, tables, _ = _compile(net)
+        index, parents, children, tables, _, self.trees, self.families = _compile(net)
+        self.declared, self.compiled_tables = parents, tables
         # instantiate changes these three in place, so the walk holds its own lists
         self.parents, self.children, self.tables = list(parents), list(children), list(tables)
         self.names = names = net.var_names
         self.index = index
         self.values = values = [net.values(v) for v in names]
-        self.trees = [as_tree(net, v) for v in names]
         self.eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
         self.ind = [np.ones(len(vs)) for vs in values]
         self.bound = [0] * len(names)  # 1 + bound value index, or 0
-        self.watched = [index[v] for v in sorted(query.evidence)]  # evidence, then bindings
-        for x in self.watched:
+        self.target = index[query.target]
+        # components still to weigh: the target's, then the evidence's
+        self.pending = [self.target] + [index[v] for v in sorted(query.evidence)]
+        for x in self.pending[1:]:
             self.observe(x, values[x].index(query.evidence[names[x]]))
         # every family, evidence-free ones too: a declared parent its tree
         # never tests drops here
         self.excess = sum(map(len, parents)) - len(names)
         self.instantiate(range(len(names)), [])
         self.reduced_children = tuple(self.children)
-        self.cut = sorted(index[v] for v in cutset_mod.cutset_variables(ct))
-        self.target = index[query.target]
+        self.below: dict[int, frozenset] = {}
+        self.cut = sorted(self.below_set(ct))
         self.component = [frozenset()] * len(names)
         self.split(range(len(names)))
         self.cache: dict[tuple[frozenset, tuple], tuple] = {}
         self.sees: dict[frozenset, tuple] = {}  # cutset variables a component depends on
         self.messages = 0
         self.total, self.total_exponent = None, 0
+
+    def below_set(self, tree: "cutset_mod.CutsetTree") -> frozenset:
+        """The indices of the variables ``tree`` tests, recorded in
+        ``below`` for each internal node by ``id``."""
+        if isinstance(tree, cutset_mod.EmptyLeaf):
+            return frozenset()
+        out = frozenset([self.index[tree.test]]).union(
+            *(self.below_set(child) for _, child in tree.arcs)
+        )
+        self.below[id(tree)] = out
+        return out
 
     def split(self, nodes) -> None:
         """Recompute the connected components of ``nodes`` under the current
@@ -411,29 +437,44 @@ class _Walk:
         return saved
 
     def instantiate(self, families, saved: list) -> None:
-        """Reduce each family's tree by the values bound on its parents and
-        drop every parent the reduced tree no longer tests, recording the
-        undo in ``saved``.  The family's table takes the bound value's index
-        on a bound parent's axis and 0 on a dropped unbound one, along which
-        it is constant."""
-        names, values, bound = self.names, self.values, self.bound
-        parents, children, trees, tables = self.parents, self.children, self.trees, self.tables
+        """Give each family the parents and table it has under the values
+        bound on its declared parents, and drop every parent it no longer
+        tests, recording the undo in ``saved``.
+
+        The pair depends on those values alone, so it is memoized on the
+        network.  A miss reduces the family's tree by the whole bound context
+        and indexes its compiled table once: at the bound value's index on a
+        bound parent's axis, and at 0 on a dropped unbound one, along which
+        the table is constant."""
+        bound, parents, children, tables = self.bound, self.parents, self.children, self.tables
+        declared, memo = self.declared, self.families
         for c in families:
+            at = tuple([bound[p] for p in declared[c]])
+            hit = memo.get((c, at))
+            if hit is None:
+                hit = memo[c, at] = self.reduce(c, at)
+            kept, table = hit
             family = parents[c]
-            context = {names[p]: values[p][bound[p] - 1] for p in family if bound[p]}
-            tree = reduce_tree(trees[c], context) if context else trees[c]
-            tested = tree_tested_vars(tree)  # no bound parent
-            kept = tuple(p for p in family if names[p] in tested)
-            at = tuple(
-                bound[p] - 1 if bound[p] else slice(None) if p in kept else 0 for p in family
-            )
-            saved += [(trees, c, trees[c]), (tables, c, tables[c]), (parents, c, family)]
+            saved += [(tables, c, tables[c]), (parents, c, family)]
             for p in family:
                 if p not in kept:
                     saved.append((children, p, children[p]))
                     children[p] = tuple(q for q in children[p] if q != c)
-            trees[c], tables[c], parents[c] = tree, tables[c][at], kept
+            tables[c], parents[c] = table, kept
             self.excess -= len(family) - len(kept)
+
+    def reduce(self, c: int, at: tuple) -> tuple:
+        """Family ``c``'s kept parents and read-only table when its declared
+        parents have the bound values ``at`` (1 + value index, or 0)."""
+        names, values, family = self.names, self.values, self.declared[c]
+        context = {names[p]: values[p][b - 1] for p, b in zip(family, at) if b}
+        tree = reduce_tree(self.trees[c], context) if context else self.trees[c]
+        tested = tree_tested_vars(tree)  # no bound parent
+        kept = tuple(p for p in family if names[p] in tested)
+        table = self.compiled_tables[c][
+            tuple(b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at))
+        ]
+        return kept, table
 
     def bind(self, x: int, k: int) -> list:
         """Instantiate ``x`` to its ``k``-th value; returns the undo record
@@ -477,20 +518,39 @@ class _Walk:
             hit = cache[key] = (vec, exponent)
         return hit
 
-    def leaf(self) -> None:
+    def settle(self, pending: list, prefix: tuple, below: frozenset) -> tuple:
+        """Multiply into ``prefix`` -- the target's vector (None until it is
+        settled), a scale and an exponent -- the weight of each pending
+        component disjoint from ``below``, which no binding beneath can
+        change; returns the components still pending and the new prefix.
+        While a cycle is left, a component that is not a tree stays pending,
+        for the leaf's cycle check."""
+        component, target, parents = self.component, self.target, self.parents
+        vec, scale, exponent = prefix
+        left, done = [], set()
+        for i in pending:
+            part = component[i]
+            if part in done:
+                continue
+            if not part.isdisjoint(below) or (
+                self.excess and sum(len(parents[v]) for v in part) != len(part) - 1
+            ):
+                left.append(i)
+                continue
+            done.add(part)
+            weight, shift = self.weight(part)
+            if target in part:
+                vec, exponent = weight, exponent + shift
+            else:
+                scale, rescale = math.frexp(scale * weight)
+                exponent += shift + rescale
+        return left, (vec, scale, exponent)
+
+    def leaf(self, pending: list, prefix: tuple) -> None:
         """Add the current branch's weight to the running total."""
         if self.excess:
             raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-        component, weight, own = self.component, self.weight, self.component[self.target]
-        vec, exponent = weight(own)
-        scale, done = 1.0, {own}
-        for i in self.watched:
-            part = component[i]
-            if part not in done:
-                done.add(part)
-                mantissa, shift = weight(part)
-                scale, rescale = math.frexp(scale * mantissa)
-                exponent += shift + rescale
+        _, (vec, scale, exponent) = self.settle(pending, prefix, frozenset())
         vec = vec * scale
         if not vec.any():  # a zero weight has no exponent to align
             return
@@ -504,24 +564,27 @@ class _Walk:
             vec = np.ldexp(vec, exponent - total_exponent)
         self.total = total + vec
 
-    def visit(self, tree: "cutset_mod.CutsetTree", live: bool) -> int:
+    def visit(self, tree: "cutset_mod.CutsetTree", pending: list | None, prefix=None) -> int:
         """Visit ``tree``'s branches depth first and return its leaf count.
-        Only live branches, which agree with the evidence, are solved."""
+        Only live branches, which agree with the evidence, are solved; a dead
+        one has ``pending`` None.  A live node first settles the pending
+        components its subtree cannot change."""
         if isinstance(tree, cutset_mod.EmptyLeaf):
-            if live:
-                self.leaf()
+            if pending is not None:
+                self.leaf(pending, prefix)
             return 1
         x, leaves = self.index[tree.test], 0
+        if pending is not None:
+            pending, prefix = self.settle(pending, prefix, self.below[id(tree)])
         for arc_values, child in tree.arcs:
             for value in arc_values:
                 k = self.values[x].index(value)
-                if not (live and self.bound[x] in (0, k + 1)):  # unbound, or bound to value
-                    leaves += self.visit(child, False)
+                # a dead branch, or one the evidence binds x against
+                if pending is None or self.bound[x] not in (0, k + 1):
+                    leaves += self.visit(child, None)
                     continue
                 excess, saved = self.excess, self.bind(x, k)
-                self.watched.append(x)
-                leaves += self.visit(child, True)
-                self.watched.pop()
+                leaves += self.visit(child, pending + [x], prefix)
                 self.excess = excess
                 for store, i, old in reversed(saved):
                     store[i] = old
@@ -534,27 +597,36 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     One private ``_Walk`` object copies the network's cached compiled form
     (integer-indexed parents, CPT arrays) and instantiates the evidence in
     place, by the same per-family step that instantiates cutset branches;
-    then it finds the connected components.  A depth-first walk of the
-    cutset tree instantiates each arc value in place and undoes it on the
-    way back.  Binding ``X`` removes arcs only inside ``X``'s component,
+    then it finds the connected components.  That step's kept parents and
+    table for a family depend only on the values bound on its declared
+    parents, so they are memoized on the network and a binding met before,
+    in this query or an earlier one, reduces no tree.  A depth-first walk of
+    the cutset tree instantiates each arc value in place and undoes it on
+    the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
     so only that component is split again; a count of the arcs beyond a
     spanning forest tells a leaf whether a cycle is left.
 
     A leaf's weight is the target component's belief vector times the total
     weight of every other component holding an evidence or bound variable
-    (one without sums to 1).  Each component weight is solved once per query
-    for each binding it can see -- the values bound on its nodes and on their
-    parents once the evidence is instantiated -- and reused by every later
-    branch with that binding; this is the context caching of recursive
-    conditioning.  Weights carry power-of-two exponents, so tiny evidence
-    probabilities do not underflow.  Branch weights are added in canonical
-    branch order.  A branch contradicting evidence on a cutset variable
-    weighs 0 unsolved.  ``evaluations`` counts every branch and
-    ``messages_computed`` the messages actually solved.  Raises
-    :class:`NotSinglyConnectedError` when a branch leaves a cycle.
+    (one without sums to 1).  A component that holds none of the variables
+    a cutset subtree can still bind keeps its weight throughout that
+    subtree, so it is multiplied into a running prefix product once, at the
+    subtree's root, and a leaf multiplies only the components still pending;
+    this is the decomposition of recursive conditioning.  A component that
+    is not a tree stays pending, for the leaf's cycle check.  Each component
+    weight is solved once per query for each binding it can see -- the
+    values bound on its nodes and on their parents once the evidence is
+    instantiated -- and reused by every later branch with that binding; this
+    is the context caching of recursive conditioning.  Weights carry
+    power-of-two exponents, so tiny evidence probabilities do not underflow.
+    Branch weights are added in canonical branch order.  A branch
+    contradicting evidence on a cutset variable weighs 0 unsolved.
+    ``evaluations`` counts every branch and ``messages_computed`` the
+    messages actually solved.  Raises :class:`NotSinglyConnectedError` when
+    a branch leaves a cycle.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)
-    evaluations = walk.visit(ct, True)
+    evaluations = walk.visit(ct, walk.pending, (None, 1.0, 0))
     total = np.zeros(len(walk.values[walk.target])) if walk.total is None else walk.total
     return _finish([float(w) for w in total], evaluations, walk.total_exponent, walk.messages)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
-from csibn import fixtures, inference
+from csibn import fixtures, inference, model
 from csibn.cutset import (
     EMPTY,
     CutsetNode,
@@ -29,6 +29,7 @@ from csibn.inference import (
 from csibn.csi import vacuous_parents
 from csibn.model import (
     Context,
+    CptTable,
     Distribution,
     Leaf,
     Network,
@@ -38,6 +39,7 @@ from csibn.model import (
     parse_network,
     serialize_network,
 )
+from csibn.transform import decompose_network
 
 from conftest import (
     all_assignments,
@@ -374,6 +376,25 @@ class TestCutsetInfer:
         with pytest.raises(NotSinglyConnectedError):
             cutset_infer(fig1, Query("Z", Context()), flat_cutset(fig1, ["U"]))
 
+    def test_cycle_in_a_component_no_binding_reaches_rejected(self):
+        # the diamond's cycle lies beside X -> Y, so no binding of the cutset
+        # changes its component: it is never weighed above a leaf, and the
+        # leaf's cycle check rejects every branch
+        diamond = diamond_net()
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        net = Network(
+            diamond.variables + (Variable("X", ("t", "f")), Variable("Y", ("t", "f"))),
+            diamond.nodes
+            + (
+                NodeSpec("X", (), leaf(0.3)),
+                NodeSpec("Y", ("X",), Node("X", (("t", leaf(0.8)), ("f", leaf(0.1))))),
+            ),
+        )
+        tree = flat_cutset(net, ["X"])
+        for target, evidence in (("D", {"Y": "t"}), ("Y", {"D": "t"}), ("Y", {"D": "t", "X": "t"})):
+            with pytest.raises(NotSinglyConnectedError):
+                cutset_infer(net, Query(target, Context(evidence)), tree)
+
     def test_all_branches_zero_is_impossible_evidence(self):
         net = deterministic_diamond_net()
         tree = build_conditional_cutset(net)
@@ -590,6 +611,50 @@ class TestCompiledForm:
                         _outcome(engine, net, Query(target, evidence))
             assert built.count(None) == 1, fig
             assert sorted(v for v in built if v) == sorted(names), fig
+
+    def test_table_trees_expanded_once_per_network(self, fig1, monkeypatch):
+        # a decomposed network's multiplexers are tables; the walk reads their
+        # tree form from the compiled form, built on the first query
+        net, _ = decompose_network(fig1)
+        tables = sum(isinstance(spec.cpt, CptTable) for spec in net.nodes)
+        assert tables == 3
+        tree = build_conditional_cutset(net)
+        expanded = []
+        real = model.table_to_tree
+        monkeypatch.setattr(
+            model, "table_to_tree", lambda tab, order: expanded.append(tab) or real(tab, order)
+        )
+        infer, names = lambda n, q: cutset_infer(n, q, tree), net.var_names
+        for i in range(10):
+            _outcome(infer, net, Query(names[i % len(names)], Context()))
+            assert len(expanded) == tables, i
+
+    def test_repeated_cutset_query_reduces_no_tree(self, fig1, monkeypatch):
+        # instantiated families are memoized on the network, so a query it
+        # has served before finds every family it instantiates there
+        reduced = []
+        real = inference.reduce_tree
+        monkeypatch.setattr(
+            inference, "reduce_tree", lambda tree, ctx: reduced.append(ctx) or real(tree, ctx)
+        )
+        decomposed, _ = decompose_network(fig1)
+        cases = [(decomposed, [Query(v, Context()) for v in fig1.var_names])]
+        for fig in ("fig1", "fig2", "fig3"):
+            net = parse_network(serialize_network(fixtures.load(fig)))
+            names = net.var_names
+            cases.append(
+                (net, [Query(v, Context({u: net.values(u)[0]})) for u, v in zip(names, names[1:])])
+            )
+        for net, queries in cases:
+            tree = build_conditional_cutset(net)
+            infer = lambda n, q: cutset_infer(n, q, tree)
+            for query in queries:
+                _outcome(infer, net, query)
+            assert reduced
+            reduced.clear()
+            for query in queries:
+                _outcome(infer, net, query)
+            assert not reduced
 
     def test_cached_arrays_are_read_only(self, fig1):
         net = parse_network(serialize_network(fig1))

@@ -20,6 +20,7 @@ from csibn.cli import run
 from csibn.cutset import build_conditional_cutset
 from csibn.inference import (
     ImpossibleEvidenceError,
+    NotSinglyConnectedError,
     Query,
     cutset_infer,
     query_enumerate,
@@ -150,6 +151,41 @@ def test_engines_agree_with_enumeration(data):
             got = engine()
             np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, atol=1e-9)
             assert got.evidence_probability == pytest.approx(want.evidence_probability, abs=1e-9)
+
+
+def _cutset_answer(net: Network, query: Query, tree):
+    """The cutset result's fields, or the name of the inference error raised."""
+    try:
+        got = cutset_infer(net, query, tree)
+    except (ImpossibleEvidenceError, NotSinglyConnectedError) as exc:
+        return type(exc).__name__
+    return got.posterior, got.evidence_probability, got.evaluations, got.messages_computed
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_cutset_answer_does_not_depend_on_history(data):
+    """A cutset query on a network that has served other queries, with
+    evidence that may bind cutset variables, is answered bit for bit as on a
+    freshly parsed copy: what the network keeps between queries depends on
+    nothing but the network."""
+    net = data.draw(networks())
+    names = list(net.var_names)
+    tree = build_conditional_cutset(net)
+
+    def query() -> Query:
+        target = data.draw(st.sampled_from(names))
+        bound = data.draw(st.lists(st.sampled_from(names), unique=True))
+        return Query(
+            target,
+            Context({v: data.draw(st.sampled_from(net.values(v))) for v in bound if v != target}),
+        )
+
+    for _ in range(data.draw(st.integers(1, 4))):
+        _cutset_answer(net, query(), tree)
+    asked = query()
+    fresh = parse_network(serialize_network(net))
+    assert _cutset_answer(net, asked, tree) == _cutset_answer(fresh, asked, tree)
 
 
 FIG1_DOC = json.loads(fixtures.path("fig1").read_text())

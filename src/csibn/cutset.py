@@ -159,16 +159,13 @@ def _tree_shape(tree) -> object:
 
 
 def _network_signature(net: Network) -> object:
-    """Structure of a network, blind to leaf probabilities.
+    """Structure of a network, blind to leaf probabilities: each node with
+    its parents and its CPT tree's shape, in name order.
 
     Two instantiation values whose reduced networks share a signature
     break the same loops the same way, so one subtree serves both.
     """
-    shapes = tuple(
-        (spec.var, spec.parents, _tree_shape(as_tree(net, spec.var)))
-        for spec in sorted(net.nodes, key=lambda s: s.var)
-    )
-    return (frozenset(net.edges()), shapes)
+    return _Builder().signature(net)
 
 
 def build_conditional_cutset(net: Network) -> CutsetTree:
@@ -180,8 +177,15 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     with at least one child still in the core; the deletion score counts
     only arcs into fellow candidates, which keeps pure sinks from inflating
     a variable's apparent usefulness.
+
+    The result is a DAG: equal subtrees are one object.  A subtree depends
+    only on the residual network's signature and on the variables already
+    instantiated, so it is built once per such pair, and each new node is
+    interned on its test and its arcs' values and child identities, which
+    also shares equal subtrees reached from different pairs.
     """
-    return _build(net, frozenset())
+    builder = _Builder()
+    return builder.build(net, builder.signature(net), frozenset())
 
 
 def _candidate_score(net: Network, v: str, pool: set[str]) -> float:
@@ -189,48 +193,82 @@ def _candidate_score(net: Network, v: str, pool: set[str]) -> float:
     return arc_deletion_score(net, v, children=kids)
 
 
-def _build(current: Network, instantiated: frozenset) -> CutsetTree:
-    core = graphs.two_core(current.skeleton())
-    if not core:
-        return EMPTY
-    candidates = sorted(
-        v
-        for v in core
-        if v not in instantiated and any(c in core for c in current.children(v))
-    )
-    if not candidates:
-        raise RuntimeError("cyclic residual with no cuttable variable")
+class _Builder:
+    """The memos of one greedy build: subtrees by (signature, instantiated
+    variables), nodes by test and arcs, and the shape of each CPT tree met,
+    by identity (a reduced network keeps every tree its instantiation does
+    not touch)."""
 
-    cand_set = set(candidates)
-    scored = [(v, _candidate_score(current, v, cand_set)) for v in candidates]
-    if all(d <= 0 for _, d in scored):
-        # every candidate's candidate-directed score degenerated to zero
-        # (colliders only); count arcs into the whole core instead
-        scored = [(v, _candidate_score(current, v, core)) for v in candidates]
-    pick = min(
-        scored,
-        key=lambda vd: (
-            weight(current.variable(vd[0])) / vd[1] if vd[1] > 0 else math.inf,
-            vd[0],
-        ),
-    )[0]
+    def __init__(self):
+        self.built: dict[tuple, CutsetTree] = {}
+        self.interned: dict[tuple, CutsetNode] = {}
+        self.shapes: dict[int, tuple] = {}  # id -> (tree, shape), which keeps the id
 
-    groups: list[tuple[list[str], object, Network]] = []
-    for value in current.values(pick):
-        reduced = reduce_network(current, {pick: value})
-        sig = _network_signature(reduced)
-        for values, seen_sig, _ in groups:
-            if seen_sig == sig:
-                values.append(value)
-                break
-        else:
-            groups.append(([value], sig, reduced))
+    def signature(self, net: Network) -> tuple:
+        """See :func:`_network_signature`."""
+        shapes, out = self.shapes, []
+        for spec in sorted(net.nodes, key=lambda s: s.var):
+            tree = as_tree(net, spec.var)
+            hit = shapes.get(id(tree))
+            if hit is None:
+                hit = shapes[id(tree)] = (tree, _tree_shape(tree))
+            out.append((spec.var, spec.parents, hit[1]))
+        return tuple(out)
 
-    arcs = tuple(
-        (tuple(values), _build(rep, instantiated | {pick}))
-        for values, _, rep in groups
-    )
-    return CutsetNode(pick, arcs)
+    def build(self, current: Network, sig: tuple, instantiated: frozenset) -> CutsetTree:
+        """The subtree for ``current``, whose signature is ``sig``."""
+        key = (sig, instantiated)
+        tree = self.built.get(key)
+        if tree is None:
+            tree = self.built[key] = self.node(current, instantiated)
+        return tree
+
+    def node(self, current: Network, instantiated: frozenset) -> CutsetTree:
+        core = graphs.two_core(current.skeleton())
+        if not core:
+            return EMPTY
+        candidates = sorted(
+            v
+            for v in core
+            if v not in instantiated and any(c in core for c in current.children(v))
+        )
+        if not candidates:
+            raise RuntimeError("cyclic residual with no cuttable variable")
+
+        cand_set = set(candidates)
+        scored = [(v, _candidate_score(current, v, cand_set)) for v in candidates]
+        if all(d <= 0 for _, d in scored):
+            # every candidate's candidate-directed score degenerated to zero
+            # (colliders only); count arcs into the whole core instead
+            scored = [(v, _candidate_score(current, v, core)) for v in candidates]
+        pick = min(
+            scored,
+            key=lambda vd: (
+                weight(current.variable(vd[0])) / vd[1] if vd[1] > 0 else math.inf,
+                vd[0],
+            ),
+        )[0]
+
+        groups: list[tuple[list[str], tuple, Network]] = []
+        for value in current.values(pick):
+            reduced = reduce_network(current, {pick: value})
+            sig = self.signature(reduced)
+            for values, seen_sig, _ in groups:
+                if seen_sig == sig:
+                    values.append(value)
+                    break
+            else:
+                groups.append(([value], sig, reduced))
+
+        arcs = tuple(
+            (tuple(values), self.build(rep, sig, instantiated | {pick}))
+            for values, sig, rep in groups
+        )
+        key = (pick, tuple((values, id(child)) for values, child in arcs))
+        node = self.interned.get(key)
+        if node is None:
+            node = self.interned[key] = CutsetNode(pick, arcs)
+        return node
 
 
 def flat_cutset(net: Network, names) -> CutsetTree:

@@ -25,7 +25,10 @@ on the values bound on the family's declared parents and is memoized on the
 network.  The walk keeps the connected components up to date as it binds,
 solves each component once per binding of the cutset variables it depends
 on, by an iterative collect pass, and multiplies in a component that no
-binding below a cutset-tree node can change once, at that node.
+binding below a cutset-tree node can change once, at that node.  Each
+cutset subtree returns the sum of its branches, computed once per query for
+each state of the components it can see; the cutset builder shares equal
+subtrees, so that sum serves every branch that reaches one of them.
 """
 
 from __future__ import annotations
@@ -361,13 +364,16 @@ class _Walk:
     the walk restores from the undo record, the connected components with
     ``excess`` (arcs minus nodes plus components: each component has at
     least its size minus one arcs, so this is 0 exactly when every component
-    is a tree), each cutset-tree node's below-set (the cutset variables its
-    subtree tests), the component-weight cache, and the running branch
-    total.  Instantiated families are memoized on the network, since they
-    depend only on the values bound on the family's declared parents.  The
-    walk passes down a list of components still to weigh and a prefix
-    product of those already weighed: a node settles each pending component
-    its below-set misses, and a leaf the rest.
+    is a tree), and, once per distinct cutset-tree node, its below-set (the
+    cutset variables its subtree tests) and its leaf count.  Instantiated
+    families are memoized on the network, since they depend only on the
+    values bound on the family's declared parents.  Three per-query memos
+    are keyed on a component and the values bound on the cutset variables
+    it sees (:meth:`seen`), which fix the arcs inside it: its weight, its
+    partition when a binding splits it, and, with a cutset-tree node and
+    ``excess``, the node's subtree sum.  :meth:`visit` returns a subtree's
+    sum over its branches of the weights still pending; a node weighs each
+    pending component its below-set misses once, and a leaf the rest.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
@@ -392,30 +398,39 @@ class _Walk:
         self.instantiate(range(len(names)), [])
         self.reduced_children = tuple(self.children)
         self.below: dict[int, frozenset] = {}
-        self.cut = sorted(self.below_set(ct))
+        self.leaves: dict[int, int] = {}
+        self.cut = sorted(self.index_tree(ct))
         self.component = [frozenset()] * len(names)
-        self.split(range(len(names)))
-        self.cache: dict[tuple[frozenset, tuple], tuple] = {}
+        self.interned: dict[frozenset, frozenset] = {}
+        self.assign(self.partition(range(len(names))))
         self.sees: dict[frozenset, tuple] = {}  # cutset variables a component depends on
+        self.weights: dict[tuple, tuple] = {}
+        self.splits: dict[tuple, tuple] = {}
+        self.sums: dict[tuple, tuple | None] = {}
         self.messages = 0
-        self.total, self.total_exponent = None, 0
 
-    def below_set(self, tree: "cutset_mod.CutsetTree") -> frozenset:
-        """The indices of the variables ``tree`` tests, recorded in
-        ``below`` for each internal node by ``id``."""
+    def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
+        """The indices of the variables ``tree`` tests, recorded in ``below``
+        with the leaf count in ``leaves``, by ``id``, once per distinct
+        node."""
+        out = self.below.get(id(tree))
+        if out is not None:
+            return out
         if isinstance(tree, cutset_mod.EmptyLeaf):
-            return frozenset()
-        out = frozenset([self.index[tree.test]]).union(
-            *(self.below_set(child) for _, child in tree.arcs)
-        )
-        self.below[id(tree)] = out
+            out, leaves = frozenset(), 1
+        else:
+            out = frozenset([self.index[tree.test]]).union(
+                *(self.index_tree(child) for _, child in tree.arcs)
+            )
+            leaves = sum(len(values) * self.leaves[id(child)] for values, child in tree.arcs)
+        self.below[id(tree)], self.leaves[id(tree)] = out, leaves
         return out
 
-    def split(self, nodes) -> None:
-        """Recompute the connected components of ``nodes`` under the current
-        arcs, counting each new component in ``excess``."""
-        parents, children, component = self.parents, self.children, self.component
-        left = set(nodes)
+    def partition(self, nodes) -> tuple[frozenset, ...]:
+        """The connected components of ``nodes`` under the current arcs, each
+        one object per query, however often it recurs."""
+        parents, children, interned = self.parents, self.children, self.interned
+        left, parts = set(nodes), []
         while left:
             part = [left.pop()]
             for v in part:
@@ -424,9 +439,30 @@ class _Walk:
                         left.remove(w)
                         part.append(w)
             part = frozenset(part)
-            self.excess += 1
+            parts.append(interned.setdefault(part, part))
+        return tuple(parts)
+
+    def assign(self, parts: tuple) -> None:
+        """Make each of ``parts`` its nodes' component, counting each in
+        ``excess``."""
+        component = self.component
+        self.excess += len(parts)
+        for part in parts:
             for v in part:
                 component[v] = part
+
+    def seen(self, part: frozenset) -> tuple:
+        """The values bound on the cutset variables ``part`` depends on:
+        those in it, and those with a child in it once the evidence is
+        instantiated.  They fix the arcs and tables inside ``part``."""
+        sees = self.sees.get(part)
+        if sees is None:
+            reach = self.reduced_children
+            sees = self.sees[part] = tuple(
+                x for x in self.cut if x in part or not part.isdisjoint(reach[x])
+            )
+        bound = self.bound
+        return tuple([bound[x] for x in sees])
 
     def observe(self, x: int, k: int) -> list:
         """Set ``x``'s indicator and bound value to its ``k``-th value;
@@ -481,30 +517,26 @@ class _Walk:
         (``excess`` is the caller's to restore).  Each child of ``x`` loses
         the arc from ``x`` and every other arc its reduced tree no longer
         needs.  Every dropped arc lies in ``x``'s component, which is then
-        split again."""
+        split again; its parts depend only on it and the values it sees."""
         saved = self.observe(x, k)
         if not self.children[x]:
             return saved
         self.excess -= 1
         self.instantiate(self.children[x], saved)
         old = self.component[x]
+        key = (old, self.seen(old))
+        parts = self.splits.get(key)
+        if parts is None:
+            parts = self.splits[key] = self.partition(old)
         saved.append((self.component, slice(None), self.component[:]))  # all at once
-        self.split(old)
+        self.assign(parts)
         return saved
 
     def weight(self, part: frozenset) -> tuple:
         """``part``'s belief vector at the target if it holds the target,
         else its total weight, with its power-of-two exponent."""
-        sees = self.sees.get(part)
-        if sees is None:
-            reach = self.reduced_children
-            sees = self.sees[part] = tuple(
-                x for x in self.cut if x in part or not part.isdisjoint(reach[x])
-            )
-        bound = self.bound
-        key = (part, tuple([bound[x] for x in sees]))
-        cache = self.cache
-        hit = cache.get(key)
+        key = (part, self.seen(part))
+        hit = self.weights.get(key)
         if hit is None:
             target = self.target
             root = target if target in part else min(part)
@@ -515,18 +547,18 @@ class _Walk:
             if root != target:
                 mantissa, shift = math.frexp(float(vec.sum()))
                 vec, exponent = mantissa, exponent + shift
-            hit = cache[key] = (vec, exponent)
+            hit = self.weights[key] = (vec, exponent)
         return hit
 
-    def settle(self, pending: list, prefix: tuple, below: frozenset) -> tuple:
-        """Multiply into ``prefix`` -- the target's vector (None until it is
-        settled), a scale and an exponent -- the weight of each pending
-        component disjoint from ``below``, which no binding beneath can
-        change; returns the components still pending and the new prefix.
-        While a cycle is left, a component that is not a tree stays pending,
-        for the leaf's cycle check."""
+    def settle(self, pending: list, below: frozenset) -> tuple:
+        """Weigh each component of ``pending`` disjoint from ``below``, which
+        no binding beneath can change; returns the indices whose components
+        are still pending, and the product of the weights: the target's vector
+        (None unless it was weighed), a scale and an exponent.  While a
+        cycle is left, a component that is not a tree stays pending, for
+        the leaf's cycle check."""
         component, target, parents = self.component, self.target, self.parents
-        vec, scale, exponent = prefix
+        vec, scale, exponent = None, 1.0, 0
         left, done = [], set()
         for i in pending:
             part = component[i]
@@ -535,7 +567,7 @@ class _Walk:
             if not part.isdisjoint(below) or (
                 self.excess and sum(len(parents[v]) for v in part) != len(part) - 1
             ):
-                left.append(i)
+                left.append(i)  # every index: a binding beneath may split part
                 continue
             done.add(part)
             weight, shift = self.weight(part)
@@ -544,51 +576,76 @@ class _Walk:
             else:
                 scale, rescale = math.frexp(scale * weight)
                 exponent += shift + rescale
-        return left, (vec, scale, exponent)
+        return left, vec, scale, exponent
 
-    def leaf(self, pending: list, prefix: tuple) -> None:
-        """Add the current branch's weight to the running total."""
-        if self.excess:
-            raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-        _, (vec, scale, exponent) = self.settle(pending, prefix, frozenset())
-        vec = vec * scale
-        if not vec.any():  # a zero weight has no exponent to align
-            return
-        total, total_exponent = self.total, self.total_exponent
-        if total is None:
-            self.total, self.total_exponent = vec, exponent
-            return
-        if exponent > total_exponent:
-            total, self.total_exponent = np.ldexp(total, total_exponent - exponent), exponent
-        elif exponent < total_exponent:
-            vec = np.ldexp(vec, exponent - total_exponent)
-        self.total = total + vec
-
-    def visit(self, tree: "cutset_mod.CutsetTree", pending: list | None, prefix=None) -> int:
-        """Visit ``tree``'s branches depth first and return its leaf count.
-        Only live branches, which agree with the evidence, are solved; a dead
-        one has ``pending`` None.  A live node first settles the pending
-        components its subtree cannot change."""
+    def visit(self, tree: "cutset_mod.CutsetTree", pending: list) -> tuple | None:
+        """The sum over ``tree``'s live branches, those that agree with the
+        evidence, of the product of the weights of ``pending``'s components,
+        as ``(value, exponent)``, or None for zero; the value is a vector if
+        the target's component is pending, else a scalar.  A node weighs the
+        components its subtree cannot change once, then adds up its
+        branches (:meth:`branches`); a leaf weighs them all."""
         if isinstance(tree, cutset_mod.EmptyLeaf):
-            if pending is not None:
-                self.leaf(pending, prefix)
-            return 1
-        x, leaves = self.index[tree.test], 0
-        if pending is not None:
-            pending, prefix = self.settle(pending, prefix, self.below[id(tree)])
+            if self.excess:
+                raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
+            _, vec, scale, exponent = self.settle(pending, frozenset())
+            total = (1.0, 0)
+        else:
+            pending, vec, scale, exponent = self.settle(pending, self.below[id(tree)])
+            total = self.branches(tree, pending)
+            if total is None:
+                return None
+        value, shift = total
+        value = value * scale if vec is None else vec * (value * scale)
+        if isinstance(value, np.ndarray):
+            value, rescale = _scaled(value)
+            if not value.any():
+                return None
+        else:
+            value, rescale = math.frexp(value)
+            if not value:
+                return None
+        return value, exponent + shift + rescale
+
+    def branches(self, tree: "cutset_mod.CutsetNode", pending: list) -> tuple | None:
+        """The sum of :meth:`visit` over ``tree``'s live branches, each
+        binding its value of the tested variable, in canonical order.
+
+        It depends only on the node, ``excess``, and the components that are
+        pending or hold a variable the node's subtree tests, each with the
+        values it sees, so it is memoized for the query on those; the
+        components are one object each per query, so their ids order them.
+        ``excess`` in the key keeps a hit from skipping a leaf that would
+        find a cycle."""
+        component, below = self.component, self.below[id(tree)]
+        parts = {component[i] for i in pending}.union(component[x] for x in below)
+        key = (id(tree), self.excess, *[(part, self.seen(part)) for part in sorted(parts, key=id)])
+        if key in self.sums:
+            return self.sums[key]
+        x, bound, total = self.index[tree.test], self.bound, None
         for arc_values, child in tree.arcs:
             for value in arc_values:
                 k = self.values[x].index(value)
-                # a dead branch, or one the evidence binds x against
-                if pending is None or self.bound[x] not in (0, k + 1):
-                    leaves += self.visit(child, None)
+                if bound[x] not in (0, k + 1):  # the evidence binds x otherwise
                     continue
                 excess, saved = self.excess, self.bind(x, k)
-                leaves += self.visit(child, pending + [x], prefix)
+                term = self.visit(child, pending + [x])
                 self.excess = excess
                 for store, i, old in reversed(saved):
                     store[i] = old
-        return leaves
+                if term is None:
+                    continue
+                if total is None:
+                    total = term
+                    continue
+                # align the smaller exponent's value to the larger
+                (a, a_exp), (b, b_exp) = total, term
+                if a_exp < b_exp:
+                    (a, a_exp), (b, b_exp) = term, total
+                ldexp = np.ldexp if isinstance(b, np.ndarray) else math.ldexp
+                total = a + ldexp(b, b_exp - a_exp), a_exp
+        self.sums[key] = total
+        return total
 
 
 def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
@@ -603,30 +660,34 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     in this query or an earlier one, reduces no tree.  A depth-first walk of
     the cutset tree instantiates each arc value in place and undoes it on
     the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
-    so only that component is split again; a count of the arcs beyond a
-    spanning forest tells a leaf whether a cycle is left.
+    so only that component is split again, once per query for each binding
+    it sees; a count of the arcs beyond a spanning forest tells a leaf
+    whether a cycle is left.
 
-    A leaf's weight is the target component's belief vector times the total
-    weight of every other component holding an evidence or bound variable
-    (one without sums to 1).  A component that holds none of the variables
-    a cutset subtree can still bind keeps its weight throughout that
-    subtree, so it is multiplied into a running prefix product once, at the
-    subtree's root, and a leaf multiplies only the components still pending;
-    this is the decomposition of recursive conditioning.  A component that
-    is not a tree stays pending, for the leaf's cycle check.  Each component
-    weight is solved once per query for each binding it can see -- the
-    values bound on its nodes and on their parents once the evidence is
-    instantiated -- and reused by every later branch with that binding; this
-    is the context caching of recursive conditioning.  Weights carry
-    power-of-two exponents, so tiny evidence probabilities do not underflow.
-    Branch weights are added in canonical branch order.  A branch
-    contradicting evidence on a cutset variable weighs 0 unsolved.
+    A branch's weight is the target component's belief vector times the
+    total weight of every other component holding an evidence or bound
+    variable (one without sums to 1).  This is recursive conditioning
+    (Darwiche, AIJ 126, 2001).  Its decomposition: a component that holds
+    none of the variables a cutset subtree can still bind keeps its weight
+    throughout that subtree, so the subtree returns the sum of its branches
+    over the other components alone, and its root multiplies that sum by
+    the component's weight once.  A component that is not a tree stays
+    pending, for the leaf's cycle check.  Its caching: each component weight
+    is solved once per query for each binding it can see -- the values
+    bound on its nodes and on their parents once the evidence is
+    instantiated -- and each subtree sum is computed once per query for
+    each distinct node, cycle count and state of the components it can see
+    or change.  The cutset builder shares equal subtrees, so equal subtrees
+    under different branches share their sums too.  Sums and weights carry
+    power-of-two exponents, so tiny evidence probabilities do not underflow,
+    and a node adds its branches in canonical branch order.  A branch
+    contradicting evidence on a cutset variable weighs 0 and is skipped.
     ``evaluations`` counts every branch and ``messages_computed`` the
     messages actually solved.  Raises :class:`NotSinglyConnectedError` when
     a branch leaves a cycle.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)
-    evaluations = walk.visit(ct, walk.pending, (None, 1.0, 0))
-    total = np.zeros(len(walk.values[walk.target])) if walk.total is None else walk.total
-    return _finish([float(w) for w in total], evaluations, walk.total_exponent, walk.messages)
+    total = walk.visit(ct, walk.pending)
+    weights, exponent = (np.zeros(len(walk.values[walk.target])), 0) if total is None else total
+    return _finish([float(w) for w in weights], walk.leaves[id(ct)], exponent, walk.messages)

@@ -14,6 +14,7 @@ from csibn.cutset import (
     best_cut_variable,
     branch_contexts,
     build_conditional_cutset,
+    cutset_tree_to_obj,
     cutset_variables,
     expected_parents,
     flat_cutset,
@@ -155,6 +156,67 @@ class TestBuild:
             for v in used:
                 flat_count *= len(net.values(v))
             assert len(branch_contexts(tree)) <= flat_count
+
+
+def _occurrences(tree) -> list:
+    """Every node of ``tree`` once per path that reaches it."""
+    out = [tree]
+    if isinstance(tree, CutsetNode):
+        for _, child in tree.arcs:
+            out += _occurrences(child)
+    return out
+
+
+class TestSharing:
+    def test_one_object_per_distinct_subtree(self, fig1):
+        rng = np.random.default_rng(33)
+        nets = [fig1] + [random_loopy_net(rng, max_vars=8) for _ in range(25)]
+        shared = 0
+        for net in nets:
+            nodes = _occurrences(build_conditional_cutset(net))
+            distinct = {id(node) for node in nodes}
+            assert len(distinct) == len(set(nodes))  # equal subtrees are one object
+            shared += len(distinct) < len(nodes)
+        assert shared >= 20
+
+    def test_rendering_of_the_fixtures(self, fig1, fig2, fig3):
+        tree = build_conditional_cutset(fig1)
+        assert format_cutset_tree(tree) == (
+            "U\n"
+            "  ={t}:\n"
+            "    (singly connected)\n"
+            "  ={f}:\n"
+            "    V\n"
+            "      ={t,f}:\n"
+            "        W\n"
+            "          ={t,f}:\n"
+            "            (singly connected)\n"
+        )
+        assert cutset_tree_to_obj(tree) == {
+            "test": "U",
+            "arcs": [
+                {"values": ["t"], "child": None},
+                {
+                    "values": ["f"],
+                    "child": {
+                        "test": "V",
+                        "arcs": [
+                            {
+                                "values": ["t", "f"],
+                                "child": {
+                                    "test": "W",
+                                    "arcs": [{"values": ["t", "f"], "child": None}],
+                                },
+                            }
+                        ],
+                    },
+                },
+            ],
+        }
+        for net in (fig2, fig3):
+            tree = build_conditional_cutset(net)
+            assert format_cutset_tree(tree) == "(singly connected)\n"
+            assert cutset_tree_to_obj(tree) is None
 
 
 class TestFlatCutset:

@@ -64,6 +64,24 @@ def binary_chain(n, stay, leave) -> Network:
     return Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
 
 
+def two_loops_net() -> Network:
+    """Two disjoint loops Xi -> Ai, Bi -> Ci, each broken by binding Xi,
+    which leaves the components {Xi} and the path Ai - Ci - Bi."""
+    leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+    on = lambda var, a, b: Node(var, (("t", leaf(a)), ("f", leaf(b))))
+    variables, nodes = [], []
+    for i, (px, pc) in enumerate(((0.3, 0.85), (0.55, 0.2)), start=1):
+        x, a, b, c = (f"{v}{i}" for v in "XABC")
+        variables += [Variable(v, ("t", "f")) for v in (x, a, b, c)]
+        nodes += [
+            NodeSpec(x, (), leaf(px)),
+            NodeSpec(a, (x,), on(x, 0.7, 0.25)),
+            NodeSpec(b, (x,), on(x, 0.4, 0.9)),
+            NodeSpec(c, (a, b), Node(a, (("t", on(b, pc, 0.5)), ("f", on(b, 0.35, 0.6))))),
+        ]
+    return Network(tuple(variables), tuple(nodes))
+
+
 def posteriors_close(a, b, tol=1e-9):
     np.testing.assert_allclose(a.posterior.probs, b.posterior.probs, atol=tol)
     np.testing.assert_allclose(
@@ -479,21 +497,7 @@ class TestCutsetInfer:
                 posteriors_close(cutset_infer(net, q, tree), want)
 
     def test_component_solved_once_per_binding_it_sees(self):
-        # two disjoint loops Xi -> Ai, Bi -> Ci, each broken by binding Xi,
-        # which leaves the components {Xi} and the path Ai - Ci - Bi
-        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
-        on = lambda var, a, b: Node(var, (("t", leaf(a)), ("f", leaf(b))))
-        variables, nodes = [], []
-        for i, (px, pc) in enumerate(((0.3, 0.85), (0.55, 0.2)), start=1):
-            x, a, b, c = (f"{v}{i}" for v in "XABC")
-            variables += [Variable(v, ("t", "f")) for v in (x, a, b, c)]
-            nodes += [
-                NodeSpec(x, (), leaf(px)),
-                NodeSpec(a, (x,), on(x, 0.7, 0.25)),
-                NodeSpec(b, (x,), on(x, 0.4, 0.9)),
-                NodeSpec(c, (a, b), Node(a, (("t", on(b, pc, 0.5)), ("f", on(b, 0.35, 0.6))))),
-            ]
-        net = Network(tuple(variables), tuple(nodes))
+        net = two_loops_net()
         q = Query("A1", Context({"C1": "t", "C2": "f"}))
         got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
         posteriors_close(got, query_enumerate(net, q))
@@ -501,6 +505,57 @@ class TestCutsetInfer:
         # each path is solved for the 2 values of its own Xi, by 2 messages
         # (solving it at each of the 4 leaves would take 16); {Xi} takes none
         assert got.messages_computed == 2 * 2 * 2
+
+    def test_subtree_sum_reused_across_branches(self, monkeypatch):
+        # binding X1 leaves the X2 loop as it was, so the X2 node's sum under
+        # X1=f is the one computed under X1=t: X2 is not bound again
+        net = two_loops_net()
+        binds = []
+        bind = inference._Walk.bind
+        monkeypatch.setattr(
+            inference._Walk, "bind", lambda walk, x, k: binds.append(x) or bind(walk, x, k)
+        )
+        q = Query("A1", Context({"C1": "t", "C2": "f"}))
+        got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
+        posteriors_close(got, query_enumerate(net, q))
+        assert len(binds) == 4  # X1=t, X2=t, X2=f, X1=f (6 without the reuse)
+        assert got.messages_computed == 2 * 2 * 2
+
+    @pytest.mark.parametrize("x1_values", [("t", "f"), ("f", "t")])
+    def test_reused_subtree_sum_never_hides_a_cycle(self, x1_values):
+        # D tests X1 first, then B under X1=t and B and C under X1=f, so only
+        # X1=t breaks the loop A -> B, A -> C, {B, C} -> D; beside it, X2
+        # breaks a loop of its own.  The X2 node sees the same components
+        # under both values of X1, so only the count of cycles left keeps
+        # its sum under X1=t from standing in for the cyclic X1=f branch,
+        # whichever of X1's values is declared first.
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        on = lambda var, a, b: Node(var, (("t", leaf(a)), ("f", leaf(b))))
+        d_given_x1 = {
+            "t": on("B", 0.9, 0.3),
+            "f": Node("B", (("t", on("C", 0.5, 0.1)), ("f", on("C", 0.75, 0.25)))),
+        }
+        loops = two_loops_net()
+        second = [spec for spec in loops.nodes if spec.var.endswith("2")]
+        net = Network(
+            tuple(Variable(v, ("t", "f")) for v in "ABCD")
+            + (Variable("X1", x1_values),)
+            + tuple(v for v in loops.variables if v.name.endswith("2")),
+            (
+                NodeSpec("A", (), leaf(0.45)),
+                NodeSpec("B", ("A",), on("A", 0.7, 0.2)),
+                NodeSpec("C", ("A",), on("A", 0.35, 0.8)),
+                NodeSpec("X1", (), Leaf(Distribution((0.6, 0.4)))),
+                NodeSpec(
+                    "D",
+                    ("B", "C", "X1"),
+                    Node("X1", tuple((v, d_given_x1[v]) for v in x1_values)),
+                ),
+            )
+            + tuple(second),
+        )
+        with pytest.raises(NotSinglyConnectedError):
+            cutset_infer(net, Query("A2", Context()), flat_cutset(net, ["X1", "X2"]))
 
     def test_evidence_sweep_over_cutset_variables(self, fig1, fig2, fig3):
         # criterion 07's networks, with evidence that may bind cutset variables

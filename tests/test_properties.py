@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from csibn import fixtures
 from csibn.cli import run
-from csibn.cutset import build_conditional_cutset
+from csibn.cutset import CutsetNode, EmptyLeaf, build_conditional_cutset, flat_cutset
 from csibn.inference import (
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
@@ -186,6 +186,36 @@ def test_cutset_answer_does_not_depend_on_history(data):
     asked = query()
     fresh = parse_network(serialize_network(net))
     assert _cutset_answer(net, asked, tree) == _cutset_answer(fresh, asked, tree)
+
+
+def _unshared(tree):
+    """A copy of a cutset tree with every node rebuilt, so no two arcs share
+    a subtree object."""
+    if isinstance(tree, EmptyLeaf):
+        return tree
+    return CutsetNode(tree.test, tuple((values, _unshared(child)) for values, child in tree.arcs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_shared_subtrees_answer_as_unshared_ones(data):
+    """A cutset answer over the builder's tree, whose equal subtrees are one
+    object, is bit for bit the answer over a copy with every node rebuilt,
+    with the same counters, and so is one over a flat cutset, whose arcs
+    all share their subtree: a reused subtree sum replays a sum computed in
+    the same order, so any difference means its key misses some state."""
+    net = data.draw(networks(max_vars=7))
+    names = list(net.var_names)
+    target = data.draw(st.sampled_from(names))
+    bound = data.draw(st.lists(st.sampled_from(names), unique=True))
+    query = Query(
+        target,
+        Context({v: data.draw(st.sampled_from(net.values(v))) for v in bound if v != target}),
+    )
+    fresh = parse_network(serialize_network(net))
+    flat = flat_cutset(net, data.draw(st.lists(st.sampled_from(names), unique=True, max_size=4)))
+    for tree in (build_conditional_cutset(net), flat):
+        assert _cutset_answer(net, query, tree) == _cutset_answer(fresh, query, _unshared(tree))
 
 
 FIG1_DOC = json.loads(fixtures.path("fig1").read_text())

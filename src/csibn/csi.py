@@ -5,7 +5,9 @@ X's CPT-tree that is consistent with c tests Y: whatever value Y takes, the
 same leaf is reached, so the arc carries no information once c holds.
 Deleting vacuous arcs yields the context network, and ordinary d-separation
 on that thinner graph (conditioning additionally on the context variables)
-gives a sound, purely structural independence test.
+gives a sound, purely structural independence test.  Every consumer of
+that fact, the cutset builder and walk included, gets it from one family
+step, :func:`instantiate_family`.
 """
 
 from __future__ import annotations
@@ -23,42 +25,6 @@ from .model import (
     as_tree,
     tree_tested_vars,
 )
-
-
-def occurs_consistent(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
-    """Does some root-to-leaf path consistent with ``context`` test ``y``?
-
-    Querying a variable that the context already binds is an error: the
-    question is only meaningful for unbound parents.
-    """
-    if y in context:
-        raise ValueError(f"variable {y!r} is bound by the context")
-    return _occurs(tree, y, context)
-
-
-def _occurs(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
-    if isinstance(tree, Leaf):
-        return False
-    if tree.test == y:
-        return True
-    if tree.test in context:
-        return _occurs(tree.branch(context[tree.test]), y, context)
-    return any(_occurs(sub, y, context) for _, sub in tree.branches)
-
-
-def vacuous_parents(net: Network, x: str, context: Mapping[str, str]) -> frozenset[str]:
-    """Parents of ``x`` whose arcs are structurally vacuous in ``context``.
-
-    Parents bound by the context are excluded from consideration.  Table
-    CPTs expand to full trees on the fly, so they never report vacuity.
-    """
-    net.check_context(context)
-    tree = as_tree(net, x)
-    return frozenset(
-        p
-        for p in net.parents(x)
-        if p not in context and not occurs_consistent(tree, p, context)
-    )
 
 
 def reduce_tree(tree: CptTree, context: Mapping[str, str]) -> CptTree:
@@ -79,24 +45,44 @@ def reduce_tree(tree: CptTree, context: Mapping[str, str]) -> CptTree:
     )
 
 
+def instantiate_family(
+    tree: CptTree, parents: tuple[str, ...], context: Mapping[str, str]
+) -> tuple[CptTree, tuple[str, ...]]:
+    """A family's CPT ``tree`` reduced by ``context`` restricted to its
+    ``parents``, and the parents the reduced tree still tests, in declared
+    order: never a bound one, nor one the tree never tested, whose arc is
+    vacuous in every context.  An unbound family keeps its tree object."""
+    relevant = {p: context[p] for p in parents if p in context}
+    if relevant:
+        tree = reduce_tree(tree, relevant)
+    tested = tree_tested_vars(tree)
+    return tree, tuple(p for p in parents if p in tested)
+
+
+def vacuous_parents(net: Network, x: str, context: Mapping[str, str]) -> frozenset[str]:
+    """Parents of ``x`` whose arcs are structurally vacuous in ``context``.
+
+    Parents bound by the context are excluded from consideration.  Table
+    CPTs expand to full trees on the fly, so they never report vacuity.
+    """
+    net.check_context(context)
+    parents = net.parents(x)
+    _, kept = instantiate_family(as_tree(net, x), parents, context)
+    return frozenset(p for p in parents if p not in context and p not in kept)
+
+
 def reduce_network(net: Network, assignment: Mapping[str, str]) -> Network:
     """Instantiate ``assignment`` throughout the network.
 
-    Every CPT is reduced by the assignment restricted to its parents, and
-    each node's parent list shrinks to the variables its reduced tree still
-    tests.  Instantiated variables stay in the network as nodes (their own
-    CPTs reduced likewise); only their outgoing arcs disappear, which is the
-    form the singly-connected solver consumes.
+    Every family is instantiated by :func:`instantiate_family`, its parent
+    list shrinking to the kept parents.  Instantiated variables stay in the
+    network as nodes (their own CPTs reduced likewise); only their outgoing
+    arcs disappear, which is the form the singly-connected solver consumes.
     """
     replacements: dict[str, NodeSpec] = {}
     for spec in net.nodes:
-        relevant = {p: assignment[p] for p in spec.parents if p in assignment}
-        tree = as_tree(net, spec.var)
-        if relevant:
-            tree = reduce_tree(tree, relevant)
-        remaining = tree_tested_vars(tree)
-        new_parents = tuple(p for p in spec.parents if p in remaining)
-        replacements[spec.var] = NodeSpec(spec.var, new_parents, tree, spec.deterministic)
+        tree, kept = instantiate_family(as_tree(net, spec.var), spec.parents, assignment)
+        replacements[spec.var] = NodeSpec(spec.var, kept, tree, spec.deterministic)
     return net.with_nodes(replacements)
 
 
@@ -106,23 +92,29 @@ def reduce_network(net: Network, assignment: Mapping[str, str]) -> Network:
 def d_separated(
     net: Network, x: Iterable[str], y: Iterable[str], z: Iterable[str]
 ) -> bool:
-    """Classical d-separation of node sets X and Y given Z.
-
-    Implemented as a reachability sweep over (node, arrival direction)
-    states: a path is active unless blocked by a non-collider in Z or by a
-    collider with no descendant in Z.
-    """
+    """Classical d-separation of node sets X and Y given Z."""
     xs, ys, zs = set(x), set(y), set(z)
     for name in xs | ys | zs:
         net.variable(name)
     if xs & ys or xs & zs or ys & zs:
         raise ValueError("X, Y and Z must be pairwise disjoint")
+    return _d_separated({spec.var: spec.parents for spec in net.nodes}, xs, ys, zs)
 
+
+def _d_separated(parents: Mapping[str, tuple[str, ...]], xs, ys, zs) -> bool:
+    """d-separation on the graph with the parent lists ``parents``, by a
+    reachability sweep over (node, arrival direction) states: a path is active
+    unless blocked by a non-collider in Z or by a collider with no descendant
+    in Z."""
+    children: dict[str, list[str]] = {v: [] for v in parents}
+    for v, family in parents.items():
+        for p in family:
+            children[p].append(v)
     in_z_closure = set(zs)
     frontier = list(zs)
     while frontier:  # ancestors of Z, for collider openness
         cur = frontier.pop()
-        for p in net.parents(cur):
+        for p in parents[cur]:
             if p not in in_z_closure:
                 in_z_closure.add(p)
                 frontier.append(p)
@@ -141,16 +133,16 @@ def d_separated(
         if direction == "up":
             if node in zs:
                 continue
-            for p in net.parents(node):
+            for p in parents[node]:
                 queue.append((p, "up"))
-            for c in net.children(node):
+            for c in children[node]:
                 queue.append((c, "down"))
         else:
             if node not in zs:
-                for c in net.children(node):
+                for c in children[node]:
                     queue.append((c, "down"))
             if node in in_z_closure:
-                for p in net.parents(node):
+                for p in parents[node]:
                     queue.append((p, "up"))
     return True
 
@@ -171,23 +163,23 @@ class ContextNetwork:
     network: Network
 
 
+def _context_families(net: Network, context: Mapping[str, str]):
+    """Each node's spec, its tree reduced by ``context``, and its parents
+    less the vacuous ones: the kept parents and the bound ones."""
+    for spec in net.nodes:
+        tree, kept = instantiate_family(as_tree(net, spec.var), spec.parents, context)
+        yield spec, tree, tuple(p for p in spec.parents if p in context or p in kept)
+
+
 def context_network(net: Network, context: Mapping[str, str]) -> ContextNetwork:
-    """Instantiate ``context`` with :func:`reduce_network`, then put the
-    context-bound parents back: the arcs reduction dropped from unbound
-    parents are exactly the vacuous ones."""
+    """Instantiate ``context`` family by family, keeping the context-bound
+    parents: the arcs that drop from unbound parents are the vacuous ones."""
     net.check_context(context)
     ctx = Context(context)
-    reduced = reduce_network(net, ctx)
-    deleted: set[tuple[str, str]] = set()
-    replacements: dict[str, NodeSpec] = {}
-    for spec in net.nodes:
-        kept = reduced.node(spec.var)
-        deleted.update(
-            (p, spec.var) for p in spec.parents if p not in ctx and p not in kept.parents
-        )
-        new_parents = tuple(p for p in spec.parents if p in ctx or p in kept.parents)
-        replacements[spec.var] = NodeSpec(spec.var, new_parents, kept.cpt, spec.deterministic)
-    return ContextNetwork(net, ctx, frozenset(deleted), net.with_nodes(replacements))
+    families = list(_context_families(net, ctx))
+    deleted = frozenset((p, s.var) for s, _, ps in families for p in s.parents if p not in ps)
+    nodes = {s.var: NodeSpec(s.var, ps, tree, s.deterministic) for s, tree, ps in families}
+    return ContextNetwork(net, ctx, deleted, net.with_nodes(nodes))
 
 
 def csi_separated(
@@ -199,12 +191,16 @@ def csi_separated(
 ) -> bool:
     """CSI-separation: d-separation in the context network given Z plus the
     context variables.  Sound (never claims a dependence away) but not
-    complete for every parameterization.
+    complete for every parameterization.  Runs on the context network's
+    parent lists alone and builds no network.
     """
     xs, ys, zs = set(x), set(y), set(z)
     cvars = set(context)
     for a, b in ((xs, ys), (xs, zs), (ys, zs), (xs, cvars), (ys, cvars), (zs, cvars)):
         if a & b:
             raise ValueError("X, Y, Z and the context variables must be pairwise disjoint")
-    cn = context_network(net, context)
-    return d_separated(cn.network, xs, ys, zs | cvars)
+    net.check_context(context)
+    for name in xs | ys | zs:
+        net.variable(name)
+    parents = {spec.var: ps for spec, _, ps in _context_families(net, context)}
+    return _d_separated(parents, xs, ys, zs | cvars)

@@ -19,8 +19,8 @@ import math
 from dataclasses import dataclass
 
 from . import graphs
-from .csi import reduce_network, reduce_tree
-from .model import Context, Leaf, Network, Variable, as_tree, tree_size
+from .csi import instantiate_family, reduce_network, reduce_tree
+from .model import Context, Leaf, Network, NodeSpec, Variable, as_tree, tree_size
 
 
 class EmptyLeaf:
@@ -158,16 +158,6 @@ def _tree_shape(tree) -> object:
     return (tree.test, tuple((v, _tree_shape(sub)) for v, sub in tree.branches))
 
 
-def _network_signature(net: Network) -> object:
-    """Structure of a network, blind to leaf probabilities: each node with
-    its parents and its CPT tree's shape, in name order.
-
-    Two instantiation values whose reduced networks share a signature
-    break the same loops the same way, so one subtree serves both.
-    """
-    return _Builder().signature(net)
-
-
 def build_conditional_cutset(net: Network) -> CutsetTree:
     """Greedy conditional cutset for ``net``, built blind to any evidence.
 
@@ -188,6 +178,17 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     return builder.build(net, builder.signature(net), frozenset())
 
 
+def _bind(net: Network, x: str, value: str) -> Network:
+    """``net``, whose every family is instantiated, with ``x`` bound to
+    ``value``: its children's families are instantiated again."""
+    replacements: dict[str, NodeSpec] = {}
+    for c in net.children(x):
+        spec = net.node(c)
+        tree, kept = instantiate_family(as_tree(net, c), spec.parents, {x: value})
+        replacements[c] = NodeSpec(c, kept, tree, spec.deterministic)
+    return net.with_nodes(replacements)
+
+
 def _candidate_score(net: Network, v: str, pool: set[str]) -> float:
     kids = [c for c in net.children(v) if c in pool]
     return arc_deletion_score(net, v, children=kids)
@@ -205,7 +206,10 @@ class _Builder:
         self.shapes: dict[int, tuple] = {}  # id -> (tree, shape), which keeps the id
 
     def signature(self, net: Network) -> tuple:
-        """See :func:`_network_signature`."""
+        """Structure of a network, blind to leaf probabilities: each node with
+        its parents and its CPT tree's shape, in name order.  Two values whose
+        reduced networks share a signature break the same loops the same way,
+        so one subtree serves both."""
         shapes, out = self.shapes, []
         for spec in sorted(net.nodes, key=lambda s: s.var):
             tree = as_tree(net, spec.var)
@@ -249,20 +253,16 @@ class _Builder:
             ),
         )[0]
 
-        groups: list[tuple[list[str], tuple, Network]] = []
+        # the root picks on the network as given; every residual below it has
+        # all its families instantiated, so a pick's value rebinds its children
+        normal = current if instantiated else reduce_network(current, {})
+        groups: dict[tuple, tuple[list[str], Network]] = {}  # by signature
         for value in current.values(pick):
-            reduced = reduce_network(current, {pick: value})
-            sig = self.signature(reduced)
-            for values, seen_sig, _ in groups:
-                if seen_sig == sig:
-                    values.append(value)
-                    break
-            else:
-                groups.append(([value], sig, reduced))
-
+            reduced = _bind(normal, pick, value)
+            groups.setdefault(self.signature(reduced), ([], reduced))[0].append(value)
         arcs = tuple(
             (tuple(values), self.build(rep, sig, instantiated | {pick}))
-            for values, sig, rep in groups
+            for sig, (values, rep) in groups.items()
         )
         key = (pick, tuple((values, id(child)) for values, child in arcs))
         node = self.interned.get(key)

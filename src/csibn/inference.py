@@ -22,13 +22,14 @@ object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, and the walk instantiates both in place by
 one per-family step, whose result -- kept parents and table -- depends only
 on the values bound on the family's declared parents and is memoized on the
-network.  The walk keeps the connected components up to date as it binds,
-solves each component once per binding of the cutset variables it depends
-on, by an iterative collect pass, and multiplies in a component that no
-binding below a cutset-tree node can change once, at that node.  Each
-cutset subtree returns the sum of its branches, computed once per query for
-each state of the components it can see; the cutset builder shares equal
-subtrees, so that sum serves every branch that reaches one of them.
+network; a memo miss takes the kept parents from ``csi.instantiate_family``.
+The walk keeps the connected components up to date as it binds, solves each
+component once per binding of the cutset variables it depends on, by an
+iterative collect pass, and multiplies in a component that no binding below
+a cutset-tree node can change once, at that node.  Each cutset subtree
+returns the sum of its branches, computed once per query for each state of
+the components it can see; the cutset builder shares equal subtrees, so that
+sum serves every branch that reaches one of them.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import numpy as np
 
 from . import cutset as cutset_mod
 # nothing here calls reduce_network, but benches/tracing.py wraps this module's name
-from .csi import reduce_network, reduce_tree  # noqa: F401
+from .csi import instantiate_family, reduce_network  # noqa: F401
 from .model import (
     Context,
     CptTable,
@@ -52,7 +53,6 @@ from .model import (
     parent_assignments,
     row_index,
     tree_lookup,
-    tree_tested_vars,
 )
 from . import graphs
 from .transform import moral_adjacency
@@ -478,10 +478,10 @@ class _Walk:
         tests, recording the undo in ``saved``.
 
         The pair depends on those values alone, so it is memoized on the
-        network.  A miss reduces the family's tree by the whole bound context
-        and indexes its compiled table once: at the bound value's index on a
-        bound parent's axis, and at 0 on a dropped unbound one, along which
-        the table is constant."""
+        network.  A miss takes the kept parents from the family step every CSI
+        consumer shares, :func:`~csibn.csi.instantiate_family`, and indexes the
+        compiled table once: at the bound value's index on a bound parent's
+        axis, and at 0 on a dropped unbound one, along which it is constant."""
         bound, parents, children, tables = self.bound, self.parents, self.children, self.tables
         declared, memo = self.declared, self.families
         for c in families:
@@ -504,8 +504,7 @@ class _Walk:
         parents have the bound values ``at`` (1 + value index, or 0)."""
         names, values, family = self.names, self.values, self.declared[c]
         context = {names[p]: values[p][b - 1] for p, b in zip(family, at) if b}
-        tree = reduce_tree(self.trees[c], context) if context else self.trees[c]
-        tested = tree_tested_vars(tree)  # no bound parent
+        _, tested = instantiate_family(self.trees[c], tuple(names[p] for p in family), context)
         kept = tuple(p for p in family if names[p] in tested)
         table = self.compiled_tables[c][
             tuple(b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at))

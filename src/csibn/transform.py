@@ -27,9 +27,9 @@ from .model import (
     parent_assignments,
     table_to_tree,
     tree_size,
-    tree_tested_vars,
 )
 from . import graphs
+from .csi import instantiate_family
 
 
 def is_full_tree(tree: CptTree) -> bool:
@@ -106,12 +106,11 @@ class _Parts:
         x_values, selector = variables[x].values, tree.test
         conditional_vars: list[Variable] = []
         cond_summary: list[tuple[str, tuple[str, ...], int]] = []
-        for value, subtree in tree.branches:
+        for value, _ in tree.branches:
             name = _conditional_name(x, selector, value)
             if name in variables:
                 raise ValueError(f"decomposition name collision: {name!r} already declared")
-            occurring = tree_tested_vars(subtree)
-            parents = tuple(p for p in spec.parents if p in occurring)
+            subtree, parents = instantiate_family(tree, spec.parents, {selector: value})
             conditional_vars.append(Variable(name, x_values))
             specs[name] = NodeSpec(name, parents, subtree)
             cond_summary.append((name, parents, tree_size(subtree)))

@@ -12,8 +12,11 @@ import re
 import numpy as np
 import pytest
 
+from typing import Mapping
+
 from csibn import fixtures
 from csibn.model import (
+    CptTree,
     Distribution,
     Leaf,
     Network,
@@ -102,6 +105,27 @@ def oracle_d_separated(net: Network, xs, ys, zs) -> bool:
                 seen.add(nb)
                 frontier.append(nb)
     return True
+
+
+def occurs_consistent(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
+    """Does some root-to-leaf path consistent with ``context`` test ``y``?
+
+    Querying a variable that the context already binds is an error: the
+    question is only meaningful for unbound parents.
+    """
+    if y in context:
+        raise ValueError(f"variable {y!r} is bound by the context")
+    return _occurs(tree, y, context)
+
+
+def _occurs(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
+    if isinstance(tree, Leaf):
+        return False
+    if tree.test == y:
+        return True
+    if tree.test in context:
+        return _occurs(tree.branch(context[tree.test]), y, context)
+    return any(_occurs(sub, y, context) for _, sub in tree.branches)
 
 
 def full_joint_tensor(net: Network) -> np.ndarray:

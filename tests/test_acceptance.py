@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from csibn.csi import csi_separated, occurs_consistent, reduce_tree, vacuous_parents
+from csibn.csi import csi_separated, reduce_tree, vacuous_parents
 from csibn.cutset import (
     arc_deletion_score,
     best_cut_variable,
@@ -31,7 +31,7 @@ from csibn.inference import (
 from csibn.model import Context, as_tree, tree_tested_vars, validate
 from csibn.transform import clique_report, decompose_network
 
-from conftest import full_joint_tensor, random_loopy_net, random_tree_net
+from conftest import full_joint_tensor, occurs_consistent, random_loopy_net, random_tree_net
 
 
 def _marginal(net, keep):

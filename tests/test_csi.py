@@ -10,7 +10,6 @@ from csibn.csi import (
     context_network,
     csi_separated,
     d_separated,
-    occurs_consistent,
     reduce_network,
     reduce_tree,
     vacuous_parents,
@@ -21,6 +20,7 @@ from conftest import (
     all_assignments,
     chain_net,
     diamond_net,
+    occurs_consistent,
     oracle_d_separated,
     random_tree_net,
 )
@@ -208,3 +208,26 @@ class TestCsiSeparated:
             sep = csi_separated(net, xs, ys, zs, ctx)
             assert sep, (xs, ys, zs, ctx)
             assert cb.contextually_independent(net, xs, ys, zs, ctx)
+
+    def test_never_tested_parent_is_vacuous_in_every_context(self):
+        # B declares A as a parent but its CPT is a single leaf: the arc is
+        # vacuous even when the context binds none of B's parents
+        variables = tuple(cb.Variable(v, ("t", "f")) for v in "ABC")
+        leaf = Leaf(cb.Distribution((0.4, 0.6)))
+        parents = {"A": (), "B": ("A",), "C": ()}
+        net = cb.Network(variables, tuple(cb.NodeSpec(v, ps, leaf) for v, ps in parents.items()))
+        assert cb.validate(net) == []
+        assert csi_separated(net, ["A"], ["B"], [], {"C": "t"})
+        assert csi_separated(net, ["A"], ["B"], [], {})
+        assert not d_separated(net, ["A"], ["B"], [])
+        assert ("A", "B") in context_network(net, {"C": "t"}).deleted_edges
+
+    def test_builds_no_network(self, fig1, fig2, monkeypatch):
+        built = []
+        real = cb.Network.__init__
+        monkeypatch.setattr(
+            cb.Network, "__init__", lambda self, *args: built.append(1) or real(self, *args)
+        )
+        assert csi_separated(fig1, ["X"], ["V", "W"], [], {"U": "t"})
+        assert not csi_separated(fig2, ["X"], ["D"], [], {"A": "t"})
+        assert built == []

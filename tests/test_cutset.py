@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
+from csibn import cutset
 from csibn.csi import reduce_network
 from csibn.cutset import (
     EMPTY,
@@ -137,14 +138,24 @@ class TestBuild:
 
     def test_merged_values_share_structure(self, fig1):
         # V's two values were merged: check the merge-soundness contract
-        from csibn.cutset import _network_signature
+        from csibn.cutset import _Builder
 
         level = reduce_network(fig1, {"U": "f"})
         sigs = {
-            v: _network_signature(reduce_network(level, {"V": v}))
+            v: _Builder().signature(reduce_network(level, {"V": v}))
             for v in fig1.values("V")
         }
         assert sigs["t"] == sigs["f"]
+
+    def test_reduces_the_whole_network_once(self, fig1, monkeypatch):
+        # each pick value rebinds only the pick's children
+        calls = []
+        real = cutset.reduce_network
+        monkeypatch.setattr(
+            cutset, "reduce_network", lambda net, ctx: calls.append(ctx) or real(net, ctx)
+        )
+        build_conditional_cutset(fig1)
+        assert calls == [{}]
 
     def test_never_worse_than_flat_over_same_variables(self, fig1):
         rng = np.random.default_rng(99)

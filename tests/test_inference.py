@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
-from csibn import fixtures, inference, model
+from csibn import csi, fixtures, inference, model
 from csibn.cutset import (
     EMPTY,
     CutsetNode,
@@ -688,9 +688,9 @@ class TestCompiledForm:
         # instantiated families are memoized on the network, so a query it
         # has served before finds every family it instantiates there
         reduced = []
-        real = inference.reduce_tree
+        real = csi.reduce_tree
         monkeypatch.setattr(
-            inference, "reduce_tree", lambda tree, ctx: reduced.append(ctx) or real(tree, ctx)
+            csi, "reduce_tree", lambda tree, ctx: reduced.append(ctx) or real(tree, ctx)
         )
         decomposed, _ = decompose_network(fig1)
         cases = [(decomposed, [Query(v, Context()) for v in fig1.var_names])]

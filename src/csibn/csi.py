@@ -192,7 +192,9 @@ def csi_separated(
     """CSI-separation: d-separation in the context network given Z plus the
     context variables.  Sound (never claims a dependence away) but not
     complete for every parameterization.  Runs on the context network's
-    parent lists alone and builds no network.
+    parent lists alone and builds no network; only the families with a
+    context-bound declared parent are instantiated, the rest keep their
+    cached empty-context parents.
     """
     xs, ys, zs = set(x), set(y), set(z)
     cvars = set(context)
@@ -202,5 +204,22 @@ def csi_separated(
     net.check_context(context)
     for name in xs | ys | zs:
         net.variable(name)
-    parents = {spec.var: ps for spec, _, ps in _context_families(net, context)}
+    parents = dict(_kept_parents(net))
+    for spec in net.nodes:
+        if not cvars.isdisjoint(spec.parents):
+            _, kept = instantiate_family(as_tree(net, spec.var), spec.parents, context)
+            parents[spec.var] = tuple(p for p in spec.parents if p in context or p in kept)
     return _d_separated(parents, xs, ys, zs | cvars)
+
+
+def _kept_parents(net: Network) -> dict[str, tuple[str, ...]]:
+    """Each family's kept parents in the empty context: the declared parents
+    its tree tests.  A family none of whose declared parents a context binds
+    keeps these in it, so they are computed on the first call and kept on
+    the network."""
+    if net._kept_parents is None:
+        net._kept_parents = {
+            spec.var: instantiate_family(as_tree(net, spec.var), spec.parents, {})[1]
+            for spec in net.nodes
+        }
+    return net._kept_parents

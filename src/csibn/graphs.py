@@ -3,7 +3,7 @@ inference modules.
 
 Adjacency maps are ``dict[str, set[str]]``; all procedures are deterministic,
 breaking ties in lexicographic node order.  Node elimination (connect the
-node's neighbors, drop the node) is one helper that the elimination cliques
+node's neighbors, drop the node) is one helper that the elimination steps
 use.  The min-fill order runs on integer bitsets instead: nodes are ranked by
 sorted name, each holds its neighbors as an ``int`` mask and its count of
 edges among them, and an elimination updates those counts exactly where they
@@ -114,24 +114,30 @@ def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
     return order
 
 
-def elimination_cliques(
-    adj: dict[str, set[str]], order: Iterable[str]
-) -> list[frozenset[str]]:
-    """Maximal cliques of the graph triangulated along ``order``.
-
-    Each elimination step induces the clique {node} + current neighbors;
-    cliques subsumed by an earlier, larger one are dropped.  Only the
-    clique of an earlier node that had ``v`` as a neighbor can hold
-    ``v``'s clique, so only those are tested.
-    """
+def elimination_steps(adj: dict[str, set[str]], order: Iterable[str]) -> list[frozenset[str]]:
+    """Each node's clique in the graph triangulated along ``order``, in that
+    order: the node and its neighbors when it is eliminated."""
     work = copy_adjacency(adj)
-    containing: dict[str, list[frozenset[str]]] = {v: [] for v in work}
-    cliques: list[frozenset[str]] = []
+    steps = []
     for v in order:
-        clique = frozenset(work[v] | {v})
-        if not any(clique < other for other in containing[v]):
-            cliques.append(clique)
-        for n in work[v]:
-            containing[n].append(clique)
+        steps.append(frozenset(work[v] | {v}))
         _eliminate(work, v)
+    return steps
+
+
+def elimination_cliques(order: Iterable, steps: Iterable[frozenset]) -> list[frozenset]:
+    """Maximal cliques of a triangulated graph, from its elimination
+    ``order`` and each node's :func:`elimination_steps` clique.
+
+    A step's clique subsumed by an earlier, larger one is dropped.  Only the
+    clique of an earlier node that had ``v`` as a neighbor can hold ``v``'s
+    clique, so only those are tested.
+    """
+    containing: dict = {}
+    cliques: list[frozenset] = []
+    for v, clique in zip(order, steps):
+        if not any(clique < other for other in containing.get(v, ())):
+            cliques.append(clique)
+        for n in clique - {v}:
+            containing.setdefault(n, []).append(clique)
     return cliques

@@ -12,11 +12,13 @@ where the probability itself underflows, by rescaling with powers of two.
 
 The numeric engines share one integer-indexed compiled form of a network:
 variable indices, parent and child index tuples, one read-only CPT array per
-family, the moral adjacency, each family's CPT as a tree, and a memo of
-instantiated families.  A network builds it on its first query and keeps
-it.  Variable elimination is bucket elimination over it: the evidence
-indexes the family arrays, the min-fill order comes from the cached moral
-graph, and each bucket is multiplied and summed out by one einsum.  The
+family, each family's CPT as a tree, and a memo of instantiated families.  A
+network builds it on its first query and keeps it.  Variable elimination is
+bucket elimination over it: barren variables are pruned, the evidence
+indexes the family arrays, the order comes from the network's min-fill
+triangulation (:func:`~csibn.transform.triangulation`, also computed once
+and kept), re-rooted to end at the target, and each bucket is multiplied and
+summed out by one einsum.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, and the walk instantiates both in place by
@@ -35,7 +37,8 @@ sum serves every branch that reaches one of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -54,8 +57,7 @@ from .model import (
     row_index,
     tree_lookup,
 )
-from . import graphs
-from .transform import moral_adjacency
+from .transform import triangulation
 
 
 class ImpossibleEvidenceError(ValueError):
@@ -78,13 +80,21 @@ class Query:
             raise ValueError(f"target {self.target!r} is bound by the evidence")
 
 
+_NO_STATS: Mapping[str, int] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class InferenceResult:
+    """A posterior and the evidence probability, with counters of the work
+    done.  ``stats`` is a read-only mapping of engine-specific counters
+    (empty for an engine that keeps none); it takes no part in equality."""
+
     posterior: Distribution
     evidence_probability: float
     evaluations: int
     log_evidence_probability: float
     messages_computed: int = 0
+    stats: Mapping[str, int] = field(default_factory=lambda: _NO_STATS, compare=False)
 
 
 def joint_probability(net: Network, assignment: Mapping[str, str]) -> float:
@@ -119,7 +129,9 @@ def query_enumerate(net: Network, query: Query) -> InferenceResult:
     return _finish(weights, evaluations=1)
 
 
-def _finish(weights, evaluations: int, exponent: int = 0, messages: int = 0) -> InferenceResult:
+def _finish(
+    weights, evaluations: int, exponent: int = 0, messages: int = 0, stats: Mapping = _NO_STATS
+) -> InferenceResult:
     """Normalize ``weights``, which hold the unnormalized posterior times
     ``2 ** -exponent``."""
     total = float(sum(weights))
@@ -131,6 +143,7 @@ def _finish(weights, evaluations: int, exponent: int = 0, messages: int = 0) -> 
         evaluations=evaluations,
         log_evidence_probability=math.log(total) + exponent * math.log(2.0),
         messages_computed=messages,
+        stats=stats,
     )
 
 
@@ -188,11 +201,10 @@ def _compile(net: Network) -> tuple:
     """The integer-indexed form both numeric engines run on: each variable's
     index in declared order, its parents' and children's index tuples, its
     family's :func:`cpt_array` (parent axes in declared order, then its own
-    axis; not writeable), the moral adjacency, each family's CPT in tree form,
-    and the cutset walk's memo of instantiated families (see
-    :meth:`_Walk.instantiate`).  It depends on the network alone, so it is
-    built on the first call and kept on the network, which it does not refer
-    to."""
+    axis; not writeable), each family's CPT in tree form, and the cutset
+    walk's memo of instantiated families (see :meth:`_Walk.instantiate`).  It
+    depends on the network alone, so it is built on the first call and kept
+    on the network, which it does not refer to."""
     if net._compiled is None:
         index = {v: i for i, v in enumerate(net.var_names)}
         parents = tuple(tuple(index[p] for p in net.parents(v)) for v in index)
@@ -201,7 +213,7 @@ def _compile(net: Network) -> tuple:
         for table in tables:
             table.flags.writeable = False
         trees = tuple(as_tree(net, v) for v in index)
-        net._compiled = index, parents, children, tables, moral_adjacency(net), trees, {}
+        net._compiled = index, parents, children, tables, trees, {}
     return net._compiled
 
 
@@ -235,64 +247,107 @@ def _product(factors: list, drop: int | None = None) -> tuple[np.ndarray, tuple[
     return np.einsum(*operands, [labels[v] for v in scope]), scope
 
 
-def variable_elimination(net: Network, query: Query) -> InferenceResult:
-    """Posterior by bucket elimination in min-fill order (lexicographic
-    tie-break), which makes the computation reproducible bit for bit.
+def _target_last(rank, cliques, target: int) -> list[int]:
+    """Each variable's position in a perfect elimination order of the
+    triangulation (``rank``, ``cliques``: see
+    :func:`~csibn.transform.triangulation`) that ends at ``target``.
 
-    The family arrays and the moral adjacency come from the network's
-    compiled form, built on its first query and kept; the query pays only
-    for the min-fill order of the moral graph without the target and the
-    evidence, and for the elimination itself.  Each family's CPT array is
-    indexed at the evidence values, and each factor goes once into the
-    bucket of its first-eliminated variable.  A bucket is multiplied and its
-    variable summed out by one einsum over integer axes, and the result goes
-    into the bucket of its own first eliminated variable; what is left
+    A variable's parent in the elimination tree is the first of its later
+    neighbors.  The order re-roots that tree at ``target``: the variables
+    off the target's path to its root keep their ranks; after them come the
+    path's variables, each at the path node nearest the target whose clique
+    holds it, from the root's end down to the target.  Eliminated in that
+    order, every variable's later neighbors lie in one clique of the
+    triangulation, as they do in its own order.  Moving the target alone to
+    the end would not keep that: on A -> B -> C -> D with D observed,
+    min-fill eliminates A first, and keeping A for last puts A, B and C in
+    one bucket."""
+    path = [target]
+    while len(cliques[path[-1]]) > 1:
+        v = path[-1]
+        path.append(min(cliques[v] - {v}, key=rank.__getitem__))
+    tail = []
+    for v, nearer in zip(path[:0:-1], path[-2::-1]):
+        tail += sorted(cliques[v] - cliques[nearer], key=rank.__getitem__)
+    tail += sorted(cliques[target] - {target}, key=rank.__getitem__) + [target]
+    position = list(rank)
+    for k, v in enumerate(tail, len(rank)):
+        position[v] = k
+    return position
+
+
+def variable_elimination(net: Network, query: Query) -> InferenceResult:
+    """Posterior by bucket elimination in an order taken from the network's
+    min-fill triangulation (lexicographic tie-break), which makes the
+    computation reproducible bit for bit.
+
+    The family arrays come from the network's compiled form and the
+    triangulation of its whole moral graph from
+    :func:`~csibn.transform.triangulation`, both built once and kept, so a
+    query pays for no ordering.  Only the families of the target, the
+    evidence and their ancestors enter; every other variable is barren and
+    sums out to 1 (Shachter, Oper. Res. 34, 1986).  Each family's array is
+    indexed at the evidence values and goes, in family order, into the
+    bucket of its first-eliminated variable.  The order is the
+    triangulation's re-rooted at the target (:func:`_target_last`), so every
+    bucket's scope lies in one of its cliques.  A bucket is multiplied and
+    its variable summed out by one einsum over integer axes, and the result
+    goes into the bucket of its own first eliminated variable; what is left
     ranges over the target alone.  Every bucket result and every step of the
     final product is rescaled by a power of two whose exponent is carried,
     so evidence of tiny but non-zero probability does not underflow to an
-    impossible-evidence error.
+    impossible-evidence error.  ``stats`` holds ``largest_factor``, the
+    entries of the widest bucket's scope, and ``induced_width``, the most
+    variables left in a bucket once its variable is summed out.
     """
     net.check_context(query.evidence)
-    index, parents, _, tables, moral = _compile(net)[:5]
+    index, parents, _, tables = _compile(net)[:4]
+    _, rank, cliques = triangulation(net)
+    target = index[query.target]
     evidence = {index[v]: net.values(v).index(x) for v, x in query.evidence.items()}
-    factors = []
+    relevant, stack = [False] * len(tables), [target, *evidence]
+    while stack:
+        v = stack.pop()
+        if not relevant[v]:
+            relevant[v] = True
+            stack += parents[v]
+
+    position = _target_last(rank, cliques, target).__getitem__
+    # the target comes last, so its bucket collects what ranges over it alone
+    buckets: dict[int, list] = {target: []}
+    eliminate = []
     for v, table in enumerate(tables):
+        if not relevant[v]:
+            continue
+        if v != target and v not in evidence:
+            eliminate.append(v)
         scope = parents[v] + (v,)
         at = tuple(evidence.get(u, slice(None)) for u in scope)
-        factors.append((table[at], tuple(u for u in scope if u not in evidence)))
+        scope = tuple(u for u in scope if u not in evidence)
+        buckets.setdefault(min(scope, key=position, default=target), []).append((table[at], scope))
 
-    # the factor scopes are the families without the evidence, so their
-    # interaction graph is the moral graph without the target and evidence
-    kept = set(index) - {query.target} - set(query.evidence)
-    adj = {v: ns & kept for v, ns in moral.items() if v in kept}
-    order = [index[v] for v in graphs.min_fill_order(adj)]
-    position = {v: k for k, v in enumerate(order)}
-    buckets: list[list] = [[] for _ in range(len(order) + 1)]  # the last: target only
-    for factor in factors:
-        buckets[min((position[u] for u in factor[1] if u in position), default=-1)].append(factor)
-
-    exponent = 0
-    for k, v in enumerate(order):
-        bucket = buckets[k]
+    exponent, largest, width = 0, tables[target].shape[-1], 0
+    for v in sorted(eliminate, key=position):
+        bucket = buckets.pop(v)
         while len(bucket) > _MAX_OPERANDS:
             table, scope = _product(bucket[:_MAX_OPERANDS])
             table, shift = _scaled(table)
             exponent += shift
             bucket = [(table, scope)] + bucket[_MAX_OPERANDS:]
         table, scope = _product(bucket, drop=v)
+        largest, width = max(largest, table.size * tables[v].shape[-1]), max(width, len(scope))
         table, shift = _scaled(table)
         exponent += shift
-        buckets[min((position[u] for u in scope if u in position), default=-1)].append(
-            (table, scope)
-        )
+        buckets.setdefault(min(scope, key=position, default=target), []).append((table, scope))
 
     # the target's own family factor keeps it in scope, so the product
     # ranges over the target alone
     result = np.array(1.0)
-    for table, _ in buckets[-1]:
+    for table, _ in buckets[target]:
         result, shift = _scaled(result * table)
         exponent += shift
-    return _finish([float(w) for w in result], evaluations=1, exponent=exponent)
+    stats = MappingProxyType({"largest_factor": largest, "induced_width": width})
+    return _finish([float(w) for w in result], evaluations=1, exponent=exponent, stats=stats)
 
 
 # -- forest solver and cutset conditioning -----------------------------------
@@ -377,7 +432,7 @@ class _Walk:
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
-        index, parents, children, tables, _, self.trees, self.families = _compile(net)
+        index, parents, children, tables, self.trees, self.families = _compile(net)
         self.declared, self.compiled_tables = parents, tables
         # instantiate changes these three in place, so the walk holds its own lists
         self.parents, self.children, self.tables = list(parents), list(children), list(tables)

@@ -194,7 +194,10 @@ class Network:
         }
         self._var_names = tuple(v.name for v in self._variables)
         self._node_specs = tuple(self._nodes[v] for v in self._var_names if v in self._nodes)
-        self._compiled = None  # inference._compile's form, built on its first call
+        # derived forms, each built on its first use and kept
+        self._compiled = None  # inference._compile
+        self._triangulation = None  # transform.triangulation
+        self._kept_parents = None  # csi._kept_parents
 
     # -- structure accessors -------------------------------------------------
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
+from csibn import csi, fixtures
 from csibn.csi import (
     context_network,
     csi_separated,
@@ -231,3 +232,28 @@ class TestCsiSeparated:
         assert csi_separated(fig1, ["X"], ["V", "W"], [], {"U": "t"})
         assert not csi_separated(fig2, ["X"], ["D"], [], {"A": "t"})
         assert built == []
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
+    def test_repeated_test_instantiates_only_bound_families(self, fig, monkeypatch):
+        # each network keeps its families' empty-context kept parents, so a
+        # test after the first instantiates only the families whose declared
+        # parents the context binds
+        net = fixtures.load(fig)
+        calls = []
+        real = csi.instantiate_family
+        monkeypatch.setattr(
+            csi, "instantiate_family", lambda *args: calls.append(args[0]) or real(*args)
+        )
+        names = net.var_names
+        for i, bound in enumerate(names):
+            context = {bound: net.values(bound)[0]}
+            x, y = [v for v in names if v != bound][:2]
+            bound_families = sum(bound in spec.parents for spec in net.nodes)
+            for repeat in range(3):
+                calls.clear()
+                first = csi_separated(net, [x], [y], [], context)
+                if repeat:
+                    assert first == answer
+                answer = first
+                extra = len(net.nodes) if i == 0 and repeat == 0 else 0
+                assert len(calls) == bound_families + extra, (bound, repeat)

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csibn import fixtures
-from csibn.graphs import copy_adjacency, elimination_cliques, min_fill_order
+from csibn.graphs import copy_adjacency, elimination_cliques, elimination_steps, min_fill_order
 from csibn.transform import clique_report, decompose_network
 
 
@@ -141,7 +141,8 @@ def test_elimination_cliques_match_all_pairs_filter(graph):
     arbitrary = sorted(adj)
     rnd.shuffle(arbitrary)
     for order in (min_fill_order(adj), arbitrary):
-        assert elimination_cliques(adj, order) == oracle_elimination_cliques(adj, order)
+        steps = elimination_steps(adj, order)
+        assert elimination_cliques(order, steps) == oracle_elimination_cliques(adj, order)
     assert adj == before
 
 

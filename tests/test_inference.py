@@ -1,12 +1,14 @@
 """Inference engines: oracle, elimination, forest solver, cutset loop."""
 
+import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
 
 import csibn as cb
-from csibn import csi, fixtures, inference, model
+from csibn import csi, fixtures, graphs, inference, model, transform
 from csibn.cutset import (
     EMPTY,
     CutsetNode,
@@ -39,7 +41,7 @@ from csibn.model import (
     parse_network,
     serialize_network,
 )
-from csibn.transform import decompose_network
+from csibn.transform import clique_report, decompose_network, triangulation
 
 from conftest import (
     all_assignments,
@@ -205,6 +207,99 @@ class TestVariableElimination:
             assert r.log_evidence_probability == pytest.approx(
                 np.log(r.evidence_probability), rel=1e-12
             )
+
+    def test_barren_subtree_is_never_multiplied(self, monkeypatch):
+        # A -> B -> C0 -> ... -> C5, B -> D: the target B's descendants are
+        # barren, so only A is summed out and no C or D family is multiplied
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        on = lambda u, a, b: Node(u, (("t", leaf(a)), ("f", leaf(b))))
+        chain = [f"C{i}" for i in range(6)]
+        nodes = [NodeSpec("A", (), leaf(0.35)), NodeSpec("B", ("A",), on("A", 0.9, 0.2))]
+        nodes += [NodeSpec(c, (u,), on(u, 0.6, 0.15)) for u, c in zip(["B"] + chain, chain)]
+        nodes.append(NodeSpec("D", ("B",), on("B", 0.7, 0.1)))
+        net = Network(tuple(Variable(s.var, ("t", "f")) for s in nodes), tuple(nodes))
+        seen = []
+        real = inference._product
+        monkeypatch.setattr(
+            inference,
+            "_product",
+            lambda factors, drop=None: seen.extend(u for _, sc in factors for u in sc)
+            or real(factors, drop),
+        )
+        q = Query("B", Context())
+        posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
+        assert {net.var_names[u] for u in seen} == {"A", "B"}
+        # evidence below the target makes the path to it relevant again
+        seen.clear()
+        q = Query("B", Context({"C2": "t"}))
+        posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
+        assert {net.var_names[u] for u in seen} == {"A", "B", "C0", "C1"}
+
+    def test_target_eliminated_first_by_min_fill_stays_inside_a_clique(self):
+        # V0 -> V1 -> V2 -> V3: min-fill eliminates V0 first.  Eliminating
+        # V1, V2 in that order and keeping V0 for last would multiply
+        # P(V1 | V0) and P(V2 | V1) over {V0, V1, V2}, 8 entries; the
+        # re-rooted order stays inside the triangulation's 2-variable cliques
+        net = binary_chain(4, stay=0.8, leave=0.3)
+        assert clique_report(net).elimination_order == ("V0", "V1", "V2", "V3")
+        q = Query("V0", Context({"V3": "t"}))
+        result = variable_elimination(net, q)
+        posteriors_close(result, query_enumerate(net, q))
+        assert dict(result.stats) == {"largest_factor": 4, "induced_width": 1}
+
+    def test_largest_factor_bounded_by_the_cached_cliques(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            net = random_loopy_net(rng)
+            cap = max(
+                math.prod(len(net.values(v)) for v in clique)
+                for clique in clique_report(net).cliques
+            )
+            names = list(net.var_names)
+            for target in names:
+                ev = {v: str(rng.choice(("t", "f"))) for v in names if rng.random() < 0.3}
+                ev.pop(target, None)
+                q = Query(target, Context(ev))
+                try:
+                    result = variable_elimination(net, q)
+                except ImpossibleEvidenceError:
+                    continue
+                posteriors_close(result, query_enumerate(net, q))
+                assert result.stats["largest_factor"] <= cap, (names, q)
+
+
+# VE's counters for each target, given the first value of the last variable
+# (none when it is the target)
+PINNED_STATS = {
+    "fig1": {"S": (40, 3), "U": (40, 3), "V": (40, 3), "W": (40, 3), "X": (40, 3), "Z": (40, 3)},
+    "fig2": {"A": (16, 3), "B": (16, 3), "C": (16, 3), "D": (16, 3), "X": (32, 4)},
+    "fig3": {
+        "A": (32, 4), "B1": (32, 4), "B2": (32, 4), "B3": (32, 4), "B4": (32, 4), "X": (64, 5)
+    },
+}
+
+
+class TestStats:
+    @pytest.mark.parametrize("fig", sorted(PINNED_STATS))
+    def test_elimination_counters_pinned(self, fig):
+        net = fixtures.load(fig)
+        last = net.var_names[-1]
+        got = {}
+        for target in net.var_names:
+            evidence = Context({last: net.values(last)[0]} if target != last else {})
+            stats = variable_elimination(net, Query(target, evidence)).stats
+            got[target] = (stats["largest_factor"], stats["induced_width"])
+        assert got == PINNED_STATS[fig]
+
+    def test_read_only_empty_elsewhere_and_not_compared(self, fig1):
+        q = Query("Z", Context({"S": "s2"}))
+        ve = variable_elimination(fig1, q)
+        with pytest.raises(TypeError):
+            ve.stats["largest_factor"] = 0
+        cutset = cutset_infer(fig1, q, build_conditional_cutset(fig1))
+        for result in (query_enumerate(fig1, q), cutset):
+            assert dict(result.stats) == {}
+        assert dataclasses.replace(ve, stats={}) == ve
 
 
 class TestSinglyConnected:
@@ -642,12 +737,12 @@ class TestCompiledForm:
         # compiled form: no query after the first builds an array or a
         # moral graph
         built = []
-        real_array, real_moral = inference.cpt_array, inference.moral_adjacency
+        real_array, real_moral = inference.cpt_array, transform.moral_adjacency
         monkeypatch.setattr(
             inference, "cpt_array", lambda n, name: built.append(name) or real_array(n, name)
         )
         monkeypatch.setattr(
-            inference, "moral_adjacency", lambda n: built.append(None) or real_moral(n)
+            transform, "moral_adjacency", lambda n: built.append(None) or real_moral(n)
         )
         for fig in ("fig1", "fig2", "fig3"):
             net = parse_network(serialize_network(fixtures.load(fig)))
@@ -666,6 +761,45 @@ class TestCompiledForm:
                         _outcome(engine, net, Query(target, evidence))
             assert built.count(None) == 1, fig
             assert sorted(v for v in built if v) == sorted(names), fig
+
+    def test_triangulated_once_per_network(self, monkeypatch):
+        # the elimination order comes from one min-fill run over the whole
+        # moral graph, whatever the target and the evidence
+        ordered = []
+        real = graphs.min_fill_order
+        monkeypatch.setattr(graphs, "min_fill_order", lambda adj: ordered.append(1) or real(adj))
+        rng = np.random.default_rng(23)
+        nets = [fixtures.load(fig) for fig in ("fig1", "fig2", "fig3")]
+        nets += [random_loopy_net(rng) for _ in range(3)]
+        for net in nets:
+            net = parse_network(serialize_network(net))
+            names = list(net.var_names)
+            for _ in range(12):
+                target = names[int(rng.integers(len(names)))]
+                ev = {v: net.values(v)[0] for v in names if v != target and rng.random() < 0.4}
+                _outcome(variable_elimination, net, Query(target, Context(ev)))
+            assert len(ordered) == 1
+            ordered.clear()
+
+    def test_cached_triangulation_matches_a_fresh_network(self):
+        # neither the cutset walk nor a query changes the cached order, and
+        # the walk does not compute it
+        for fig in ("fig1", "fig2", "fig3"):
+            text = serialize_network(fixtures.load(fig))
+            net = parse_network(text)
+            tree = build_conditional_cutset(net)
+            names = net.var_names
+            for i, target in enumerate(names):
+                other = names[i - 1]
+                query = Query(target, Context({other: net.values(other)[-1]}))
+                _outcome(lambda n, q: cutset_infer(n, q, tree), net, query)
+                if i == 0:
+                    assert net._triangulation is None
+                    report = clique_report(net)
+                _outcome(variable_elimination, net, query)
+            fresh = parse_network(text)
+            assert triangulation(net) == triangulation(fresh)
+            assert clique_report(net) == clique_report(fresh) == report
 
     def test_table_trees_expanded_once_per_network(self, fig1, monkeypatch):
         # a decomposed network's multiplexers are tables; the walk reads their

@@ -321,7 +321,7 @@ def _cmd_cliques(args) -> int:
 def _cmd_cutset(args) -> int:
     net = _load(args.network)
     tree = cutset_mod.build_conditional_cutset(net)
-    branches = len(cutset_mod.branch_contexts(tree))
+    branches = cutset_mod.count_branches(tree)
     if args.json:
         _emit_json(tree=cutset_mod.cutset_tree_to_obj(tree), branches=branches)
         return 0

@@ -83,6 +83,23 @@ def branch_contexts(tree: CutsetTree) -> list[Context]:
     return out
 
 
+def count_branches(tree: CutsetTree) -> int:
+    """``len(branch_contexts(tree))``, counted once per distinct node, so a
+    tree whose equal subtrees are one object is never expanded."""
+    return _count_branches(tree, {})
+
+
+def _count_branches(tree: CutsetTree, counts: dict[int, int]) -> int:
+    if isinstance(tree, EmptyLeaf):
+        return 1
+    n = counts.get(id(tree))
+    if n is None:
+        n = counts[id(tree)] = sum(
+            len(values) * _count_branches(child, counts) for values, child in tree.arcs
+        )
+    return n
+
+
 def weight(var: Variable) -> float:
     """Cost of conditioning on ``var``: log2 of its domain size."""
     return math.log2(len(var.values))
@@ -169,13 +186,17 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     a variable's apparent usefulness.
 
     The result is a DAG: equal subtrees are one object.  A subtree depends
-    only on the residual network's signature and on the variables already
-    instantiated, so it is built once per such pair, and each new node is
-    interned on its test and its arcs' values and child identities, which
-    also shares equal subtrees reached from different pairs.
+    only on the residual loopy core -- the 2-core's families, each with its
+    parents and CPT tree shape -- and on which core variables are already
+    instantiated, so it is built once per such key (:meth:`_Builder.key`),
+    and each new node is interned on its test and its arcs' values and child
+    identities, which also shares equal subtrees reached from different
+    keys.  A pick's values are grouped by their residual core's key, so
+    values whose reduced networks differ only outside the core share one
+    arc: ``={t,f}`` where a whole-network grouping gave ``={t}`` and
+    ``={f}`` with the same subtree.
     """
-    builder = _Builder()
-    return builder.build(net, builder.signature(net), frozenset())
+    return _Builder().node(net, graphs.two_core(net.skeleton()), frozenset())
 
 
 def _bind(net: Network, x: str, value: str) -> Network:
@@ -189,46 +210,70 @@ def _bind(net: Network, x: str, value: str) -> Network:
     return net.with_nodes(replacements)
 
 
-def _candidate_score(net: Network, v: str, pool: set[str]) -> float:
-    kids = [c for c in net.children(v) if c in pool]
-    return arc_deletion_score(net, v, children=kids)
+def _core_skeleton(net: Network, core: set[str]) -> dict[str, set[str]]:
+    """The skeleton of ``net`` restricted to ``core``, read from the core's
+    families alone."""
+    adj: dict[str, set[str]] = {v: set() for v in core}
+    for v in core:
+        for p in net.parents(v):
+            if p in adj:
+                adj[v].add(p)
+                adj[p].add(v)
+    return adj
 
 
 class _Builder:
-    """The memos of one greedy build: subtrees by (signature, instantiated
-    variables), nodes by test and arcs, and the shape of each CPT tree met,
-    by identity (a reduced network keeps every tree its instantiation does
-    not touch)."""
+    """The memos of one greedy build: subtrees by residual-core key
+    (:meth:`key`), nodes by test and arcs, and the shape of each CPT tree
+    met, by identity (a reduced network keeps every tree its instantiation
+    does not touch).
+
+    A node reads only its core's families: the candidates, their scores and
+    the pick's children in the core.  Binding a value removes arcs, so the
+    child's core -- the 2-core of a subgraph -- lies inside the parent's and
+    is the 2-core of the core's own skeleton.  The key therefore fixes the
+    whole subtree, and two values with one key share one arc."""
 
     def __init__(self):
         self.built: dict[tuple, CutsetTree] = {}
         self.interned: dict[tuple, CutsetNode] = {}
         self.shapes: dict[int, tuple] = {}  # id -> (tree, shape), which keeps the id
+        self.deletions: dict[tuple, tuple] = {}  # (id, parents, x) -> (tree, terms)
 
-    def signature(self, net: Network) -> tuple:
-        """Structure of a network, blind to leaf probabilities: each node with
-        its parents and its CPT tree's shape, in name order.  Two values whose
-        reduced networks share a signature break the same loops the same way,
-        so one subtree serves both."""
+    def key(self, net: Network, core: set[str], instantiated: frozenset) -> tuple:
+        """The residual loopy core's structure, blind to leaf probabilities:
+        each core node with its parents and its CPT tree's shape, in name
+        order, and the core variables already instantiated.  Two values whose
+        reduced networks share a key break the same loops the same way, so
+        one subtree serves both."""
         shapes, out = self.shapes, []
-        for spec in sorted(net.nodes, key=lambda s: s.var):
-            tree = as_tree(net, spec.var)
+        for v in sorted(core):
+            tree = as_tree(net, v)
             hit = shapes.get(id(tree))
             if hit is None:
                 hit = shapes[id(tree)] = (tree, _tree_shape(tree))
-            out.append((spec.var, spec.parents, hit[1]))
-        return tuple(out)
+            out.append((v, net.parents(v), hit[1]))
+        return tuple(out), instantiated & core
 
-    def build(self, current: Network, sig: tuple, instantiated: frozenset) -> CutsetTree:
-        """The subtree for ``current``, whose signature is ``sig``."""
-        key = (sig, instantiated)
-        tree = self.built.get(key)
-        if tree is None:
-            tree = self.built[key] = self.node(current, instantiated)
-        return tree
+    def score(self, net: Network, x: str, pool: set[str]) -> float:
+        """:func:`arc_deletion_score` of ``x`` over its children in ``pool``.
+        A child's terms depend only on its CPT tree, its parents and ``x``,
+        so they are memoized on those and added in the same order."""
+        memo, values, total = self.deletions, net.values(x), 0.0
+        for c in net.children(x):
+            if c not in pool:
+                continue
+            tree, parents = as_tree(net, c), net.parents(c)
+            hit = memo.get((id(tree), parents, x))
+            if hit is None:
+                terms = [len(parents) - expected_parents(net, c, x, value) for value in values]
+                hit = memo[id(tree), parents, x] = (tree, terms)
+            for term in hit[1]:
+                total += term
+        return total / len(values)
 
-    def node(self, current: Network, instantiated: frozenset) -> CutsetTree:
-        core = graphs.two_core(current.skeleton())
+    def node(self, current: Network, core: set[str], instantiated: frozenset) -> CutsetTree:
+        """The subtree for ``current``, whose skeleton's 2-core is ``core``."""
         if not core:
             return EMPTY
         candidates = sorted(
@@ -240,11 +285,11 @@ class _Builder:
             raise RuntimeError("cyclic residual with no cuttable variable")
 
         cand_set = set(candidates)
-        scored = [(v, _candidate_score(current, v, cand_set)) for v in candidates]
+        scored = [(v, self.score(current, v, cand_set)) for v in candidates]
         if all(d <= 0 for _, d in scored):
             # every candidate's candidate-directed score degenerated to zero
             # (colliders only); count arcs into the whole core instead
-            scored = [(v, _candidate_score(current, v, core)) for v in candidates]
+            scored = [(v, self.score(current, v, core)) for v in candidates]
         pick = min(
             scored,
             key=lambda vd: (
@@ -256,19 +301,30 @@ class _Builder:
         # the root picks on the network as given; every residual below it has
         # all its families instantiated, so a pick's value rebinds its children
         normal = current if instantiated else reduce_network(current, {})
-        groups: dict[tuple, tuple[list[str], Network]] = {}  # by signature
+        below = instantiated | {pick}
+        groups: dict[tuple, tuple[list[str], Network, set[str]]] = {}  # by key
         for value in current.values(pick):
             reduced = _bind(normal, pick, value)
-            groups.setdefault(self.signature(reduced), ([], reduced))[0].append(value)
+            sub = graphs.two_core(_core_skeleton(reduced, core))
+            groups.setdefault(self.key(reduced, sub, below), ([], reduced, sub))[0].append(value)
         arcs = tuple(
-            (tuple(values), self.build(rep, sig, instantiated | {pick}))
-            for sig, (values, rep) in groups.items()
+            (tuple(values), self.build(key, rep, sub, below))
+            for key, (values, rep, sub) in groups.items()
         )
         key = (pick, tuple((values, id(child)) for values, child in arcs))
         node = self.interned.get(key)
         if node is None:
             node = self.interned[key] = CutsetNode(pick, arcs)
         return node
+
+    def build(
+        self, key: tuple, current: Network, core: set[str], instantiated: frozenset
+    ) -> CutsetTree:
+        """The subtree for ``current``, whose residual core has ``key``."""
+        tree = self.built.get(key)
+        if tree is None:
+            tree = self.built[key] = self.node(current, core, instantiated)
+        return tree
 
 
 def flat_cutset(net: Network, names) -> CutsetTree:

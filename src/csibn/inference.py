@@ -405,7 +405,8 @@ def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
     """Exact posterior for networks that are singly connected once the
     evidence is instantiated: :func:`cutset_infer` with the empty cutset.
     Evidence that makes arcs vacuous can thus break the loops they closed.
-    Raises :class:`NotSinglyConnectedError` when a cycle is left.
+    Its ``stats`` are :func:`cutset_infer`'s.  Raises
+    :class:`NotSinglyConnectedError` when a cycle is left.
     """
     return cutset_infer(net, query, cutset_mod.EMPTY)
 
@@ -420,15 +421,17 @@ class _Walk:
     ``excess`` (arcs minus nodes plus components: each component has at
     least its size minus one arcs, so this is 0 exactly when every component
     is a tree), and, once per distinct cutset-tree node, its below-set (the
-    cutset variables its subtree tests) and its leaf count.  Instantiated
-    families are memoized on the network, since they depend only on the
-    values bound on the family's declared parents.  Three per-query memos
-    are keyed on a component and the values bound on the cutset variables
-    it sees (:meth:`seen`), which fix the arcs inside it: its weight, its
-    partition when a binding splits it, and, with a cutset-tree node and
-    ``excess``, the node's subtree sum.  :meth:`visit` returns a subtree's
-    sum over its branches of the weights still pending; a node weighs each
-    pending component its below-set misses once, and a leaf the rest.
+    cutset variables its subtree tests).  Instantiated families are memoized
+    on the network, since they depend only on the values bound on the
+    family's declared parents.  Two per-query memos are keyed on a component
+    and the values bound on the cutset variables it sees (:meth:`seen`),
+    which fix the arcs and tables inside it: its weight and, with a
+    cutset-tree node and ``excess``, the node's subtree sum.  A third holds
+    a component's partition when a binding splits it, keyed on the
+    component and its nodes' kept parents, which are all its arcs.
+    :meth:`visit` returns a subtree's sum over its branches of the weights
+    still pending; a node weighs each pending component its below-set
+    misses once, and a leaf the rest.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
@@ -453,10 +456,10 @@ class _Walk:
         self.instantiate(range(len(names)), [])
         self.reduced_children = tuple(self.children)
         self.below: dict[int, frozenset] = {}
-        self.leaves: dict[int, int] = {}
         self.cut = sorted(self.index_tree(ct))
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
+        self.partitions = 0  # component searches run
         self.assign(self.partition(range(len(names))))
         self.sees: dict[frozenset, tuple] = {}  # cutset variables a component depends on
         self.weights: dict[tuple, tuple] = {}
@@ -466,25 +469,24 @@ class _Walk:
 
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
         """The indices of the variables ``tree`` tests, recorded in ``below``
-        with the leaf count in ``leaves``, by ``id``, once per distinct
-        node."""
+        by ``id``, once per distinct node."""
         out = self.below.get(id(tree))
         if out is not None:
             return out
         if isinstance(tree, cutset_mod.EmptyLeaf):
-            out, leaves = frozenset(), 1
+            out = frozenset()
         else:
             out = frozenset([self.index[tree.test]]).union(
                 *(self.index_tree(child) for _, child in tree.arcs)
             )
-            leaves = sum(len(values) * self.leaves[id(child)] for values, child in tree.arcs)
-        self.below[id(tree)], self.leaves[id(tree)] = out, leaves
+        self.below[id(tree)] = out
         return out
 
     def partition(self, nodes) -> tuple[frozenset, ...]:
         """The connected components of ``nodes`` under the current arcs, each
         one object per query, however often it recurs."""
         parents, children, interned = self.parents, self.children, self.interned
+        self.partitions += 1
         left, parts = set(nodes), []
         while left:
             part = [left.pop()]
@@ -571,14 +573,15 @@ class _Walk:
         (``excess`` is the caller's to restore).  Each child of ``x`` loses
         the arc from ``x`` and every other arc its reduced tree no longer
         needs.  Every dropped arc lies in ``x``'s component, which is then
-        split again; its parts depend only on it and the values it sees."""
+        split again; its parts depend only on it and its nodes' kept
+        parents, which hold every arc left inside it."""
         saved = self.observe(x, k)
         if not self.children[x]:
             return saved
         self.excess -= 1
         self.instantiate(self.children[x], saved)
-        old = self.component[x]
-        key = (old, self.seen(old))
+        old, parents = self.component[x], self.parents
+        key = (old, *[parents[v] for v in old])
         parts = self.splits.get(key)
         if parts is None:
             parts = self.splits[key] = self.partition(old)
@@ -714,9 +717,9 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     in this query or an earlier one, reduces no tree.  A depth-first walk of
     the cutset tree instantiates each arc value in place and undoes it on
     the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
-    so only that component is split again, once per query for each binding
-    it sees; a count of the arcs beyond a spanning forest tells a leaf
-    whether a cycle is left.
+    so only that component is split again, once per query for each set of
+    arcs left inside it; a count of the arcs beyond a spanning forest tells
+    a leaf whether a cycle is left.
 
     A branch's weight is the target component's belief vector times the
     total weight of every other component holding an evidence or bound
@@ -737,11 +740,21 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     and a node adds its branches in canonical branch order.  A branch
     contradicting evidence on a cutset variable weighs 0 and is skipped.
     ``evaluations`` counts every branch and ``messages_computed`` the
-    messages actually solved.  Raises :class:`NotSinglyConnectedError` when
-    a branch leaves a cycle.
+    messages actually solved.  ``stats`` holds the sizes of the per-query
+    memos -- ``subtree_sums``, ``component_weights`` and ``split_keys`` --
+    and ``partitions``, the component searches run: one for the
+    instantiated evidence, then one per split-memo miss.  Raises
+    :class:`NotSinglyConnectedError` when a branch leaves a cycle.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)
     total = walk.visit(ct, walk.pending)
     weights, exponent = (np.zeros(len(walk.values[walk.target])), 0) if total is None else total
-    return _finish([float(w) for w in weights], walk.leaves[id(ct)], exponent, walk.messages)
+    stats = MappingProxyType({
+        "subtree_sums": len(walk.sums),
+        "component_weights": len(walk.weights),
+        "split_keys": len(walk.splits),
+        "partitions": walk.partitions,
+    })
+    evaluations = cutset_mod.count_branches(ct)
+    return _finish([float(w) for w in weights], evaluations, exponent, walk.messages, stats)

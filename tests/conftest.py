@@ -252,6 +252,31 @@ def random_polytree_net(rng, max_vars=7) -> Network:
     return Network(variables, tuple(nodes))
 
 
+def windowed_net(rng, n: int) -> Network:
+    """Binary ``V0 .. V{n-1}``: each draws parents among the previous six
+    variables (each with probability 0.3, at most 3) and a random
+    CPT tree over them whose subtrees stop early with probability 0.45,
+    keeping as parents the variables its tree tests: the windowed loopy
+    networks of the benchmark's generator."""
+
+    def draw(pool, depth):
+        if not pool or (depth and rng.random() < 0.45):
+            p = float(rng.uniform(0.05, 0.95))
+            return Leaf(Distribution((p, 1.0 - p)))
+        test = pool[int(rng.integers(len(pool)))]
+        rest = [v for v in pool if v != test]
+        return Node(test, tuple((v, draw(rest, depth + 1)) for v in ("t", "f")))
+
+    names = [f"V{i}" for i in range(n)]
+    nodes = []
+    for i, name in enumerate(names):
+        pool = [p for p in names[max(0, i - 6) : i] if rng.random() < 0.3][:3]
+        tree = draw(pool, 0)
+        tested = _tested(tree)
+        nodes.append(NodeSpec(name, tuple(p for p in names[:i] if p in tested), tree))
+    return Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
+
+
 def chain_net() -> Network:
     """A -> B -> C with distinct rows; the doc-example workhorse."""
     variables = tuple(Variable(v, ("t", "f")) for v in "ABC")

@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from csibn import fixtures
+from csibn import cutset, fixtures
 from csibn.cli import run
 from csibn.cutset import build_conditional_cutset
 from csibn.inference import Query, cutset_infer
@@ -386,6 +386,14 @@ class TestCutset:
         doc = json.loads(out)
         assert doc["branches"] == 5
         assert doc["tree"]["test"] == "U"
+
+    def test_counts_branches_without_listing_them(self, capsys, monkeypatch):
+        def listed(tree):
+            raise AssertionError("branch_contexts called")
+
+        monkeypatch.setattr(cutset, "branch_contexts", listed)
+        assert invoke(capsys, "cutset", FIG1)[1].endswith("branches: 5\n")
+        assert json.loads(invoke(capsys, "cutset", FIG1, "--json")[1])["branches"] == 5
 
 
 class TestContract:

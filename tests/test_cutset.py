@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import csibn as cb
-from csibn import cutset
+from csibn import cutset, graphs
 from csibn.csi import reduce_network
 from csibn.cutset import (
     EMPTY,
@@ -15,6 +15,7 @@ from csibn.cutset import (
     best_cut_variable,
     branch_contexts,
     build_conditional_cutset,
+    count_branches,
     cutset_tree_to_obj,
     cutset_variables,
     expected_parents,
@@ -23,7 +24,16 @@ from csibn.cutset import (
     rank_variables,
     weight,
 )
-from csibn.model import Variable
+from csibn.inference import Query, cutset_infer, query_enumerate
+from csibn.model import (
+    Context,
+    Distribution,
+    Leaf,
+    Network,
+    Node,
+    NodeSpec,
+    Variable,
+)
 
 from conftest import (
     all_assignments,
@@ -32,6 +42,7 @@ from conftest import (
     oracle_has_undirected_cycle,
     random_loopy_net,
     random_polytree_net,
+    windowed_net,
 )
 
 
@@ -137,15 +148,49 @@ class TestBuild:
             assert len(matching) == 1
 
     def test_merged_values_share_structure(self, fig1):
-        # V's two values were merged: check the merge-soundness contract
+        # V's two values were merged: check the merge-soundness contract,
+        # that both values leave residual loopy cores with one key
         from csibn.cutset import _Builder
 
         level = reduce_network(fig1, {"U": "f"})
-        sigs = {
-            v: _Builder().signature(reduce_network(level, {"V": v}))
-            for v in fig1.values("V")
-        }
-        assert sigs["t"] == sigs["f"]
+        keys = {}
+        for v in fig1.values("V"):
+            reduced = reduce_network(level, {"V": v})
+            core = graphs.two_core(reduced.skeleton())
+            keys[v] = _Builder().key(reduced, core, frozenset({"U", "V"}))
+        assert keys["t"] == keys["f"]
+
+    def test_values_differing_off_the_core_share_one_arc(self):
+        # P hangs off the root pick A and tests A on one branch of its tree,
+        # so A's two values reduce P to different shapes; P lies outside the
+        # loopy core, so both values share one arc
+        tree = build_conditional_cutset(_pendant_net())
+        assert format_cutset_tree(tree) == (
+            "A\n"
+            "  ={t,f}:\n"
+            "    D\n"
+            "      ={t,f}:\n"
+            "        (singly connected)\n"
+        )
+        q = Query("G", Context({"P": "t"}))
+        result = cutset_infer(_pendant_net(), q, tree)
+        assert result.evaluations == 4
+        assert result.posterior.probs == pytest.approx(
+            query_enumerate(_pendant_net(), q).posterior.probs, abs=1e-12
+        )
+
+    def test_builds_one_node_per_distinct_residual_core(self, monkeypatch):
+        # keyed on the whole network's signature, the builder made 155 node
+        # calls for this network; every far-away reduction forced a miss
+        calls = []
+        real = cutset._Builder.node
+        monkeypatch.setattr(
+            cutset._Builder, "node", lambda self, *args: calls.append(1) or real(self, *args)
+        )
+        net = windowed_net(np.random.default_rng(1), 40)
+        tree = build_conditional_cutset(net)
+        assert len(calls) <= 60
+        assert count_branches(tree) == 2304
 
     def test_reduces_the_whole_network_once(self, fig1, monkeypatch):
         # each pick value rebinds only the pick's children
@@ -167,6 +212,26 @@ class TestBuild:
             for v in used:
                 flat_count *= len(net.values(v))
             assert len(branch_contexts(tree)) <= flat_count
+
+
+def _pendant_net() -> Network:
+    """Two diamonds, A -> B, C -> D and D -> E, F -> G, and P, a child of A
+    and of the root Q, whose tree tests Q under A=t only."""
+    leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+    branch = lambda test, pt, pf: Node(test, (("t", leaf(pt)), ("f", leaf(pf))))
+    collider = lambda a, b: Node(a, (("t", branch(b, 0.9, 0.5)), ("f", branch(b, 0.3, 0.2))))
+    nodes = (
+        NodeSpec("A", (), leaf(0.6)),
+        NodeSpec("B", ("A",), branch("A", 0.7, 0.2)),
+        NodeSpec("C", ("A",), branch("A", 0.25, 0.85)),
+        NodeSpec("D", ("B", "C"), collider("B", "C")),
+        NodeSpec("E", ("D",), branch("D", 0.4, 0.1)),
+        NodeSpec("F", ("D",), branch("D", 0.8, 0.35)),
+        NodeSpec("G", ("E", "F"), collider("E", "F")),
+        NodeSpec("Q", (), leaf(0.3)),
+        NodeSpec("P", ("A", "Q"), Node("A", (("t", branch("Q", 0.6, 0.15)), ("f", leaf(0.5))))),
+    )
+    return Network(tuple(Variable(spec.var, ("t", "f")) for spec in nodes), nodes)
 
 
 def _occurrences(tree) -> list:
@@ -251,6 +316,14 @@ class TestFlatCutset:
 class TestBranchContexts:
     def test_empty_leaf(self):
         assert branch_contexts(EMPTY) == [cb.Context()]
+        assert count_branches(EMPTY) == 1
+
+    def test_count_matches_the_listed_contexts(self, fig1):
+        rng = np.random.default_rng(33)
+        nets = [fig1] + [random_loopy_net(rng, max_vars=8) for _ in range(25)]
+        trees = [flat_cutset(fig1, ["U", "V", "W"])] + [build_conditional_cutset(n) for n in nets]
+        for tree in trees:
+            assert count_branches(tree) == len(branch_contexts(tree))
 
     def test_order_is_depth_first_in_value_order(self, fig1):
         tree = flat_cutset(fig1, ["U", "V"])

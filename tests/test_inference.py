@@ -51,6 +51,7 @@ from conftest import (
     random_loopy_net,
     random_polytree_net,
     random_tree_net,
+    windowed_net,
 )
 
 
@@ -279,7 +280,41 @@ PINNED_STATS = {
 }
 
 
+# the cutset walk's counters (subtree_sums, component_weights, split_keys,
+# partitions) for the same queries; fig2 and fig3 get the empty cutset
+PINNED_WALK = {
+    "fig1": dict.fromkeys(("S", "U", "V", "W", "X", "Z"), (4, 9, 4, 5)),
+    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (0, 1, 0, 1)),
+    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (0, 1, 0, 1)),
+}
+WALK_COUNTERS = ("subtree_sums", "component_weights", "split_keys", "partitions")
+
+
 class TestStats:
+    @pytest.mark.parametrize("fig", sorted(PINNED_WALK))
+    def test_walk_counters_pinned(self, fig):
+        net = fixtures.load(fig)
+        tree = build_conditional_cutset(net)
+        last = net.var_names[-1]
+        got = {}
+        for target in net.var_names:
+            q = Query(target, Context({last: net.values(last)[0]} if target != last else {}))
+            stats = cutset_infer(net, q, tree).stats
+            got[target] = tuple(stats[k] for k in WALK_COUNTERS)
+            if tree is EMPTY:
+                assert solve_singly_connected(net, q).stats == stats
+        assert got == PINNED_WALK[fig]
+
+    def test_split_memo_keys_on_the_arcs_left(self):
+        # keyed on every cutset value the component sees, the split memo ran
+        # 263 component searches for this query
+        net = windowed_net(np.random.default_rng(1), 30)
+        q = Query("V29", Context({"V0": "t"}))
+        result = cutset_infer(net, q, build_conditional_cutset(net))
+        posteriors_close(result, variable_elimination(net, q))
+        assert result.evaluations == 288
+        assert result.stats["partitions"] == 46
+
     @pytest.mark.parametrize("fig", sorted(PINNED_STATS))
     def test_elimination_counters_pinned(self, fig):
         net = fixtures.load(fig)
@@ -297,9 +332,12 @@ class TestStats:
         with pytest.raises(TypeError):
             ve.stats["largest_factor"] = 0
         cutset = cutset_infer(fig1, q, build_conditional_cutset(fig1))
-        for result in (query_enumerate(fig1, q), cutset):
-            assert dict(result.stats) == {}
+        assert dict(query_enumerate(fig1, q).stats) == {}
+        assert sorted(cutset.stats) == sorted(WALK_COUNTERS)
+        with pytest.raises(TypeError):
+            cutset.stats["partitions"] = 0
         assert dataclasses.replace(ve, stats={}) == ve
+        assert dataclasses.replace(cutset, stats={}) == cutset
 
 
 class TestSinglyConnected:

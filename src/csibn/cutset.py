@@ -19,8 +19,10 @@ import math
 from dataclasses import dataclass
 
 from . import graphs
-from .csi import instantiate_family, reduce_network, reduce_tree
-from .model import Context, Leaf, Network, NodeSpec, Variable, as_tree, tree_size
+from .csi import instantiate_family, reduce_tree
+# nothing here calls reduce_network, but benches/tracing.py wraps this module's name
+from .csi import reduce_network  # noqa: F401
+from .model import Context, CptTree, Leaf, Network, Variable, as_tree, tree_size
 
 
 class EmptyLeaf:
@@ -117,11 +119,18 @@ def expected_parents(net: Network, v: str, x: str, value: str) -> float:
     if x not in parents:
         raise ValueError(f"{x!r} is not a parent of {v!r}")
     net.variable(x).index(value)
+    arity = {a: len(net.values(a)) for a in parents}
+    return _expected_parents(as_tree(net, v), parents, x, value, arity)
+
+
+def _expected_parents(tree: CptTree, parents: tuple, x: str, value: str, arity: dict) -> float:
+    """The estimate for a family's CPT ``tree`` over ``parents``, given each
+    parent's domain size in ``arity``."""
     others = [p for p in parents if p != x]
     if not others:
         return 0.0
-    t = tree_size(reduce_tree(as_tree(net, v), {x: value}))
-    return sum(math.log(t, len(net.values(a))) for a in others) / len(others)
+    t = tree_size(reduce_tree(tree, {x: value}))
+    return sum(math.log(t, arity[a]) for a in others) / len(others)
 
 
 def arc_deletion_score(net: Network, x: str, children=None) -> float:
@@ -185,37 +194,30 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     only arcs into fellow candidates, which keeps pure sinks from inflating
     a variable's apparent usefulness.
 
-    The result is a DAG: equal subtrees are one object.  A subtree depends
-    only on the residual loopy core -- the 2-core's families, each with its
-    parents and CPT tree shape -- and on which core variables are already
-    instantiated, so it is built once per such key (:meth:`_Builder.key`),
-    and each new node is interned on its test and its arcs' values and child
-    identities, which also shares equal subtrees reached from different
-    keys.  A pick's values are grouped by their residual core's key, so
-    values whose reduced networks differ only outside the core share one
-    arc: ``={t,f}`` where a whole-network grouping gave ``={t}`` and
-    ``={f}`` with the same subtree.
+    The residual is a family map, ``{var: (CPT tree, parents)}`` over its
+    2-core in declared order; no network is built.  The root map holds the
+    declared families, and each value of a pick instantiates the pick's
+    children in a copy (:func:`~csibn.csi.instantiate_family`), restricted
+    to the child's core.  The result is a DAG: a subtree depends only on
+    that core's families, each with its parents and CPT tree shape, and on
+    which core variables are already instantiated, so it is built once per
+    such key (:meth:`_Builder.key`), and nodes are interned on their test
+    and arcs.  A pick's values with one key share one arc, so values whose
+    residuals differ only outside the core print as ``={t,f}``.
     """
-    return _Builder().node(net, graphs.two_core(net.skeleton()), frozenset())
+    core = graphs.two_core(net.skeleton())
+    families = {v: (as_tree(net, v), net.parents(v)) for v in net.var_names if v in core}
+    return _Builder(net).node(families, frozenset())
 
 
-def _bind(net: Network, x: str, value: str) -> Network:
-    """``net``, whose every family is instantiated, with ``x`` bound to
-    ``value``: its children's families are instantiated again."""
-    replacements: dict[str, NodeSpec] = {}
-    for c in net.children(x):
-        spec = net.node(c)
-        tree, kept = instantiate_family(as_tree(net, c), spec.parents, {x: value})
-        replacements[c] = NodeSpec(c, kept, tree, spec.deterministic)
-    return net.with_nodes(replacements)
+Families = dict[str, tuple[CptTree, tuple[str, ...]]]  # var -> (CPT tree, parents)
 
 
-def _core_skeleton(net: Network, core: set[str]) -> dict[str, set[str]]:
-    """The skeleton of ``net`` restricted to ``core``, read from the core's
-    families alone."""
-    adj: dict[str, set[str]] = {v: set() for v in core}
-    for v in core:
-        for p in net.parents(v):
+def _core_skeleton(families: Families) -> dict[str, set[str]]:
+    """The skeleton of the arcs among ``families``' variables."""
+    adj: dict[str, set[str]] = {v: set() for v in families}
+    for v, (_, parents) in families.items():
+        for p in parents:
             if p in adj:
                 adj[v].add(p)
                 adj[p].add(v)
@@ -224,107 +226,101 @@ def _core_skeleton(net: Network, core: set[str]) -> dict[str, set[str]]:
 
 class _Builder:
     """The memos of one greedy build: subtrees by residual-core key
-    (:meth:`key`), nodes by test and arcs, and the shape of each CPT tree
-    met, by identity (a reduced network keeps every tree its instantiation
-    does not touch).
+    (:meth:`key`), nodes by test and arcs, and each CPT tree's shape, by
+    identity (a family the binding leaves alone keeps its tree object).
 
-    A node reads only its core's families: the candidates, their scores and
-    the pick's children in the core.  Binding a value removes arcs, so the
-    child's core -- the 2-core of a subgraph -- lies inside the parent's and
-    is the 2-core of the core's own skeleton.  The key therefore fixes the
-    whole subtree, and two values with one key share one arc."""
+    A node reads only its family map, which covers its core.  Binding a
+    value removes arcs, so the child's core lies inside the parent's and is
+    the 2-core of the map's own skeleton: the key fixes the whole subtree."""
 
-    def __init__(self):
+    def __init__(self, net: Network):
+        self.variables = {v.name: v for v in net.variables}
+        self.arity = {name: len(v.values) for name, v in self.variables.items()}
         self.built: dict[tuple, CutsetTree] = {}
         self.interned: dict[tuple, CutsetNode] = {}
         self.shapes: dict[int, tuple] = {}  # id -> (tree, shape), which keeps the id
         self.deletions: dict[tuple, tuple] = {}  # (id, parents, x) -> (tree, terms)
 
-    def key(self, net: Network, core: set[str], instantiated: frozenset) -> tuple:
-        """The residual loopy core's structure, blind to leaf probabilities:
-        each core node with its parents and its CPT tree's shape, in name
-        order, and the core variables already instantiated.  Two values whose
-        reduced networks share a key break the same loops the same way, so
-        one subtree serves both."""
+    def key(self, families: Families, instantiated: frozenset) -> tuple:
+        """The residual core's structure, blind to leaf probabilities: each
+        family with its parents and CPT tree shape, in name order, and the
+        core variables already instantiated."""
         shapes, out = self.shapes, []
-        for v in sorted(core):
-            tree = as_tree(net, v)
+        for v in sorted(families):
+            tree, parents = families[v]
             hit = shapes.get(id(tree))
             if hit is None:
                 hit = shapes[id(tree)] = (tree, _tree_shape(tree))
-            out.append((v, net.parents(v), hit[1]))
-        return tuple(out), instantiated & core
+            out.append((v, parents, hit[1]))
+        return tuple(out), instantiated.intersection(families)
 
-    def score(self, net: Network, x: str, pool: set[str]) -> float:
-        """:func:`arc_deletion_score` of ``x`` over its children in ``pool``.
-        A child's terms depend only on its CPT tree, its parents and ``x``,
-        so they are memoized on those and added in the same order."""
-        memo, values, total = self.deletions, net.values(x), 0.0
-        for c in net.children(x):
+    def score(self, families: Families, x: str, children: list[str], pool) -> float:
+        """:func:`arc_deletion_score` of ``x`` over its ``children`` in
+        ``pool``, memoizing a child's terms on its tree, parents and ``x``."""
+        memo, values, arity, total = self.deletions, self.variables[x].values, self.arity, 0.0
+        for c in children:
             if c not in pool:
                 continue
-            tree, parents = as_tree(net, c), net.parents(c)
+            tree, parents = families[c]
             hit = memo.get((id(tree), parents, x))
             if hit is None:
-                terms = [len(parents) - expected_parents(net, c, x, value) for value in values]
+                terms = [
+                    len(parents) - _expected_parents(tree, parents, x, v, arity) for v in values
+                ]
                 hit = memo[id(tree), parents, x] = (tree, terms)
             for term in hit[1]:
                 total += term
         return total / len(values)
 
-    def node(self, current: Network, core: set[str], instantiated: frozenset) -> CutsetTree:
-        """The subtree for ``current``, whose skeleton's 2-core is ``core``."""
-        if not core:
+    def node(self, families: Families, instantiated: frozenset) -> CutsetTree:
+        """The subtree for the residual ``families``, which cover its core."""
+        if not families:
             return EMPTY
-        candidates = sorted(
-            v
-            for v in core
-            if v not in instantiated and any(c in core for c in current.children(v))
-        )
+        children: dict[str, list[str]] = {v: [] for v in families}
+        for c, (_, parents) in families.items():
+            for p in parents:
+                if p in children:
+                    children[p].append(c)
+        candidates = sorted(v for v, cs in children.items() if cs and v not in instantiated)
         if not candidates:
             raise RuntimeError("cyclic residual with no cuttable variable")
 
         cand_set = set(candidates)
-        scored = [(v, self.score(current, v, cand_set)) for v in candidates]
+        scored = [(v, self.score(families, v, children[v], cand_set)) for v in candidates]
         if all(d <= 0 for _, d in scored):
             # every candidate's candidate-directed score degenerated to zero
             # (colliders only); count arcs into the whole core instead
-            scored = [(v, self.score(current, v, core)) for v in candidates]
+            scored = [(v, self.score(families, v, children[v], families)) for v in candidates]
         pick = min(
             scored,
             key=lambda vd: (
-                weight(current.variable(vd[0])) / vd[1] if vd[1] > 0 else math.inf,
+                weight(self.variables[vd[0]]) / vd[1] if vd[1] > 0 else math.inf,
                 vd[0],
             ),
         )[0]
 
-        # the root picks on the network as given; every residual below it has
-        # all its families instantiated, so a pick's value rebinds its children
-        normal = current if instantiated else reduce_network(current, {})
+        # the root picks on the declared families; below it every family is
+        # instantiated, so a pick's value instantiates only its children
+        if not instantiated:
+            families = {v: instantiate_family(*family, {}) for v, family in families.items()}
         below = instantiated | {pick}
-        groups: dict[tuple, tuple[list[str], Network, set[str]]] = {}  # by key
-        for value in current.values(pick):
-            reduced = _bind(normal, pick, value)
-            sub = graphs.two_core(_core_skeleton(reduced, core))
-            groups.setdefault(self.key(reduced, sub, below), ([], reduced, sub))[0].append(value)
-        arcs = tuple(
-            (tuple(values), self.build(key, rep, sub, below))
-            for key, (values, rep, sub) in groups.items()
-        )
+        groups: dict[tuple, tuple[list[str], Families]] = {}  # by key
+        for value in self.variables[pick].values:
+            reduced = dict(families)
+            for c in children[pick]:
+                reduced[c] = instantiate_family(*families[c], {pick: value})
+            sub = graphs.two_core(_core_skeleton(reduced))
+            reduced = {v: family for v, family in reduced.items() if v in sub}
+            groups.setdefault(self.key(reduced, below), ([], reduced))[0].append(value)
+        for key, (_, rep) in groups.items():
+            if key not in self.built:  # one subtree per residual core
+                self.built[key] = self.node(rep, below)
+        arcs = tuple((tuple(values), self.built[key]) for key, (values, _) in groups.items())
         key = (pick, tuple((values, id(child)) for values, child in arcs))
         node = self.interned.get(key)
         if node is None:
             node = self.interned[key] = CutsetNode(pick, arcs)
         return node
-
-    def build(
-        self, key: tuple, current: Network, core: set[str], instantiated: frozenset
-    ) -> CutsetTree:
-        """The subtree for ``current``, whose residual core has ``key``."""
-        tree = self.built.get(key)
-        if tree is None:
-            tree = self.built[key] = self.node(current, core, instantiated)
-        return tree
 
 
 def flat_cutset(net: Network, names) -> CutsetTree:

@@ -469,14 +469,22 @@ class _Walk:
 
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
         """The indices of the variables ``tree`` tests, recorded in ``below``
-        by ``id``, once per distinct node."""
+        by ``id``, once per distinct node.  Raises ``ValueError`` unless each
+        node's arcs cover its test's values, each once."""
         out = self.below.get(id(tree))
         if out is not None:
             return out
         if isinstance(tree, cutset_mod.EmptyLeaf):
             out = frozenset()
         else:
-            out = frozenset([self.index[tree.test]]).union(
+            x = self.index[tree.test]
+            covered = [value for values, _ in tree.arcs for value in values]
+            if sorted(covered) != sorted(self.values[x]):
+                raise ValueError(
+                    f"cutset node {tree.test!r} has arcs for {covered}, "
+                    f"not for each of {list(self.values[x])} once"
+                )
+            out = frozenset([x]).union(
                 *(self.index_tree(child) for _, child in tree.arcs)
             )
         self.below[id(tree)] = out

@@ -527,20 +527,22 @@ def network_from_json(doc: object) -> Network:
         variables.append(Variable(name, values))
     by_name = {v.name: v for v in variables}
 
-    nodes = []
+    nodes: dict[str, NodeSpec] = {}
     for rn in raw_nodes:
         if not isinstance(rn, dict) or "var" not in rn or "cpt" not in rn:
             raise NetworkSemanticsError(["node entries need var and cpt"])
         var = _string(rn["var"], "node: var")
         if var not in by_name:
             raise NetworkSemanticsError([f"unknown variable: node {var!r}"])
+        if var in nodes:
+            raise NetworkSemanticsError([f"duplicate node: {var}"])
         parents = _array_of(rn.get("parents", []), str, f"node: parents of {var}")
         cpt = _cpt_from_json(rn["cpt"], var, by_name)
         deterministic = rn.get("deterministic", False)
         if not isinstance(deterministic, bool):
             raise NetworkSemanticsError([f"malformed node: deterministic of {var} must be a boolean"])
-        nodes.append(NodeSpec(var, parents, cpt, deterministic))
-    return Network(variables, nodes)
+        nodes[var] = NodeSpec(var, parents, cpt, deterministic)
+    return Network(variables, tuple(nodes.values()))
 
 
 _NUMBER = (int, float)

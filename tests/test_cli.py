@@ -106,6 +106,16 @@ class TestValidate:
             assert code == 1
             assert err.splitlines() == ["error[semantics]: unknown parent: \\r in node V"]
 
+    def test_duplicate_node_is_a_semantic_error(self, capsys, tmp_path):
+        with open(FIG2, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["nodes"].append(dict(doc["nodes"][0]))
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == [f"error[semantics]: duplicate node: {doc['nodes'][0]['var']}"]
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "validate", FIG1, "--json")
         doc = json.loads(out)

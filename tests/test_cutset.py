@@ -27,13 +27,16 @@ from csibn.cutset import (
 from csibn.inference import Query, cutset_infer, query_enumerate
 from csibn.model import (
     Context,
+    CptTable,
     Distribution,
     Leaf,
     Network,
     Node,
     NodeSpec,
     Variable,
+    as_tree,
 )
+from csibn.transform import decompose_network
 
 from conftest import (
     all_assignments,
@@ -153,11 +156,13 @@ class TestBuild:
         from csibn.cutset import _Builder
 
         level = reduce_network(fig1, {"U": "f"})
-        keys = {}
+        builder, keys = _Builder(fig1), {}
         for v in fig1.values("V"):
             reduced = reduce_network(level, {"V": v})
             core = graphs.two_core(reduced.skeleton())
-            keys[v] = _Builder().key(reduced, core, frozenset({"U", "V"}))
+            families = {c: (as_tree(reduced, c), reduced.parents(c)) for c in sorted(core)}
+            keys[v] = builder.key(families, frozenset({"U", "V"}))
+        assert keys["t"][0]  # the core is not empty
         assert keys["t"] == keys["f"]
 
     def test_values_differing_off_the_core_share_one_arc(self):
@@ -192,15 +197,17 @@ class TestBuild:
         assert len(calls) <= 60
         assert count_branches(tree) == 2304
 
-    def test_reduces_the_whole_network_once(self, fig1, monkeypatch):
-        # each pick value rebinds only the pick's children
-        calls = []
-        real = cutset.reduce_network
+    def test_builds_no_network(self, fig1, monkeypatch):
+        # the residual is a family map over the loopy core, never a network
+        windowed = windowed_net(np.random.default_rng(1), 40)
+        built = []
+        real = cb.Network.__init__
         monkeypatch.setattr(
-            cutset, "reduce_network", lambda net, ctx: calls.append(ctx) or real(net, ctx)
+            cb.Network, "__init__", lambda self, *args: built.append(1) or real(self, *args)
         )
-        build_conditional_cutset(fig1)
-        assert calls == [{}]
+        assert count_branches(build_conditional_cutset(fig1)) == 5
+        assert count_branches(build_conditional_cutset(windowed)) == 2304
+        assert built == []
 
     def test_never_worse_than_flat_over_same_variables(self, fig1):
         rng = np.random.default_rng(99)
@@ -293,6 +300,19 @@ class TestSharing:
             tree = build_conditional_cutset(net)
             assert format_cutset_tree(tree) == "(singly connected)\n"
             assert cutset_tree_to_obj(tree) is None
+
+
+    def test_rendering_of_the_decomposed_fixtures(self, fig1, fig2, fig3):
+        # a multiplexer's CPT is a table, expanded to a tree at the root
+        expected = {
+            "fig1": "S\n  ={s1,s2,s3,s4,s5}:\n    W\n      ={t,f}:\n        (singly connected)\n",
+            "fig2": "D\n  ={t,f}:\n    (singly connected)\n",
+            "fig3": "(singly connected)\n",
+        }
+        for name, net in (("fig1", fig1), ("fig2", fig2), ("fig3", fig3)):
+            decomposed, _ = decompose_network(net)
+            assert any(isinstance(spec.cpt, CptTable) for spec in decomposed.nodes)
+            assert format_cutset_tree(build_conditional_cutset(decomposed)) == expected[name]
 
 
 class TestFlatCutset:

@@ -433,6 +433,27 @@ class TestCutsetInfer:
         assert got_auto.evaluations == 5
         assert got_flat.evaluations == 8
 
+    @pytest.mark.parametrize("arcs", ["missing", "duplicate"])
+    def test_malformed_tree_rejected(self, fig1, arcs):
+        # without the root's ={f} arc the walk returned (0.5833, 0.4167)
+        # with P(e) = 0.61; with it twice, P(e) = 1.61
+        auto = build_conditional_cutset(fig1)
+        (t_arc, f_arc) = auto.arcs
+        broken = CutsetNode(auto.test, (t_arc,) if arcs == "missing" else (t_arc, f_arc, f_arc))
+        with pytest.raises(ValueError, match="not for each of"):
+            cutset_infer(fig1, Query("Z", Context()), broken)
+
+    def test_built_and_flat_trees_accepted(self, fig1):
+        rng = np.random.default_rng(7)
+        nets = [fig1] + [random_loopy_net(rng, max_vars=7) for _ in range(10)]
+        for net in nets:
+            q = Query(net.var_names[-1], Context())
+            want = query_enumerate(net, q)
+            built = build_conditional_cutset(net)
+            flat = flat_cutset(net, sorted(cutset_variables(built)))
+            for tree in (built, flat):
+                posteriors_close(cutset_infer(net, q, tree), want)
+
     def test_target_inside_cutset(self, fig1):
         auto = build_conditional_cutset(fig1)
         q = Query("U", Context({"Z": "t"}))

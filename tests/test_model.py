@@ -92,6 +92,16 @@ class TestValidation:
         doc["variables"].append({"name": "A", "values": ["t", "f"]})
         self.check(doc, "duplicate variable")
 
+    def test_duplicate_node(self):
+        # a second entry for A would otherwise replace the first silently
+        doc = mini_doc()
+        doc["nodes"].append(
+            {"var": "A", "parents": [], "cpt": {"kind": "tree", "root": {"leaf": [0.9, 0.1]}}}
+        )
+        with pytest.raises(cb.NetworkSemanticsError) as err:
+            cb.parse_network(json.dumps(doc))
+        assert err.value.violations == ["duplicate node: A"]
+
     def test_degenerate_variable(self):
         doc = mini_doc()
         doc["variables"].append({"name": "C", "values": ["only"]})

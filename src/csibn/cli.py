@@ -73,6 +73,8 @@ def _read(path: str) -> str:
             return handle.read()
     except OSError as exc:
         _fail("io", str(exc))
+    except UnicodeDecodeError as exc:
+        _fail("format", str(exc))
 
 
 def _load(path: str):
@@ -94,8 +96,12 @@ def _context(net, text: str) -> Context:
         _fail("context", str(exc), 2)
 
 
-def _names(net, text: str) -> list[str]:
+def _names(net, text: str, flag: str | None = None) -> list[str]:
+    """The variables named in a comma-separated list; with ``flag``, an
+    empty list is a usage error."""
     names = [n for n in (s.strip() for s in text.split(",")) if n]
+    if flag and not names:
+        _fail("usage", f"{flag} names no variable", 2)
     for n in names:
         net.variable(n)  # an unknown name is a domain error
     return names
@@ -215,7 +221,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_dsep(args) -> int:
     net = _load(args.network)
-    xs, ys = _names(net, args.x), _names(net, args.y)
+    xs, ys = _names(net, args.x, "-X"), _names(net, args.y, "-Y")
     zs = _names(net, args.z)
     sep = d_separated(net, xs, ys, zs)
     if args.json:
@@ -227,7 +233,7 @@ def _cmd_dsep(args) -> int:
 
 def _cmd_csisep(args) -> int:
     net = _load(args.network)
-    xs, ys = _names(net, args.x), _names(net, args.y)
+    xs, ys = _names(net, args.x, "-X"), _names(net, args.y, "-Y")
     zs = _names(net, args.z)
     ctx = _context(net, args.context)
     sep = csi_separated(net, xs, ys, zs, ctx)

@@ -14,11 +14,12 @@ The numeric engines share one integer-indexed compiled form of a network:
 variable indices, parent and child index tuples, one read-only CPT array per
 family, each family's CPT as a tree, and a memo of instantiated families.  A
 network builds it on its first query and keeps it.  Variable elimination is
-bucket elimination over it: barren variables are pruned, the evidence
-indexes the family arrays, the order comes from the network's min-fill
-triangulation (:func:`~csibn.transform.triangulation`, also computed once
-and kept), re-rooted to end at the target, and each bucket is multiplied and
-summed out by one einsum.  The
+one collect pass toward the target on a clique tree of the maximal cliques
+of the network's min-fill triangulation (:func:`~csibn.transform.triangulation`),
+both built once and kept: the evidence enters as one-hot indicator vectors,
+each message is one einsum whose subscripts depend on its directed edge
+alone, and a message out of a subtree without evidence is kept on the
+network for every later query.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, and the walk instantiates both in place by
@@ -228,126 +229,275 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(array, -exponent), exponent
 
 
-# -- variable elimination ----------------------------------------------------
+# -- variable elimination on a clique tree ------------------------------------
 
 # np.einsum takes at most 31 operands under numpy 1.x
 _MAX_OPERANDS = 31
+# einsum subscript letters; a clique of more variables would need 2**52 entries
+_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
-def _product(factors: list, drop: int | None = None) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The product of ``(table, scope)`` factors, summed over the variable
-    ``drop`` if it is in scope, by one einsum; returns the table and its
-    scope, variables in order of first appearance.  Labels are renumbered
-    from 0 because einsum's sublist labels must be below 52."""
-    labels: dict[int, int] = {}
-    operands: list = []
-    for table, scope in factors:
-        operands += [table, [labels.setdefault(v, len(labels)) for v in scope]]
-    scope = tuple(v for v in labels if v != drop)
-    return np.einsum(*operands, [labels[v] for v in scope]), scope
+class _CliqueTree:
+    """The network's clique tree, and the messages that depend on it alone.
 
+    Its nodes are the maximal elimination cliques of the network's min-fill
+    triangulation (:func:`~csibn.transform.triangulation`): a variable's
+    home is the node of its elimination clique, and an elimination clique
+    that equals a child's separator is merged into that child.  A node's
+    neighbor toward its root (``up``) is the home of its top variable's first
+    later-eliminated neighbor, so each connected component of the network
+    is one tree, rooted at its last-eliminated variable's home (``root``).
 
-def _target_last(rank, cliques, target: int) -> list[int]:
-    """Each variable's position in a perfect elimination order of the
-    triangulation (``rank``, ``cliques``: see
-    :func:`~csibn.transform.triangulation`) that ends at ``target``.
+    Each family's array goes to the home of its first-eliminated member (the
+    family's ``owner``), and each variable's indicator to its own home, so
+    the operands of a message
+    and their einsum subscripts depend on its directed edge alone; the
+    subscripts are built on first use and kept in ``plans``.  A message out
+    of a subtree that holds no evidence depends on the network alone, so
+    ``messages`` keeps it, with its power-of-two exponent, once computed.
+    ``excess`` counts, for the subtree below each node, the families there
+    less the variables whose home is there; see :meth:`barren`.
+    """
 
-    A variable's parent in the elimination tree is the first of its later
-    neighbors.  The order re-roots that tree at ``target``: the variables
-    off the target's path to its root keep their ranks; after them come the
-    path's variables, each at the path node nearest the target whose clique
-    holds it, from the root's end down to the target.  Eliminated in that
-    order, every variable's later neighbors lie in one clique of the
-    triangulation, as they do in its own order.  Moving the target alone to
-    the end would not keep that: on A -> B -> C -> D with D observed,
-    min-fill eliminates A first, and keeping A for last puts A, B and C in
-    one bucket."""
-    path = [target]
-    while len(cliques[path[-1]]) > 1:
-        v = path[-1]
-        path.append(min(cliques[v] - {v}, key=rank.__getitem__))
-    tail = []
-    for v, nearer in zip(path[:0:-1], path[-2::-1]):
-        tail += sorted(cliques[v] - cliques[nearer], key=rank.__getitem__)
-    tail += sorted(cliques[target] - {target}, key=rank.__getitem__) + [target]
-    position = list(rank)
-    for k, v in enumerate(tail, len(rank)):
-        position[v] = k
-    return position
+    def __init__(self, net: Network):
+        _, parents, _, tables = _compile(net)[:4]
+        order, rank, elim = triangulation(net)
+        first = lambda vs: min(vs, key=rank.__getitem__)
+        home, cliques, tops = [0] * len(order), [], []
+        below: dict[int, list] = {}  # variable -> those it is the first later neighbor of
+        for v in order:
+            clique = elim[v]
+            child = next((u for u in below.pop(v, ()) if len(elim[u]) == len(clique) + 1), None)
+            if child is None:
+                home[v] = len(cliques)
+                cliques.append(tuple(sorted(clique, key=rank.__getitem__)))
+                tops.append(v)
+            else:
+                home[v] = home[child]
+                tops[home[v]] = v
+            if len(clique) > 1:
+                below.setdefault(first(clique - {v}), []).append(v)
+        self.up = up = [home[first(elim[v] - {v})] if len(elim[v]) > 1 else -1 for v in tops]
+        near: list[list] = [[] for _ in cliques]
+        self.seps: dict[tuple, tuple] = {}
+        for a, b in enumerate(up):
+            if b >= 0:
+                near[a].append(b)
+                near[b].append(a)
+                self.seps[a, b] = self.seps[b, a] = tuple(v for v in cliques[a] if v in cliques[b])
+        self.near = tuple(tuple(sorted(ns)) for ns in near)
+        self.owner = tuple(home[first(family + (v,))] for v, family in enumerate(parents))
+        owned = [[] for _ in cliques]
+        for v, a in enumerate(self.owner):
+            owned[a].append(v)
+        self.home, self.cliques = tuple(home), tuple(cliques)
+        self.homed = tuple(tuple(v for v in c if home[v] == a) for a, c in enumerate(cliques))
+        self.depth, self.root = depth, root = [0] * len(cliques), list(range(len(cliques)))
+        downward = [a for a, b in enumerate(up) if b < 0]
+        for a in downward:
+            for c in self.near[a]:
+                if c != up[a]:
+                    depth[c], root[c] = depth[a] + 1, root[a]
+                    downward.append(c)
+        self.excess = excess = [len(fs) - len(vs) for fs, vs in zip(owned, self.homed)]
+        for a in reversed(downward):
+            if up[a] >= 0:
+                excess[up[a]] += excess[a]
+        arity = [table.shape[-1] for table in tables]
+        self.families = tuple(tuple(parents[v] + (v,) for v in vs) for vs in owned)
+        self.tables = tuple(tuple(tables[v] for v in vs) for vs in owned)
+        self.sizes = tuple(math.prod(arity[v] for v in clique) for clique in cliques)
+        shared = {n: np.ones(n) for n in set(arity)}
+        self.units = {n: np.eye(n) for n in shared}
+        for vec in (*shared.values(), *self.units.values()):
+            vec.flags.writeable = False
+        self.arity, self.ones = arity, tuple(shared[n] for n in arity)
+        self.plans: dict[tuple, tuple] = {}
+        self.messages: dict[tuple, tuple] = {}
+
+    def region(self, root: int, sources) -> set:
+        """The nodes on the tree paths from each of ``sources`` to ``root``,
+        all in ``root``'s tree, found by climbing ``up`` in time proportional
+        to their number."""
+        up, depth = self.up, self.depth
+        region, top = {root}, root
+        for a in sources:
+            while a not in region and depth[a] > depth[top]:
+                region.add(a)
+                a = up[a]
+            if a in region:
+                continue
+            b = top
+            while depth[b] > depth[a]:
+                b = up[b]
+                region.add(b)
+            while a != b:
+                region.update((a, b))
+                a, b = up[a], up[b]
+            region.add(a)
+            top = a
+        return region
+
+    def plan(self, a: int, skip: int, out: tuple) -> tuple:
+        """The einsum steps of node ``a``'s product over ``out``, taking in
+        the messages from every neighbor but ``skip``: each step's subscripts
+        and operand count.  No step takes more than ``_MAX_OPERANDS``; each
+        but the last multiplies the leading operands into one."""
+        letter = dict(zip(self.cliques[a], _LETTERS))
+        spell = lambda vs: "".join([letter[v] for v in vs])
+        terms = [spell(vs) for vs in self.families[a]] + [letter[v] for v in self.homed[a]]
+        terms += [spell(self.seps[a, c]) for c in self.near[a] if c != skip]
+        steps = []
+        while len(terms) > _MAX_OPERANDS:
+            keep = "".join(dict.fromkeys("".join(terms[:_MAX_OPERANDS])))
+            steps.append((",".join(terms[:_MAX_OPERANDS]) + "->" + keep, _MAX_OPERANDS))
+            terms[:_MAX_OPERANDS] = [keep]
+        steps.append((",".join(terms) + "->" + spell(out), len(terms)))
+        return tuple(steps)
+
+    def send(self, a: int, skip: int, out: tuple, ind, incoming: list) -> tuple:
+        """Node ``a``'s product, summed onto ``out``, of its family arrays,
+        its variables' indicators ``ind`` and the ``incoming`` messages (from
+        every neighbor but ``skip``, -1 for none, in neighbor order),
+        rescaled by a power of two; returns it and its exponent, theirs
+        included.  A message's plan is keyed on its edge, a root's on
+        ``out``."""
+        key = (a, skip if skip >= 0 else out)
+        steps = self.plans.get(key)
+        if steps is None:
+            steps = self.plans[key] = self.plan(a, skip, out)
+        operands = [*self.tables[a], *[ind[v] for v in self.homed[a]]]
+        exponent = 0
+        for vec, shift in incoming:
+            operands.append(vec)
+            exponent += shift
+        for subscripts, count in steps[:-1]:
+            table, shift = _scaled(np.einsum(subscripts, *operands[:count]))
+            operands[:count] = [table]
+            exponent += shift
+        table, shift = _scaled(np.einsum(steps[-1][0], *operands))
+        return table, exponent + shift
+
+    def barren(self, c: int, a: int) -> bool:
+        """Whether the message from ``c`` to ``a`` is all ones when no
+        evidence lies on ``c``'s side: that side's families are exactly those
+        of the variables it sums out, which are then closed under children
+        and sum out to 1 (Shachter, Oper. Res. 34, 1986).  It holds at least
+        those families, and a tree holds as many families as homes."""
+        if self.up[c] == a:
+            return not self.excess[c]
+        return self.excess[a] == len(self.seps[a, c])
+
+    def evidence_free(self, c: int, a: int) -> tuple:
+        """The message from ``c`` to ``a`` when no evidence lies on ``c``'s
+        side, and the number of messages computed for it: each is computed
+        once per network, depth first without recursion, and kept; a barren
+        one is a read-only view of 1.0 and computes nothing."""
+        messages, near, seps, ones = self.messages, self.near, self.seps, self.ones
+        if (c, a) in messages:
+            return messages[c, a], 0
+        stack, count = [(c, a)], 0
+        while stack:
+            c, a = stack[-1]
+            if self.barren(c, a):
+                shape = tuple(self.arity[v] for v in seps[c, a])
+                messages[c, a] = np.broadcast_to(1.0, shape), 0
+                stack.pop()
+                continue
+            missing = [(d, c) for d in near[c] if d != a and (d, c) not in messages]
+            if missing:
+                stack += missing
+                continue
+            stack.pop()
+            incoming = [messages[d, c] for d in near[c] if d != a]
+            messages[c, a] = self.send(c, a, seps[c, a], ones, incoming)
+            count += 1
+        return messages[c, a], count
+
+    def collect(self, root: int, sources, out: tuple, ind, stats: dict) -> tuple:
+        """``root``'s product over ``out`` given the indicators ``ind``, with
+        its exponent, by one collect pass over the paths from ``sources``
+        (the homes of the evidence in ``root``'s tree) to ``root``.  Adds to
+        ``stats`` the messages computed and those taken from ``messages``,
+        and widens its largest clique and width to the paths' cliques."""
+        near, seps = self.near, self.seps
+        region = self.region(root, sources)
+        toward, order = {root: -1}, [root]
+        for a in order:
+            for c in near[a]:
+                if c in region and c not in toward:
+                    toward[c] = a
+                    order.append(c)
+        sent: dict[int, tuple] = {}
+        computed = cached = 0
+        for a in reversed(order):
+            b = toward[a]
+            incoming = []
+            for c in near[a]:
+                if c == b:
+                    continue
+                if c in region:
+                    incoming.append(sent[c])
+                    continue
+                message, count = self.evidence_free(c, a)
+                incoming.append(message)
+                computed, cached = computed + count, cached + (not count)
+            sent[a] = self.send(a, b, seps[a, b] if b >= 0 else out, ind, incoming)
+        stats["computed_messages"] += computed + len(order) - 1
+        stats["cached_messages"] += cached
+        largest = max(self.sizes[a] for a in region)
+        widest = max(len(self.cliques[a]) for a in region) - 1
+        stats["largest_factor"] = max(stats["largest_factor"], largest)
+        stats["induced_width"] = max(stats["induced_width"], widest)
+        return sent[root]
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
-    """Posterior by bucket elimination in an order taken from the network's
-    min-fill triangulation (lexicographic tie-break), which makes the
-    computation reproducible bit for bit.
+    """Posterior by one collect pass toward the target on the network's
+    clique tree (Lauritzen & Spiegelhalter, JRSS B 50, 1988; Shafer &
+    Shenoy, Ann. Math. AI 2, 1990), reproducible bit for bit.
 
-    The family arrays come from the network's compiled form and the
-    triangulation of its whole moral graph from
-    :func:`~csibn.transform.triangulation`, both built once and kept, so a
-    query pays for no ordering.  Only the families of the target, the
-    evidence and their ancestors enter; every other variable is barren and
-    sums out to 1 (Shachter, Oper. Res. 34, 1986).  Each family's array is
-    indexed at the evidence values and goes, in family order, into the
-    bucket of its first-eliminated variable.  The order is the
-    triangulation's re-rooted at the target (:func:`_target_last`), so every
-    bucket's scope lies in one of its cliques.  A bucket is multiplied and
-    its variable summed out by one einsum over integer axes, and the result
-    goes into the bucket of its own first eliminated variable; what is left
-    ranges over the target alone.  Every bucket result and every step of the
-    final product is rescaled by a power of two whose exponent is carried,
-    so evidence of tiny but non-zero probability does not underflow to an
-    impossible-evidence error.  ``stats`` holds ``largest_factor``, the
-    entries of the widest bucket's scope, and ``induced_width``, the most
-    variables left in a bucket once its variable is summed out.
+    The tree (:class:`_CliqueTree`) is built once per network from its
+    min-fill triangulation and kept beside the compiled form.  The evidence
+    enters as one-hot indicator vectors at its variables' homes, and the
+    root is the node that holds the target's own family.  A query computes
+    the messages on the tree paths from each evidence home to the root,
+    each by one einsum over its node's family arrays, indicators and
+    incoming messages.  Every other message into those paths comes out of a
+    subtree without evidence; it depends on the network alone, so it is
+    computed the first time a query needs it and kept, unless it sums out
+    to 1.  Each other connected component that holds evidence is collected
+    to its own root, and the probability of its evidence multiplies into
+    the answer.  Every message, every root's product and every partial
+    product of a node with more than ``_MAX_OPERANDS`` operands is rescaled
+    by a power of two whose exponent is carried, so evidence of tiny but
+    non-zero probability does not underflow to an impossible-evidence
+    error.  ``stats`` holds ``largest_factor``, the entries of the largest
+    clique on those paths, and ``induced_width``, its variables less one,
+    which the kept messages do not change; and the messages the query
+    computed (``computed_messages``) and took from those kept
+    (``cached_messages``).
     """
     net.check_context(query.evidence)
-    index, parents, _, tables = _compile(net)[:4]
-    _, rank, cliques = triangulation(net)
+    index = _compile(net)[0]
+    if net._clique_tree is None:
+        net._clique_tree = _CliqueTree(net)
+    tree = net._clique_tree
+    ind, sources = list(tree.ones), {}
+    for name, value in query.evidence.items():
+        v = index[name]
+        ind[v] = tree.units[tree.arity[v]][net.values(name).index(value)]
+        sources.setdefault(tree.root[tree.home[v]], []).append(tree.home[v])
     target = index[query.target]
-    evidence = {index[v]: net.values(v).index(x) for v, x in query.evidence.items()}
-    relevant, stack = [False] * len(tables), [target, *evidence]
-    while stack:
-        v = stack.pop()
-        if not relevant[v]:
-            relevant[v] = True
-            stack += parents[v]
-
-    position = _target_last(rank, cliques, target).__getitem__
-    # the target comes last, so its bucket collects what ranges over it alone
-    buckets: dict[int, list] = {target: []}
-    eliminate = []
-    for v, table in enumerate(tables):
-        if not relevant[v]:
-            continue
-        if v != target and v not in evidence:
-            eliminate.append(v)
-        scope = parents[v] + (v,)
-        at = tuple(evidence.get(u, slice(None)) for u in scope)
-        scope = tuple(u for u in scope if u not in evidence)
-        buckets.setdefault(min(scope, key=position, default=target), []).append((table[at], scope))
-
-    exponent, largest, width = 0, tables[target].shape[-1], 0
-    for v in sorted(eliminate, key=position):
-        bucket = buckets.pop(v)
-        while len(bucket) > _MAX_OPERANDS:
-            table, scope = _product(bucket[:_MAX_OPERANDS])
-            table, shift = _scaled(table)
-            exponent += shift
-            bucket = [(table, scope)] + bucket[_MAX_OPERANDS:]
-        table, scope = _product(bucket, drop=v)
-        largest, width = max(largest, table.size * tables[v].shape[-1]), max(width, len(scope))
-        table, shift = _scaled(table)
-        exponent += shift
-        buckets.setdefault(min(scope, key=position, default=target), []).append((table, scope))
-
-    # the target's own family factor keeps it in scope, so the product
-    # ranges over the target alone
-    result = np.array(1.0)
-    for table, _ in buckets[target]:
-        result, shift = _scaled(result * table)
-        exponent += shift
-    stats = MappingProxyType({"largest_factor": largest, "induced_width": width})
-    return _finish([float(w) for w in result], evaluations=1, exponent=exponent, stats=stats)
+    root = tree.owner[target]
+    counters = ("largest_factor", "induced_width", "computed_messages", "cached_messages")
+    stats = dict.fromkeys(counters, 0)
+    weights, exponent = tree.collect(root, sources.pop(tree.root[root], ()), (target,), ind, stats)
+    for other in sorted(sources):
+        scale, shift = tree.collect(other, sources[other], (), ind, stats)
+        weights, rescale = _scaled(weights * scale)
+        exponent += shift + rescale
+    return _finish([float(w) for w in weights], 1, exponent, stats=MappingProxyType(stats))
 
 
 # -- forest solver and cutset conditioning -----------------------------------

@@ -32,6 +32,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quoted
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -197,6 +198,7 @@ class Network:
         # derived forms, each built on its first use and kept
         self._compiled = None  # inference._compile
         self._triangulation = None  # transform.triangulation
+        self._clique_tree = None  # inference.variable_elimination
         self._kept_parents = None  # csi._kept_parents
 
     # -- structure accessors -------------------------------------------------
@@ -636,8 +638,60 @@ def _tree_to_json(tree: CptTree) -> dict:
 
 
 def serialize_network(net: Network) -> str:
-    """Stable, round-trippable rendering: parse(serialize(n)) == n."""
-    return json.dumps(network_to_json(net), indent=2) + "\n"
+    """Stable, round-trippable rendering: parse(serialize(n)) == n.  It is
+    ``json.dumps(network_to_json(net), indent=2)`` and a newline, written by
+    :func:`_indented` rather than by json's pure-Python indenting encoder."""
+    parts: list[str] = []
+    _indented(network_to_json(net), "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _number(x: int | float) -> str:
+    """``x`` spelled as json spells it."""
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _indented(doc, newline: str, parts: list) -> None:
+    """Append ``doc`` -- dicts with string keys, lists, strings, numbers and
+    booleans -- to ``parts`` as json.dumps spells it with ``indent=2``:
+    ASCII only, each member on its own line after ``newline``, which
+    carries the current indentation."""
+    if isinstance(doc, dict) and doc:
+        inner = newline + "  "
+        lead = "{" + inner
+        for key, value in doc.items():
+            parts.append(lead + _quoted(key) + ": ")
+            lead = "," + inner
+            _indented(value, inner, parts)
+        parts.append(newline + "}")
+    elif isinstance(doc, list) and doc:
+        inner = newline + "  "
+        if all(type(x) is float or type(x) is int for x in doc):
+            parts.append("[" + inner + ("," + inner).join(map(_number, doc)) + newline + "]")
+            return
+        lead = "[" + inner
+        for value in doc:
+            parts.append(lead)
+            lead = "," + inner
+            _indented(value, inner, parts)
+        parts.append(newline + "]")
+    elif isinstance(doc, str):
+        parts.append(_quoted(doc))
+    elif isinstance(doc, bool):
+        parts.append("true" if doc else "false")
+    elif isinstance(doc, (int, float)):
+        parts.append(_number(doc))
+    elif isinstance(doc, (dict, list)):
+        parts.append("{}" if isinstance(doc, dict) else "[]")
+    else:
+        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
 
 
 # -- context syntax ----------------------------------------------------------

@@ -127,6 +127,18 @@ class TestValidate:
         assert code == 1
         assert err.startswith("error[io]: ")
 
+    def test_file_that_is_not_utf8_is_a_format_error(self, capsys, tmp_path):
+        # a UTF-16 byte-order mark; the decoder's message, not its codec name
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        for argv in (["validate", str(bad)], ["infer", str(bad), "-q", "Z"]):
+            code, out, err = invoke(capsys, *argv)
+            assert (code, out) == (1, "")
+            assert err.splitlines() == [
+                "error[format]: 'utf-8' codec can't decode byte 0xff in position 0: "
+                "invalid start byte"
+            ]
+
 
 class TestQuery:
     def test_golden(self, capsys):
@@ -299,6 +311,16 @@ class TestSeparation:
         code, out, err = invoke(capsys, "dsep", FIG1, "-X", "Q", "-Y", "V")
         assert code == 1
         assert err.startswith("error[domain]: ")
+
+    @pytest.mark.parametrize("command", ["dsep", "csisep"])
+    def test_empty_x_or_y_is_usage_error(self, capsys, command):
+        # both once answered "yes" about the empty set
+        for flag, x, y in (("-X", ",", "Z"), ("-Y", "U", " "), ("-X", "", "")):
+            code, out, err = invoke(capsys, command, FIG1, "-X", x, "-Y", y)
+            assert (code, out) == (2, "")
+            assert err.splitlines() == [f"error[usage]: {flag} names no variable"]
+        code, out, err = invoke(capsys, command, FIG1, "-X", "U", "-Y", "V", "-Z", ",")
+        assert code == 0
 
 
 class TestDecompose:

@@ -179,9 +179,10 @@ class TestVariableElimination:
             assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
 
     def test_many_factors_in_one_bucket(self):
-        # C -> F0..F199: eliminating C multiplies 201 factors, more than one
-        # einsum takes; 199 are observed at P(t | C) of 0.01 or 0.02, whose
-        # product (below 1e-337) underflows unless it is rescaled part by part
+        # C -> F0..F199: the clique tree is a star of {F_i, C} cliques, and
+        # the one C joins receives 199 messages, more than one einsum takes;
+        # 199 are observed at P(t | C) of 0.01 or 0.02, whose product (below
+        # 1e-337) underflows unless it is rescaled part by part
         n = 200
         leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
         names = ["C"] + [f"F{i}" for i in range(n)]
@@ -196,6 +197,8 @@ class TestVariableElimination:
         assert got.log_evidence_probability == pytest.approx(
             want.log_evidence_probability, rel=1e-12
         )
+        steps = max(net._clique_tree.plans.values(), key=len)
+        assert len(steps) == 7 and all(n <= inference._MAX_OPERANDS for _, n in steps)
 
     def test_log_evidence_probability_every_engine(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
@@ -209,44 +212,76 @@ class TestVariableElimination:
                 np.log(r.evidence_probability), rel=1e-12
             )
 
-    def test_barren_subtree_is_never_multiplied(self, monkeypatch):
-        # A -> B -> C0 -> ... -> C5, B -> D: the target B's descendants are
-        # barren, so only A is summed out and no C or D family is multiplied
-        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
-        on = lambda u, a, b: Node(u, (("t", leaf(a)), ("f", leaf(b))))
-        chain = [f"C{i}" for i in range(6)]
-        nodes = [NodeSpec("A", (), leaf(0.35)), NodeSpec("B", ("A",), on("A", 0.9, 0.2))]
-        nodes += [NodeSpec(c, (u,), on(u, 0.6, 0.15)) for u, c in zip(["B"] + chain, chain)]
-        nodes.append(NodeSpec("D", ("B",), on("B", 0.7, 0.1)))
-        net = Network(tuple(Variable(s.var, ("t", "f")) for s in nodes), tuple(nodes))
-        seen = []
-        real = inference._product
-        monkeypatch.setattr(
-            inference,
-            "_product",
-            lambda factors, drop=None: seen.extend(u for _, sc in factors for u in sc)
-            or real(factors, drop),
-        )
-        q = Query("B", Context())
-        posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
-        assert {net.var_names[u] for u in seen} == {"A", "B"}
-        # evidence below the target makes the path to it relevant again
-        seen.clear()
-        q = Query("B", Context({"C2": "t"}))
-        posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
-        assert {net.var_names[u] for u in seen} == {"A", "B", "C0", "C1"}
+    def test_repeated_query_computes_no_evidence_free_message_twice(self, monkeypatch):
+        # an evidence-free message is sent with the shared all-ones
+        # indicators; each is kept, so no edge sends one twice, and a query
+        # asked again computes only the messages the evidence reaches
+        net = windowed_net(np.random.default_rng(3), 60)
+        names = net.var_names
+        rng = np.random.default_rng(4)
+        queries = []
+        for _ in range(12):
+            target = names[int(rng.integers(len(names)))]
+            ev = {v: "t" for v in names if v != target and rng.random() < 0.1}
+            queries.append(Query(target, Context(ev)))
+        sent = []
+        real = inference._CliqueTree.send
+
+        def send(tree, a, skip, out, ind, incoming):
+            sent.append((a, skip, ind is tree.ones))
+            return real(tree, a, skip, out, ind, incoming)
+
+        monkeypatch.setattr(inference._CliqueTree, "send", send)
+        first = [variable_elimination(net, q) for q in queries]
+        kept = [(a, skip) for a, skip, evidence_free in sent if evidence_free]
+        assert kept and len(kept) == len(set(kept))
+        for q, before in zip(queries, first):
+            sent.clear()
+            again = variable_elimination(net, q)
+            assert again == before
+            assert not any(evidence_free for _, _, evidence_free in sent)
+            edges = sum(skip >= 0 for _, skip, _ in sent)
+            assert again.stats["computed_messages"] == edges
+            assert again.stats["cached_messages"] >= before.stats["cached_messages"]
+
+    def test_nearby_evidence_computes_only_its_path(self, monkeypatch):
+        # once the target's messages are kept, evidence two variables away
+        # costs the messages on the tree path from its home to the clique of
+        # the target's family, whatever the network's size
+        net = windowed_net(np.random.default_rng(8), 200)
+        for target, observed in (("V100", "V102"), ("V150", "V149"), ("V10", "V12")):
+            variable_elimination(net, Query(target, Context()))
+            tree = net._clique_tree
+            index = {v: i for i, v in enumerate(net.var_names)}
+            a, b = tree.home[index[observed]], tree.owner[index[target]]
+            path = tree.region(b, [a])
+            sent = []
+            real = inference._CliqueTree.send
+            monkeypatch.setattr(
+                inference._CliqueTree,
+                "send",
+                lambda t, node, skip, *args: sent.append(node) or real(t, node, skip, *args),
+            )
+            q = Query(target, Context({observed: "f"}))
+            result = variable_elimination(net, q)
+            monkeypatch.undo()
+            assert sorted(sent) == sorted(path)
+            assert result.stats["computed_messages"] == len(path) - 1 < 10
+            fresh = variable_elimination(parse_network(serialize_network(net)), q)
+            assert result == fresh
 
     def test_target_eliminated_first_by_min_fill_stays_inside_a_clique(self):
         # V0 -> V1 -> V2 -> V3: min-fill eliminates V0 first.  Eliminating
         # V1, V2 in that order and keeping V0 for last would multiply
-        # P(V1 | V0) and P(V2 | V1) over {V0, V1, V2}, 8 entries; the
-        # re-rooted order stays inside the triangulation's 2-variable cliques
+        # P(V1 | V0) and P(V2 | V1) over {V0, V1, V2}, 8 entries; the clique
+        # tree's messages stay inside the triangulation's 2-variable cliques
         net = binary_chain(4, stay=0.8, leave=0.3)
         assert clique_report(net).elimination_order == ("V0", "V1", "V2", "V3")
         q = Query("V0", Context({"V3": "t"}))
         result = variable_elimination(net, q)
         posteriors_close(result, query_enumerate(net, q))
-        assert dict(result.stats) == {"largest_factor": 4, "induced_width": 1}
+        assert result.stats["largest_factor"] == 4
+        assert result.stats["induced_width"] == 1
 
     def test_largest_factor_bounded_by_the_cached_cliques(self):
         rng = np.random.default_rng(17)
@@ -270,13 +305,14 @@ class TestVariableElimination:
 
 
 # VE's counters for each target, given the first value of the last variable
-# (none when it is the target)
+# (none when it is the target): the largest clique on the paths from the
+# evidence to the clique of the target's family, and its variables less one.
+# fig1's clique tree is SUVW - UVWX - WXZ, and S, U, V and W have their
+# families in SUVW; fig2 and fig3 are one clique each
 PINNED_STATS = {
-    "fig1": {"S": (40, 3), "U": (40, 3), "V": (40, 3), "W": (40, 3), "X": (40, 3), "Z": (40, 3)},
-    "fig2": {"A": (16, 3), "B": (16, 3), "C": (16, 3), "D": (16, 3), "X": (32, 4)},
-    "fig3": {
-        "A": (32, 4), "B1": (32, 4), "B2": (32, 4), "B3": (32, 4), "B4": (32, 4), "X": (64, 5)
-    },
+    "fig1": {"S": (40, 3), "U": (40, 3), "V": (40, 3), "W": (40, 3), "X": (32, 3), "Z": (16, 2)},
+    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (32, 4)),
+    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (64, 5)),
 }
 
 
@@ -938,12 +974,10 @@ class TestCompiledForm:
 
 
 def test_no_reference_cycles(fig1, fig2, fig3):
-    """Parsing, vacuity, cutset building and every engine free their objects
-    by reference counting alone, a network holding its compiled form too: the
-    cyclic collector finds nothing."""
+    """Serializing, parsing, vacuity, cutset building and every engine free
+    their objects by reference counting alone, a network holding its compiled
+    form and clique tree too: the cyclic collector finds nothing."""
     nets = [fig1, fig2, fig3]
-    # json's pure-Python encoder behind indent=2 makes cycles of its own
-    texts = [serialize_network(net) for net in nets]
     queries = [
         Query(net.var_names[-1], Context({net.var_names[0]: net.values(net.var_names[0])[0]}))
         for net in nets
@@ -959,8 +993,8 @@ def test_no_reference_cycles(fig1, fig2, fig3):
     gc.collect()
     gc.set_debug(gc.DEBUG_SAVEALL)
     try:
-        for net, text, q, singly in zip(nets, texts, queries, polytree):
-            variable_elimination(parse_network(text), q)
+        for net, q, singly in zip(nets, queries, polytree):
+            variable_elimination(parse_network(serialize_network(net)), q)
             for name in net.var_names:
                 vacuous_parents(net, name, Context())
             tree = build_conditional_cutset(net)

@@ -1,6 +1,7 @@
 """Property tests on generated networks: the JSON round trip, and agreement
 of variable elimination and cutset conditioning with enumeration, before and
-after decomposition; and the CLI contract on mutated network documents."""
+after decomposition; answers that do not depend on a network's history; and
+the CLI contract on mutated network documents."""
 
 import contextlib
 import copy
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from csibn import fixtures
@@ -35,6 +36,7 @@ from csibn.model import (
     Node,
     NodeSpec,
     Variable,
+    network_to_json,
     parent_assignments,
     parse_network,
     serialize_network,
@@ -108,6 +110,36 @@ def test_serialize_then_parse_is_identity(net):
     parsed = parse_network(text)
     assert parsed == net
     assert serialize_network(parsed) == text
+
+
+# a non-ASCII variable name, a quote and a backslash in value names, a
+# non-ASCII test and an integer probability
+_ESCAPED = Network(
+    (Variable("Ä\u2028", ('"q', "é\\")), Variable("Z", ("t", "f"))),
+    (
+        NodeSpec("Ä\u2028", (), Leaf(Distribution((1, 0)))),
+        NodeSpec(
+            "Z",
+            ("Ä\u2028",),
+            Node(
+                "Ä\u2028",
+                (
+                    ('"q', Leaf(Distribution((0.25, 0.75)))),
+                    ("é\\", Leaf(Distribution((1e-300, 1.0)))),
+                ),
+            ),
+        ),
+    ),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(any_names=True))
+@example(_ESCAPED)
+def test_serialized_text_is_json_dumps_indent_2(net):
+    """``serialize_network`` writes what json's indenting encoder writes for
+    ``network_to_json``, byte for byte."""
+    assert serialize_network(net) == json.dumps(network_to_json(net), indent=2) + "\n"
 
 
 def _states(net: Network) -> int:
@@ -186,6 +218,44 @@ def test_cutset_answer_does_not_depend_on_history(data):
     asked = query()
     fresh = parse_network(serialize_network(net))
     assert _cutset_answer(net, asked, tree) == _cutset_answer(fresh, asked, tree)
+
+
+def _ve_answer(net: Network, query: Query):
+    """The VE result, or the name of the inference error raised."""
+    try:
+        return variable_elimination(net, query)
+    except ImpossibleEvidenceError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_ve_answer_does_not_depend_on_history(data):
+    """A VE query on a network that has served other queries, which left
+    messages out of evidence-free subtrees kept on it, is answered bit for
+    bit as on a freshly parsed copy, before and after decomposition."""
+    net = data.draw(networks(max_vars=7))
+    if data.draw(st.booleans()):
+        net, _ = decompose_network(net)
+    names = list(net.var_names)
+
+    def query() -> Query:
+        target = data.draw(st.sampled_from(names))
+        bound = data.draw(st.lists(st.sampled_from(names), unique=True))
+        return Query(
+            target,
+            Context({v: data.draw(st.sampled_from(net.values(v))) for v in bound if v != target}),
+        )
+
+    for _ in range(data.draw(st.integers(1, 6))):
+        _ve_answer(net, query())
+    asked = query()
+    fresh = parse_network(serialize_network(net))
+    got, want = _ve_answer(net, asked), _ve_answer(fresh, asked)
+    assert got == want
+    if not isinstance(got, str):
+        assert got.posterior.probs == want.posterior.probs
+        assert got.log_evidence_probability == want.log_evidence_probability
 
 
 def _unshared(tree):

@@ -67,20 +67,22 @@ class _Parser(argparse.ArgumentParser):
         raise _Exit(2)
 
 
-def _read(path: str) -> str:
+def _parse(path: str):
+    """The network in the file at ``path``; a file that is not UTF-8 raises
+    :class:`NetworkFormatError`, as a JSON syntax error does."""
     try:
         with open(path, encoding="utf-8") as handle:
-            return handle.read()
+            text = handle.read()
     except OSError as exc:
         _fail("io", str(exc))
     except UnicodeDecodeError as exc:
-        _fail("format", str(exc))
+        raise NetworkFormatError(str(exc)) from None
+    return parse_network(text)
 
 
 def _load(path: str):
-    text = _read(path)
     try:
-        return parse_network(text)
+        return _parse(path)
     except NetworkFormatError as exc:
         _fail("format", str(exc))
     except NetworkSemanticsError as exc:
@@ -128,10 +130,9 @@ def _format_tree(tree, indent: int = 0) -> str:
 
 
 def _cmd_validate(args) -> int:
-    text = _read(args.network)
     violations: list[str] = []
     try:
-        parse_network(text)
+        _parse(args.network)
     except NetworkFormatError as exc:
         if args.json:
             _emit_json(valid=False, violations=[str(exc)])

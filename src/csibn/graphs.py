@@ -2,22 +2,20 @@
 inference modules.
 
 Adjacency maps are ``dict[str, set[str]]``; all procedures are deterministic,
-breaking ties in lexicographic node order.  Node elimination (connect the
-node's neighbors, drop the node) is one helper that the elimination steps
-use.  The min-fill order runs on integer bitsets instead: nodes are ranked by
-sorted name, each holds its neighbors as an ``int`` mask and its count of
-edges among them, and an elimination updates those counts exactly where they
-change, so no node's fill is ever recounted from scratch.
+breaking ties in lexicographic node order.  A network's moral graph is
+eliminated once, by :func:`min_fill_order`, which records each step's
+clique; :func:`elimination_cliques` reads the maximal cliques and the join
+tree off those steps without eliminating again.  The min-fill order runs on
+integer bitsets: nodes are ranked by sorted name, each holds its neighbors
+as an ``int`` mask and its count of edges among them, and an elimination
+updates those counts exactly where they change, so no node's fill is ever
+recounted from scratch.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Iterable
-
-
-def copy_adjacency(adj: dict[str, set[str]]) -> dict[str, set[str]]:
-    return {v: set(ns) for v, ns in adj.items()}
+from typing import Sequence
 
 
 def two_core(adj: dict[str, set[str]]) -> set[str]:
@@ -25,7 +23,7 @@ def two_core(adj: dict[str, set[str]]) -> set[str]:
 
     Empty exactly when the graph is a forest.
     """
-    work = copy_adjacency(adj)
+    work = {v: set(ns) for v, ns in adj.items()}
     pending = sorted(v for v, ns in work.items() if len(ns) <= 1)
     while pending:
         v = pending.pop()
@@ -55,16 +53,9 @@ def _missing(ns: int, tri: int) -> int:
     return d * (d - 1) // 2 - tri
 
 
-def _eliminate(adj: dict[str, set[str]], v: str) -> None:
-    """Connect ``v``'s neighbors pairwise and drop ``v`` from ``adj``."""
-    ns = adj.pop(v)
-    for n in ns:
-        adj[n] |= ns
-        adj[n] -= {n, v}
-
-
-def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
-    """Elimination order greedily minimizing fill-in edges.
+def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[str]]]:
+    """Elimination order greedily minimizing fill-in edges, and each step's
+    clique in that order: the node and its neighbors when it is eliminated.
 
     Each step eliminates the node of least ``(fill, name)``: the fewest
     missing edges among its neighbors, ties broken toward the
@@ -86,6 +77,7 @@ def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     order: list[str] = []
+    steps: list[frozenset[str]] = []
     while heap:
         f, v = heapq.heappop(heap)
         if fill[v] != f:
@@ -93,10 +85,12 @@ def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
         order.append(names[v])
         fill[v] = None
         ns = touched = nb[v]
-        for n in _bits(ns):
+        near = _bits(ns)
+        steps.append(frozenset([names[v]] + [names[n] for n in near]))
+        for n in near:
             nb[n] ^= 1 << v
             tri[n] -= (nb[n] & ns).bit_count()
-        for a in _bits(ns):
+        for a in near:
             for b in _bits(ns & ~nb[a] & -(2 << a)):  # non-neighbors above a
                 common = nb[a] & nb[b]
                 tri[a] += common.bit_count()
@@ -111,33 +105,37 @@ def min_fill_order(adj: dict[str, set[str]]) -> list[str]:
             if new != fill[u]:  # else its heap entry is still current
                 fill[u] = new
                 heapq.heappush(heap, (new, u))
-    return order
+    return order, steps
 
 
-def elimination_steps(adj: dict[str, set[str]], order: Iterable[str]) -> list[frozenset[str]]:
-    """Each node's clique in the graph triangulated along ``order``, in that
-    order: the node and its neighbors when it is eliminated."""
-    work = copy_adjacency(adj)
-    steps = []
-    for v in order:
-        steps.append(frozenset(work[v] | {v}))
-        _eliminate(work, v)
-    return steps
+def elimination_cliques(order: Sequence, steps: Sequence[frozenset]) -> tuple[list, dict, list]:
+    """The join tree of a graph triangulated along ``order``, read off each
+    node's elimination clique in ``steps`` (the node and its neighbors when
+    it is eliminated, as :func:`min_fill_order` returns them): the maximal
+    cliques in elimination order, each node's home (the index of the clique
+    that holds its elimination clique) and each clique's link toward its
+    root, -1 at a root.
 
-
-def elimination_cliques(order: Iterable, steps: Iterable[frozenset]) -> list[frozenset]:
-    """Maximal cliques of a triangulated graph, from its elimination
-    ``order`` and each node's :func:`elimination_steps` clique.
-
-    A step's clique subsumed by an earlier, larger one is dropped.  Only the
-    clique of an earlier node that had ``v`` as a neighbor can hold ``v``'s
-    clique, so only those are tested.
+    A node's parent is its first later-eliminated neighbor.  A node's clique
+    is not maximal exactly when it is one smaller than the clique of one of
+    its children, and it then joins the first such child's home.  Every
+    other child's home links to the node's home, so each connected
+    component is one tree, rooted at its last-eliminated node's home (Blair
+    & Peyton, "An introduction to chordal graphs and clique trees", 1993).
     """
-    containing: dict = {}
-    cliques: list[frozenset] = []
+    rank = {v: k for k, v in enumerate(order)}
+    below: dict = {}  # node -> (home, clique size) of each of its children
+    cliques, home, up = [], {}, []
     for v, clique in zip(order, steps):
-        if not any(clique < other for other in containing.get(v, ())):
+        children = below.pop(v, ())
+        home[v] = a = next((c for c, size in children if size == len(clique) + 1), len(cliques))
+        if a == len(cliques):
             cliques.append(clique)
-        for n in clique - {v}:
-            containing.setdefault(n, []).append(clique)
-    return cliques
+            up.append(-1)
+        for c, _ in children:
+            if c != a:
+                up[c] = a
+        if len(clique) > 1:
+            parent = min(clique - {v}, key=rank.__getitem__)
+            below.setdefault(parent, []).append((a, len(clique)))
+    return cliques, home, up

@@ -148,53 +148,6 @@ def _finish(
     )
 
 
-def contextually_independent(
-    net: Network,
-    x,
-    y,
-    z,
-    context: Mapping[str, str],
-    tol: float = 1e-9,
-) -> bool:
-    """Numeric contextual independence of X from Y given Z in ``context``.
-
-    True when P(x | z, c, y) = P(x | z, c) within ``tol`` for every value
-    combination whose conditioning event has probability above ``tol``.
-    Computed by full enumeration, so it is ground truth, not a shortcut.
-    """
-    xs, ys, zs = tuple(x), tuple(y), tuple(z)
-    net.check_context(context)
-    groups = [set(xs), set(ys), set(zs), set(context)]
-    for i, a in enumerate(groups):
-        for b in groups[i + 1 :]:
-            if a & b:
-                raise ValueError("X, Y, Z and context variables must be pairwise disjoint")
-
-    p_xyz: dict[tuple, float] = {}
-    for assignment in parent_assignments(net.variables):
-        if not all(assignment[v] == val for v, val in context.items()):
-            continue
-        key = tuple(tuple(assignment[v] for v in vs) for vs in (xs, ys, zs))
-        p_xyz[key] = p_xyz.get(key, 0.0) + joint_probability(net, assignment)
-
-    p_yz: dict[tuple, float] = {}
-    p_xz: dict[tuple, float] = {}
-    p_z: dict[tuple, float] = {}
-    for (kx, ky, kz), p in sorted(p_xyz.items()):
-        p_yz[(ky, kz)] = p_yz.get((ky, kz), 0.0) + p
-        p_xz[(kx, kz)] = p_xz.get((kx, kz), 0.0) + p
-        p_z[kz] = p_z.get(kz, 0.0) + p
-
-    for (kx, ky, kz), p in sorted(p_xyz.items()):
-        if p_yz[(ky, kz)] <= tol:
-            continue
-        lhs = p / p_yz[(ky, kz)]
-        rhs = p_xz[(kx, kz)] / p_z[kz]
-        if abs(lhs - rhs) > tol:
-            return False
-    return True
-
-
 # -- compiled form -----------------------------------------------------------
 
 
@@ -240,44 +193,27 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 class _CliqueTree:
     """The network's clique tree, and the messages that depend on it alone.
 
-    Its nodes are the maximal elimination cliques of the network's min-fill
-    triangulation (:func:`~csibn.transform.triangulation`): a variable's
-    home is the node of its elimination clique, and an elimination clique
-    that equals a child's separator is merged into that child.  A node's
-    neighbor toward its root (``up``) is the home of its top variable's first
-    later-eliminated neighbor, so each connected component of the network
-    is one tree, rooted at its last-eliminated variable's home (``root``).
+    Its nodes, each variable's ``home`` and each node's link toward its
+    root (``up``) are the join tree of the network's min-fill triangulation
+    (:func:`~csibn.transform.triangulation`), one tree per connected
+    component; this class keeps only the numeric parts on top of it.
 
     Each family's array goes to the home of its first-eliminated member (the
     family's ``owner``), and each variable's indicator to its own home, so
-    the operands of a message
-    and their einsum subscripts depend on its directed edge alone; the
-    subscripts are built on first use and kept in ``plans``.  A message out
-    of a subtree that holds no evidence depends on the network alone, so
-    ``messages`` keeps it, with its power-of-two exponent, once computed.
+    the operands of a message and their einsum subscripts depend on its
+    directed edge alone; the subscripts are built on first use and kept in
+    ``plans``.  A message out of a subtree that holds no evidence depends on
+    the network alone, so ``messages`` keeps it, with its power-of-two
+    exponent, once computed.  Each node's clique is kept in elimination
+    order, and ``root`` maps each node to its tree's root.
     ``excess`` counts, for the subtree below each node, the families there
     less the variables whose home is there; see :meth:`barren`.
     """
 
     def __init__(self, net: Network):
         _, parents, _, tables = _compile(net)[:4]
-        order, rank, elim = triangulation(net)
-        first = lambda vs: min(vs, key=rank.__getitem__)
-        home, cliques, tops = [0] * len(order), [], []
-        below: dict[int, list] = {}  # variable -> those it is the first later neighbor of
-        for v in order:
-            clique = elim[v]
-            child = next((u for u in below.pop(v, ()) if len(elim[u]) == len(clique) + 1), None)
-            if child is None:
-                home[v] = len(cliques)
-                cliques.append(tuple(sorted(clique, key=rank.__getitem__)))
-                tops.append(v)
-            else:
-                home[v] = home[child]
-                tops[home[v]] = v
-            if len(clique) > 1:
-                below.setdefault(first(clique - {v}), []).append(v)
-        self.up = up = [home[first(elim[v] - {v})] if len(elim[v]) > 1 else -1 for v in tops]
+        _, rank, cliques, home, up = triangulation(net)
+        cliques = tuple(tuple(sorted(clique, key=rank.__getitem__)) for clique in cliques)
         near: list[list] = [[] for _ in cliques]
         self.seps: dict[tuple, tuple] = {}
         for a, b in enumerate(up):
@@ -286,11 +222,12 @@ class _CliqueTree:
                 near[b].append(a)
                 self.seps[a, b] = self.seps[b, a] = tuple(v for v in cliques[a] if v in cliques[b])
         self.near = tuple(tuple(sorted(ns)) for ns in near)
-        self.owner = tuple(home[first(family + (v,))] for v, family in enumerate(parents))
+        first = rank.__getitem__
+        self.owner = tuple(home[min(family + (v,), key=first)] for v, family in enumerate(parents))
         owned = [[] for _ in cliques]
         for v, a in enumerate(self.owner):
             owned[a].append(v)
-        self.home, self.cliques = tuple(home), tuple(cliques)
+        self.home, self.up, self.cliques = home, up, cliques
         self.homed = tuple(tuple(v for v in c if home[v] == a) for a, c in enumerate(cliques))
         self.depth, self.root = depth, root = [0] * len(cliques), list(range(len(cliques)))
         downward = [a for a, b in enumerate(up) if b < 0]

@@ -485,7 +485,7 @@ def _check_tree(
     if tree.test in path:
         out.append(f"repeated test on a path: {tree.test} in node {spec.var}")
     branch_vals = tuple(val for val, _ in tree.branches)
-    if tree.test in net.var_names and branch_vals != net.values(tree.test):
+    if tree.test in net._by_name and branch_vals != net.values(tree.test):
         out.append(
             f"malformed CPT: node {spec.var} branches on {tree.test} "
             f"do not cover its values exactly"

@@ -184,35 +184,36 @@ def moral_adjacency(net: Network) -> dict[str, set[str]]:
     return adj
 
 
-def triangulation(net: Network) -> tuple[tuple[int, ...], tuple[int, ...], tuple[frozenset, ...]]:
-    """The network's min-fill triangulation of its moral graph, in indices
-    into ``net.var_names``: the elimination order, each variable's position
-    in it, and each variable's elimination clique (itself and its later
-    neighbors in the triangulated graph).  It depends on the network alone,
-    so it is computed on the first call and kept on the network."""
+def triangulation(net: Network) -> tuple:
+    """The network's min-fill triangulation of its moral graph and its join
+    tree, in indices into ``net.var_names``: the elimination order, each
+    variable's position in it, the maximal cliques in elimination order,
+    each variable's home clique and each clique's link toward its root, -1
+    at a root (:func:`graphs.elimination_cliques`).  It depends on the
+    network alone, so it is computed on the first call and kept on the
+    network."""
     if net._triangulation is None:
-        adj = moral_adjacency(net)
-        order = graphs.min_fill_order(adj)
+        order, steps = graphs.min_fill_order(moral_adjacency(net))
+        cliques, home, up = graphs.elimination_cliques(order, steps)
         names = net.var_names
         index = {v: i for i, v in enumerate(names)}
         rank = {v: k for k, v in enumerate(order)}
-        steps = graphs.elimination_steps(adj, order)
         net._triangulation = (
             tuple(index[v] for v in order),
             tuple(rank[v] for v in names),
-            tuple(frozenset(index[u] for u in steps[rank[v]]) for v in names),
+            tuple(frozenset(index[u] for u in clique) for clique in cliques),
+            tuple(home[v] for v in names),
+            tuple(up),
         )
     return net._triangulation
 
 
 def clique_report(net: Network) -> CliqueReport:
-    order, _, steps = triangulation(net)
+    order, _, cliques = triangulation(net)[:3]
     names = net.var_names
-    cliques = [
-        frozenset(names[u] for u in clique)
-        for clique in graphs.elimination_cliques(order, [steps[v] for v in order])
-    ]
-    weights = [sum(math.log2(len(net.values(v))) for v in clique) for clique in cliques]
+    cliques = [frozenset(names[u] for u in clique) for clique in cliques]
+    # fsum: correctly rounded whatever order a clique's names iterate in
+    weights = [math.fsum(math.log2(len(net.values(v))) for v in clique) for clique in cliques]
     sizes = [float(math.prod(len(net.values(v)) for v in clique)) for clique in cliques]
     return CliqueReport(
         elimination_order=tuple(names[v] for v in order),

@@ -15,6 +15,7 @@ import pytest
 from typing import Mapping
 
 from csibn import fixtures
+from csibn.inference import joint_probability
 from csibn.model import (
     CptTree,
     Distribution,
@@ -24,6 +25,7 @@ from csibn.model import (
     NodeSpec,
     Variable,
     as_tree,
+    parent_assignments,
     tree_lookup,
 )
 
@@ -126,6 +128,53 @@ def _occurs(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
     if tree.test in context:
         return _occurs(tree.branch(context[tree.test]), y, context)
     return any(_occurs(sub, y, context) for _, sub in tree.branches)
+
+
+def contextually_independent(
+    net: Network,
+    x,
+    y,
+    z,
+    context: Mapping[str, str],
+    tol: float = 1e-9,
+) -> bool:
+    """Numeric contextual independence of X from Y given Z in ``context``.
+
+    True when P(x | z, c, y) = P(x | z, c) within ``tol`` for every value
+    combination whose conditioning event has probability above ``tol``.
+    Computed by full enumeration, so it is ground truth, not a shortcut.
+    """
+    xs, ys, zs = tuple(x), tuple(y), tuple(z)
+    net.check_context(context)
+    groups = [set(xs), set(ys), set(zs), set(context)]
+    for i, a in enumerate(groups):
+        for b in groups[i + 1 :]:
+            if a & b:
+                raise ValueError("X, Y, Z and context variables must be pairwise disjoint")
+
+    p_xyz: dict[tuple, float] = {}
+    for assignment in parent_assignments(net.variables):
+        if not all(assignment[v] == val for v, val in context.items()):
+            continue
+        key = tuple(tuple(assignment[v] for v in vs) for vs in (xs, ys, zs))
+        p_xyz[key] = p_xyz.get(key, 0.0) + joint_probability(net, assignment)
+
+    p_yz: dict[tuple, float] = {}
+    p_xz: dict[tuple, float] = {}
+    p_z: dict[tuple, float] = {}
+    for (kx, ky, kz), p in sorted(p_xyz.items()):
+        p_yz[(ky, kz)] = p_yz.get((ky, kz), 0.0) + p
+        p_xz[(kx, kz)] = p_xz.get((kx, kz), 0.0) + p
+        p_z[kz] = p_z.get(kz, 0.0) + p
+
+    for (kx, ky, kz), p in sorted(p_xyz.items()):
+        if p_yz[(ky, kz)] <= tol:
+            continue
+        lhs = p / p_yz[(ky, kz)]
+        rhs = p_xz[(kx, kz)] / p_z[kz]
+        if abs(lhs - rhs) > tol:
+            return False
+    return True
 
 
 def full_joint_tensor(net: Network) -> np.ndarray:

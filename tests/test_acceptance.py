@@ -23,7 +23,6 @@ from csibn.cutset import (
 )
 from csibn.inference import (
     Query,
-    contextually_independent,
     cutset_infer,
     query_enumerate,
     variable_elimination,
@@ -31,7 +30,13 @@ from csibn.inference import (
 from csibn.model import Context, as_tree, tree_tested_vars, validate
 from csibn.transform import clique_report, decompose_network
 
-from conftest import full_joint_tensor, occurs_consistent, random_loopy_net, random_tree_net
+from conftest import (
+    contextually_independent,
+    full_joint_tensor,
+    occurs_consistent,
+    random_loopy_net,
+    random_tree_net,
+)
 
 
 def _marginal(net, keep):

@@ -2,7 +2,11 @@
 
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +14,23 @@ from csibn import cutset, fixtures
 from csibn.cli import run
 from csibn.cutset import build_conditional_cutset
 from csibn.inference import Query, cutset_infer
-from csibn.model import Context, parse_network, serialize_network
+from csibn.model import (
+    Context,
+    Distribution,
+    Leaf,
+    Network,
+    NodeSpec,
+    Variable,
+    parse_network,
+    serialize_network,
+)
 
 from conftest import deterministic_diamond_net
 
 FIG1 = str(fixtures.path("fig1"))
 FIG2 = str(fixtures.path("fig2"))
 FIG3 = str(fixtures.path("fig3"))
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 ERROR_LINE = re.compile(r"^error\[[a-z-]+\]: \S")
 
@@ -138,6 +152,19 @@ class TestValidate:
                 "error[format]: 'utf-8' codec can't decode byte 0xff in position 0: "
                 "invalid start byte"
             ]
+
+    def test_file_that_is_not_utf8_is_invalid_under_json(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{\x00}\x00")
+        code, out, err = invoke(capsys, "validate", str(bad), "--json")
+        assert (code, err) == (1, "")
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "valid": False,
+            "violations": [
+                "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+            ],
+        }
 
 
 class TestQuery:
@@ -404,6 +431,31 @@ class TestCliques:
         doc = json.loads(out)
         assert doc["before"]["max_clique_weight"] == pytest.approx(5.0)
         assert doc["after"]["max_clique_weight"] == pytest.approx(4.0)
+
+    def test_json_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # one clique whose log2 arities round differently when summed in
+        # different orders, while a clique's names iterate in hash order
+        arity = {"A": 3, "B": 5, "C": 7, "D": 11, "E": 13, "F": 6}
+        leaf = lambda k: Leaf(Distribution((1.0 / k,) * k))
+        variables = [Variable(v, tuple(f"{v}{i}" for i in range(k))) for v, k in arity.items()]
+        nodes = [NodeSpec(v, (), leaf(k)) for v, k in arity.items() if v != "F"]
+        nodes.append(NodeSpec("F", tuple("ABCDE"), leaf(6)))
+        path = tmp_path / "wide.json"
+        path.write_text(serialize_network(Network(variables, nodes)))
+        outs = set()
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "csibn.cli", "cliques", str(path), "--json"],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=str(SRC)),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outs.add(proc.stdout)
+        assert len(outs) == 1
+        weight = json.loads(outs.pop())["before"]["max_clique_weight"]
+        assert weight == math.fsum(math.log2(k) for k in arity.values())
 
 
 class TestCutset:

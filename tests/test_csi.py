@@ -20,6 +20,7 @@ from csibn.model import Context, Leaf, as_tree, tree_tested_vars
 from conftest import (
     all_assignments,
     chain_net,
+    contextually_independent,
     diamond_net,
     occurs_consistent,
     oracle_d_separated,
@@ -208,7 +209,7 @@ class TestCsiSeparated:
         for net, xs, ys, zs, ctx in cases:
             sep = csi_separated(net, xs, ys, zs, ctx)
             assert sep, (xs, ys, zs, ctx)
-            assert cb.contextually_independent(net, xs, ys, zs, ctx)
+            assert contextually_independent(net, xs, ys, zs, ctx)
 
     def test_never_tested_parent_is_vacuous_in_every_context(self):
         # B declares A as a parent but its CPT is a single leaf: the arc is

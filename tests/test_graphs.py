@@ -1,14 +1,18 @@
-"""Graph helpers: incremental min-fill order and elimination cliques against
-the naive full-rescan versions, pinned min-fill orders on small graphs, plus
-the fixtures' clique reports."""
+"""Graph helpers: incremental min-fill order, its elimination cliques and the
+join tree read off them, against the naive full-rescan versions; pinned
+min-fill orders on small graphs, plus the fixtures' clique reports."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csibn import fixtures
-from csibn.graphs import copy_adjacency, elimination_cliques, elimination_steps, min_fill_order
+from csibn.graphs import elimination_cliques, min_fill_order
 from csibn.transform import clique_report, decompose_network
+
+
+def copy_adjacency(adj):
+    return {v: set(ns) for v, ns in adj.items()}
 
 
 def oracle_min_fill_order(adj):
@@ -40,13 +44,13 @@ def oracle_min_fill_order(adj):
     return order
 
 
-def oracle_elimination_cliques(adj, order):
-    """Every elimination clique, then drop those strictly inside any other
-    and repeats."""
+def oracle_elimination_steps(adj, order):
+    """Replay the elimination along ``order`` on sets: each node's clique is
+    itself and its neighbors when it is eliminated."""
     work = copy_adjacency(adj)
-    raw = []
+    steps = []
     for v in order:
-        raw.append(frozenset(work[v] | {v}))
+        steps.append(frozenset(work[v] | {v}))
         ns_list = sorted(work[v])
         for i, a in enumerate(ns_list):
             for b in ns_list[i + 1 :]:
@@ -55,12 +59,33 @@ def oracle_elimination_cliques(adj, order):
         for n in ns_list:
             work[n].discard(v)
         del work[v]
+    return steps
+
+
+def oracle_elimination_cliques(adj, order):
+    """Every elimination clique, then drop those strictly inside any other
+    and repeats."""
+    raw = oracle_elimination_steps(adj, order)
     cliques = []
     for c in raw:
         if not any(c < other for other in raw):
             if c not in cliques:
                 cliques.append(c)
     return cliques
+
+
+def components(adj):
+    seen, count = set(), 0
+    for v in adj:
+        if v not in seen:
+            count += 1
+            stack = [v]
+            seen.add(v)
+            while stack:
+                for n in adj[stack.pop()] - seen:
+                    seen.add(n)
+                    stack.append(n)
+    return count
 
 
 @st.composite
@@ -95,10 +120,11 @@ def undirected_graphs(draw):
 def test_min_fill_order_matches_full_rescan(graph):
     adj, _ = graph
     before = copy_adjacency(adj)
-    order = min_fill_order(adj)
+    order, steps = min_fill_order(adj)
     assert adj == before
     assert sorted(order) == sorted(adj)
     assert order == oracle_min_fill_order(adj)
+    assert steps == oracle_elimination_steps(adj, order)
 
 
 
@@ -129,7 +155,7 @@ PINNED_ORDERS = {
 @pytest.mark.parametrize("case", sorted(PINNED_ORDERS))
 def test_min_fill_order_pinned(case):
     adj, expected = PINNED_ORDERS[case]
-    assert min_fill_order(adj) == expected
+    assert min_fill_order(adj)[0] == expected
     assert oracle_min_fill_order(adj) == expected
 
 
@@ -140,10 +166,48 @@ def test_elimination_cliques_match_all_pairs_filter(graph):
     before = copy_adjacency(adj)
     arbitrary = sorted(adj)
     rnd.shuffle(arbitrary)
-    for order in (min_fill_order(adj), arbitrary):
-        steps = elimination_steps(adj, order)
-        assert elimination_cliques(order, steps) == oracle_elimination_cliques(adj, order)
+    for order in (min_fill_order(adj)[0], arbitrary):
+        cliques, _, _ = elimination_cliques(order, oracle_elimination_steps(adj, order))
+        assert cliques == oracle_elimination_cliques(adj, order)
     assert adj == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(undirected_graphs())
+def test_elimination_cliques_form_a_join_tree(graph):
+    adj, rnd = graph
+    arbitrary = sorted(adj)
+    rnd.shuffle(arbitrary)
+    for order in (min_fill_order(adj)[0], arbitrary):
+        steps = oracle_elimination_steps(adj, order)
+        cliques, home, up = elimination_cliques(order, steps)
+        assert len(up) == len(cliques)
+        # each variable's home holds its elimination clique
+        for v, step in zip(order, steps):
+            assert step <= cliques[home[v]]
+        # each link's separator, the elimination clique of the clique's
+        # last-eliminated member less that member, lies in both its cliques
+        # and is all they share
+        for a, b in enumerate(up):
+            top = max((v for v in order if home[v] == a), key=order.index)
+            sep = steps[order.index(top)] - {top}
+            assert (b >= 0) == bool(sep)
+            if b >= 0:
+                assert sep <= cliques[a] and sep <= cliques[b]
+                assert cliques[a] & cliques[b] == sep
+        # the links form a forest with one tree per connected component
+        for a in range(len(up)):
+            for _ in range(len(up)):
+                if a < 0:
+                    break
+                a = up[a]
+            assert a < 0
+        assert up.count(-1) == components(adj)
+        # the cliques that hold any one variable form a connected subtree
+        for v in order:
+            holding = {a for a, clique in enumerate(cliques) if v in clique}
+            links = sum(up[a] in holding for a in holding)
+            assert len(holding) - links == 1
 
 
 # clique reports of the fixtures before and after decompose_network, pinned

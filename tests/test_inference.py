@@ -20,7 +20,6 @@ from csibn.inference import (
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
     Query,
-    contextually_independent,
     cutset_infer,
     joint_probability,
     query_enumerate,
@@ -46,6 +45,7 @@ from csibn.transform import clique_report, decompose_network, triangulation
 from conftest import (
     all_assignments,
     chain_net,
+    contextually_independent,
     deterministic_diamond_net,
     diamond_net,
     random_loopy_net,

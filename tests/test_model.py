@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import csibn as cb
@@ -25,7 +26,7 @@ from csibn.model import (
     tree_tested_vars,
 )
 
-from conftest import chain_net
+from conftest import chain_net, windowed_net
 
 
 def mini_doc():
@@ -192,6 +193,22 @@ class TestValidation:
 
     def test_valid_network_has_no_violations(self, fig1):
         assert cb.validate(fig1) == []
+
+    def test_validation_scans_no_name_tuple_per_tree_node(self, monkeypatch):
+        # a test variable is looked up by name, not searched for in the
+        # declared names, so validating stays linear in the network's size
+        reads = []
+        real = Network.var_names
+        monkeypatch.setattr(
+            Network, "var_names", property(lambda net: reads.append(1) or real.fget(net))
+        )
+        counts = []
+        for n in (50, 400):
+            net = windowed_net(np.random.default_rng(5), n)
+            reads.clear()
+            assert cb.validate(net) == []
+            counts.append(len(reads))
+        assert counts[0] == counts[1]
 
 
 class TestContext:

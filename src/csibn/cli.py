@@ -7,8 +7,10 @@ separation tests, decomposition, clique metrics, and cutset construction.
 Output contract: human output is line-oriented with probabilities at six
 decimals; ``--json`` swaps in a machine-readable document carrying
 ``"schema_version": 1``.  Exit codes: 0 success, 1 domain error (invalid
-network, impossible evidence, unknown variable), 2 usage error.  Every
-error goes to stderr as one line, ``error[code]: message``.
+network, impossible evidence, unknown variable, or ``too-deep``: a structure
+nested past Python's recursion limit, such as a cutset tree a thousand
+levels deep), 2 usage error.  Every error goes to stderr as one line,
+``error[code]: message``.
 """
 
 from __future__ import annotations
@@ -407,6 +409,9 @@ def run(argv) -> int:
         return exc.code
     except (KeyError, ValueError) as exc:  # unknown names, impossible requests
         _error("domain", exc.args[0] if exc.args else exc)
+        return 1
+    except RecursionError:  # a recursive walk, or json's encoder, on a deep cutset tree
+        _error("too-deep", f"nesting exceeds the recursion limit ({sys.getrecursionlimit()})")
         return 1
     except SystemExit as exc:  # argparse help/version paths
         return int(exc.code or 0)

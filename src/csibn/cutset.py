@@ -87,19 +87,19 @@ def branch_contexts(tree: CutsetTree) -> list[Context]:
 
 def count_branches(tree: CutsetTree) -> int:
     """``len(branch_contexts(tree))``, counted once per distinct node, so a
-    tree whose equal subtrees are one object is never expanded."""
-    return _count_branches(tree, {})
-
-
-def _count_branches(tree: CutsetTree, counts: dict[int, int]) -> int:
-    if isinstance(tree, EmptyLeaf):
-        return 1
-    n = counts.get(id(tree))
-    if n is None:
-        n = counts[id(tree)] = sum(
-            len(values) * _count_branches(child, counts) for values, child in tree.arcs
-        )
-    return n
+    tree whose equal subtrees are one object is never expanded, and depth
+    first without recursion, so no depth is too deep."""
+    counts, stack = {id(EMPTY): 1}, [tree]
+    while stack:
+        node = stack.pop()
+        if id(node) in counts:
+            continue
+        missing = [child for _, child in node.arcs if id(child) not in counts]
+        if missing:
+            stack += [node, *missing]
+            continue
+        counts[id(node)] = sum(len(values) * counts[id(child)] for values, child in node.arcs)
+    return counts[id(tree)]
 
 
 def weight(var: Variable) -> float:
@@ -133,18 +133,22 @@ def _expected_parents(tree: CptTree, parents: tuple, x: str, value: str, arity: 
     return sum(math.log(t, arity[a]) for a in others) / len(others)
 
 
-def arc_deletion_score(net: Network, x: str, children=None) -> float:
+def arc_deletion_score(net: Network, x: str) -> float:
     """Expected number of arcs deleted by instantiating ``x``, averaged
-    over its values.  ``children`` restricts which child nodes count
-    (default: all of them)."""
-    if children is None:
-        children = net.children(x)
-    var = net.variable(x)
-    total = 0.0
-    for v in children:
-        for value in var.values:
-            total += len(net.parents(v)) - expected_parents(net, v, x, value)
-    return total / len(var.values)
+    over its values: :meth:`_Builder.score` over all of ``x``'s children."""
+    families = _families(net, net.children(x))
+    return _Builder(net).score(families, x, families, families)
+
+
+def _families(net: Network, names) -> Families:
+    """The declared family map of ``names``: each one's CPT tree and parents."""
+    return {v: (as_tree(net, v), net.parents(v)) for v in names}
+
+
+def _ratio(weight: float, deletion: float) -> float:
+    """The greedy pick's key: ``weight / deletion``, inf when nothing would
+    be deleted."""
+    return weight / deletion if deletion > 0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -157,13 +161,13 @@ class HeuristicScore:
 
 def rank_variables(net: Network) -> tuple[HeuristicScore, ...]:
     """Greedy-selection scores for every variable that has children."""
-    out = []
+    builder, families, out = _Builder(net), _families(net, net.var_names), []
     for name in sorted(net.var_names):
         if not net.children(name):
             continue
         w = weight(net.variable(name))
-        d = arc_deletion_score(net, name)
-        out.append(HeuristicScore(name, w, d, w / d if d > 0 else math.inf))
+        d = builder.score(families, name, net.children(name), families)
+        out.append(HeuristicScore(name, w, d, _ratio(w, d)))
     return tuple(out)
 
 
@@ -206,7 +210,7 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     residuals differ only outside the core print as ``={t,f}``.
     """
     core = graphs.two_core(net.skeleton())
-    families = {v: (as_tree(net, v), net.parents(v)) for v in net.var_names if v in core}
+    families = _families(net, [v for v in net.var_names if v in core])
     return _Builder(net).node(families, frozenset())
 
 
@@ -255,8 +259,10 @@ class _Builder:
         return tuple(out), instantiated.intersection(families)
 
     def score(self, families: Families, x: str, children: list[str], pool) -> float:
-        """:func:`arc_deletion_score` of ``x`` over its ``children`` in
-        ``pool``, memoizing a child's terms on its tree, parents and ``x``."""
+        """The expected number of arcs into ``pool`` deleted by instantiating
+        ``x``, averaged over its values: each of its ``children`` in ``pool``
+        counts its parents less :func:`expected_parents` per value.  A
+        child's terms are memoized on its tree, parents and ``x``."""
         memo, values, arity, total = self.deletions, self.variables[x].values, self.arity, 0.0
         for c in children:
             if c not in pool:
@@ -291,13 +297,7 @@ class _Builder:
             # every candidate's candidate-directed score degenerated to zero
             # (colliders only); count arcs into the whole core instead
             scored = [(v, self.score(families, v, children[v], families)) for v in candidates]
-        pick = min(
-            scored,
-            key=lambda vd: (
-                weight(self.variables[vd[0]]) / vd[1] if vd[1] > 0 else math.inf,
-                vd[0],
-            ),
-        )[0]
+        pick = min(scored, key=lambda vd: (_ratio(weight(self.variables[vd[0]]), vd[1]), vd[0]))[0]
 
         # the root picks on the declared families; below it every family is
         # instantiated, so a pick's value instantiates only its children

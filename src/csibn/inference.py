@@ -204,7 +204,8 @@ class _CliqueTree:
     directed edge alone; the subscripts are built on first use and kept in
     ``plans``.  A message out of a subtree that holds no evidence depends on
     the network alone, so ``messages`` keeps it, with its power-of-two
-    exponent, once computed.  Each node's clique is kept in elimination
+    exponent, once computed; one pass, :meth:`collect`, computes every
+    message a query needs.  Each node's clique is kept in elimination
     order, and ``root`` maps each node to its tree's root.
     ``excess`` counts, for the subtree below each node, the families there
     less the variables whose home is there; see :meth:`barren`.
@@ -325,68 +326,51 @@ class _CliqueTree:
             return not self.excess[c]
         return self.excess[a] == len(self.seps[a, c])
 
-    def evidence_free(self, c: int, a: int) -> tuple:
-        """The message from ``c`` to ``a`` when no evidence lies on ``c``'s
-        side, and the number of messages computed for it: each is computed
-        once per network, depth first without recursion, and kept; a barren
-        one is a read-only view of 1.0 and computes nothing."""
-        messages, near, seps, ones = self.messages, self.near, self.seps, self.ones
-        if (c, a) in messages:
-            return messages[c, a], 0
-        stack, count = [(c, a)], 0
-        while stack:
-            c, a = stack[-1]
-            if self.barren(c, a):
-                shape = tuple(self.arity[v] for v in seps[c, a])
-                messages[c, a] = np.broadcast_to(1.0, shape), 0
-                stack.pop()
-                continue
-            missing = [(d, c) for d in near[c] if d != a and (d, c) not in messages]
-            if missing:
-                stack += missing
-                continue
-            stack.pop()
-            incoming = [messages[d, c] for d in near[c] if d != a]
-            messages[c, a] = self.send(c, a, seps[c, a], ones, incoming)
-            count += 1
-        return messages[c, a], count
-
     def collect(self, root: int, sources, out: tuple, ind, stats: dict) -> tuple:
         """``root``'s product over ``out`` given the indicators ``ind``, with
-        its exponent, by one collect pass over the paths from ``sources``
-        (the homes of the evidence in ``root``'s tree) to ``root``.  Adds to
-        ``stats`` the messages computed and those taken from ``messages``,
-        and widens its largest clique and width to the paths' cliques."""
-        near, seps = self.near, self.seps
+        its exponent, by one post-order pass over the directed edges toward
+        ``root``, without recursion.  A message out of a node on the paths
+        from ``sources`` (the homes of the evidence in ``root``'s tree) to
+        ``root`` takes ``ind`` and serves this query alone.  Any other comes
+        out of a subtree without evidence: it is taken from ``messages``, or
+        kept there as a read-only view of 1.0 if barren, or computed once
+        with the shared ``ones`` and kept.  Adds to ``stats`` the messages
+        computed and those taken or kept into the paths, and widens its
+        largest clique and width to the paths' cliques."""
+        near, seps, messages = self.near, self.seps, self.messages
         region = self.region(root, sources)
-        toward, order = {root: -1}, [root]
-        for a in order:
-            for c in near[a]:
-                if c in region and c not in toward:
-                    toward[c] = a
-                    order.append(c)
-        sent: dict[int, tuple] = {}
+        sent: dict[tuple, tuple] = {}
         computed = cached = 0
-        for a in reversed(order):
-            b = toward[a]
-            incoming = []
+        stack = [(root, -1, False)]
+        while stack:
+            a, b, ready = stack.pop()
+            inside = a in region
+            if ready:
+                incoming = [(sent if c in region else messages)[c, a] for c in near[a] if c != b]
+                if inside:
+                    sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, ind, incoming)
+                else:
+                    messages[a, b] = self.send(a, b, seps[a, b], self.ones, incoming)
+                computed += b >= 0
+                continue
+            stack.append((a, b, True))
             for c in near[a]:
                 if c == b:
                     continue
-                if c in region:
-                    incoming.append(sent[c])
+                if c in region or not ((c, a) in messages or self.barren(c, a)):
+                    stack.append((c, a, False))
                     continue
-                message, count = self.evidence_free(c, a)
-                incoming.append(message)
-                computed, cached = computed + count, cached + (not count)
-            sent[a] = self.send(a, b, seps[a, b] if b >= 0 else out, ind, incoming)
-        stats["computed_messages"] += computed + len(order) - 1
+                if (c, a) not in messages:
+                    shape = tuple(self.arity[v] for v in seps[c, a])
+                    messages[c, a] = np.broadcast_to(1.0, shape), 0
+                cached += inside
+        stats["computed_messages"] += computed
         stats["cached_messages"] += cached
         largest = max(self.sizes[a] for a in region)
         widest = max(len(self.cliques[a]) for a in region) - 1
         stats["largest_factor"] = max(stats["largest_factor"], largest)
         stats["induced_width"] = max(stats["induced_width"], widest)
-        return sent[root]
+        return sent[root, -1]
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
@@ -397,23 +381,24 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     The tree (:class:`_CliqueTree`) is built once per network from its
     min-fill triangulation and kept beside the compiled form.  The evidence
     enters as one-hot indicator vectors at its variables' homes, and the
-    root is the node that holds the target's own family.  A query computes
-    the messages on the tree paths from each evidence home to the root,
-    each by one einsum over its node's family arrays, indicators and
-    incoming messages.  Every other message into those paths comes out of a
-    subtree without evidence; it depends on the network alone, so it is
-    computed the first time a query needs it and kept, unless it sums out
-    to 1.  Each other connected component that holds evidence is collected
-    to its own root, and the probability of its evidence multiplies into
-    the answer.  Every message, every root's product and every partial
-    product of a node with more than ``_MAX_OPERANDS`` operands is rescaled
-    by a power of two whose exponent is carried, so evidence of tiny but
-    non-zero probability does not underflow to an impossible-evidence
-    error.  ``stats`` holds ``largest_factor``, the entries of the largest
-    clique on those paths, and ``induced_width``, its variables less one,
-    which the kept messages do not change; and the messages the query
-    computed (``computed_messages``) and took from those kept
-    (``cached_messages``).
+    root is the node that holds the target's own family.  One post-order
+    pass over the directed edges toward the root computes every message the
+    query needs, each by one einsum over its node's family arrays,
+    indicators and incoming messages.  Those on the tree paths from each
+    evidence home to the root serve this query alone.  Every other message
+    into those paths comes out of a subtree without evidence; it depends on
+    the network alone, so it is computed the first time a query needs it
+    and kept, unless it sums out to 1.  Each other connected component that
+    holds evidence is collected to its own root, and the probability of its
+    evidence multiplies into the answer.  Every message, every root's
+    product and every partial product of a node with more than
+    ``_MAX_OPERANDS`` operands is rescaled by a power of two whose exponent
+    is carried, so evidence of tiny but non-zero probability does not
+    underflow to an impossible-evidence error.  ``stats`` holds
+    ``largest_factor``, the entries of the largest clique on those paths,
+    and ``induced_width``, its variables less one, which the kept messages
+    do not change; and the messages the query computed
+    (``computed_messages``) and took from those kept (``cached_messages``).
     """
     net.check_context(query.evidence)
     index = _compile(net)[0]

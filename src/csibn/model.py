@@ -21,9 +21,14 @@ order of the declared parent order (first parent varies slowest) and of
 each parent's declared value order.  Leaf and row vectors align with the
 node variable's declared value order.
 
-All model objects are immutable after construction; operations return new
-objects and never mutate their inputs, so values can be shared freely
-across threads.
+Operations return new model objects and never change their inputs.  The
+one exception is a ``Network``'s caches, each derived from the network
+alone and filled on first use: its compiled numeric form with the cutset
+walk's memo of instantiated families, its min-fill triangulation, its clique
+tree with the evidence-free messages kept there, and each family's parents
+kept in the empty context.  No answer depends on what they hold: an answer
+is bit-identical on a fresh network and after any other queries, which the
+tests check for every engine that reads them.
 """
 
 from __future__ import annotations
@@ -258,15 +263,12 @@ class Network:
         for p, c in self.edges():
             if p in indeg and c in indeg:
                 indeg[c] += 1
-        order: list[str] = []
-        ready = [v for v in self.var_names if indeg[v] == 0]
-        while ready:
-            cur = ready.pop(0)
-            order.append(cur)
+        order = [v for v in self.var_names if indeg[v] == 0]
+        for cur in order:  # a queue: children join its end as they become ready
             for child in self.children(cur):
                 indeg[child] -= 1
                 if indeg[child] == 0:
-                    ready.append(child)
+                    order.append(child)
         if len(order) != len(self._variables):
             raise ValueError("parent relation contains a cycle")
         return order

@@ -145,13 +145,13 @@ def decompose_network(net: Network) -> tuple[Network, list[DecompositionReport]]
     """
     reports: list[DecompositionReport] = []
     parts = _Parts(net)
-    agenda = [v for v in net.topological_order() if v in parts.specs]
+    agenda = [v for v in reversed(net.topological_order()) if v in parts.specs]  # a stack
     while agenda:
-        spec = parts.specs[agenda.pop(0)]
+        spec = parts.specs[agenda.pop()]
         if isinstance(spec.cpt, CptTable) or spec.deterministic or is_full_tree(spec.cpt):
             continue
         reports.append(parts.split(spec.var))
-        agenda[0:0] = [name for name, _, _ in reports[-1].conditional_nodes]
+        agenda += reversed([name for name, _, _ in reports[-1].conditional_nodes])
     return (parts.network() if reports else net), reports
 
 

@@ -319,10 +319,11 @@ def windowed_net(rng, n: int) -> Network:
     names = [f"V{i}" for i in range(n)]
     nodes = []
     for i, name in enumerate(names):
-        pool = [p for p in names[max(0, i - 6) : i] if rng.random() < 0.3][:3]
+        window = names[max(0, i - 6) : i]
+        pool = [p for p in window if rng.random() < 0.3][:3]
         tree = draw(pool, 0)
         tested = _tested(tree)
-        nodes.append(NodeSpec(name, tuple(p for p in names[:i] if p in tested), tree))
+        nodes.append(NodeSpec(name, tuple(p for p in window if p in tested), tree))
     return Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
 
 

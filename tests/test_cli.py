@@ -19,6 +19,7 @@ from csibn.model import (
     Distribution,
     Leaf,
     Network,
+    Node,
     NodeSpec,
     Variable,
     parse_network,
@@ -478,6 +479,28 @@ class TestCutset:
         monkeypatch.setattr(cutset, "branch_contexts", listed)
         assert invoke(capsys, "cutset", FIG1)[1].endswith("branches: 5\n")
         assert json.loads(invoke(capsys, "cutset", FIG1, "--json")[1])["branches"] == 5
+
+    def test_too_deep_a_tree_is_one_error_line(self, capsys, monkeypatch, tmp_path):
+        # a flat cutset over a 1,200-variable chain nests 1,200 levels: deeper
+        # than the recursion limit lets a recursive walk or json's encoder go
+        names = [f"V{i}" for i in range(1200)]
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        nodes = [NodeSpec("V0", (), leaf(0.5))] + [
+            NodeSpec(v, (u,), Node(u, (("t", leaf(0.8)), ("f", leaf(0.3)))))
+            for u, v in zip(names, names[1:])
+        ]
+        net = Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
+        assert cutset.count_branches(cutset.flat_cutset(net, names)) == 2**1200
+        path = tmp_path / "chain.json"
+        path.write_text(serialize_network(net))
+        monkeypatch.setattr(
+            cutset, "build_conditional_cutset", lambda net: cutset.flat_cutset(net, net.var_names)
+        )
+        infer = ["infer", "-q", "V1199", "--method", "cutset"]
+        for argv in (["cutset"], ["cutset", "--json"], infer):
+            code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
+            assert (code, out) == (1, "")
+            assert err.startswith("error[too-deep]: ") and err.count("\n") == 1, err
 
 
 class TestContract:

@@ -233,6 +233,11 @@ class TestVariableElimination:
 
         monkeypatch.setattr(inference._CliqueTree, "send", send)
         first = [variable_elimination(net, q) for q in queries]
+        counters = [(r.stats["computed_messages"], r.stats["cached_messages"]) for r in first]
+        assert counters == [
+            (37, 6), (32, 12), (33, 13), (30, 11), (24, 9), (32, 12),
+            (28, 8), (23, 9), (25, 9), (29, 13), (23, 10), (23, 11),
+        ]
         kept = [(a, skip) for a, skip, evidence_free in sent if evidence_free]
         assert kept and len(kept) == len(set(kept))
         for q, before in zip(queries, first):

@@ -58,13 +58,24 @@ class CutsetNode:
 CutsetTree = EmptyLeaf | CutsetNode
 
 
-def cutset_variables(tree: CutsetTree) -> set[str]:
-    if isinstance(tree, EmptyLeaf):
-        return set()
-    out = {tree.test}
-    for _, child in tree.arcs:
-        out |= cutset_variables(child)
+def _distinct_nodes(tree: CutsetTree) -> list[CutsetTree]:
+    """Each distinct node of ``tree`` once, by ``id``, children before their
+    parents, found without recursion, so no depth is too deep."""
+    out, seen, stack = [], set(), [(tree, False)]
+    while stack:
+        node, done = stack.pop()
+        if done:
+            out.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            if isinstance(node, CutsetNode):
+                stack += [(child, False) for _, child in reversed(node.arcs)]
     return out
+
+
+def cutset_variables(tree: CutsetTree) -> set[str]:
+    return {node.test for node in _distinct_nodes(tree) if isinstance(node, CutsetNode)}
 
 
 def branch_contexts(tree: CutsetTree) -> list[Context]:
@@ -86,19 +97,11 @@ def branch_contexts(tree: CutsetTree) -> list[Context]:
 
 
 def count_branches(tree: CutsetTree) -> int:
-    """``len(branch_contexts(tree))``, counted once per distinct node, so a
-    tree whose equal subtrees are one object is never expanded, and depth
-    first without recursion, so no depth is too deep."""
-    counts, stack = {id(EMPTY): 1}, [tree]
-    while stack:
-        node = stack.pop()
-        if id(node) in counts:
-            continue
-        missing = [child for _, child in node.arcs if id(child) not in counts]
-        if missing:
-            stack += [node, *missing]
-            continue
-        counts[id(node)] = sum(len(values) * counts[id(child)] for values, child in node.arcs)
+    """``len(branch_contexts(tree))``, counted once per distinct node."""
+    counts = {id(EMPTY): 1}
+    for node in _distinct_nodes(tree):
+        if node is not EMPTY:
+            counts[id(node)] = sum(len(values) * counts[id(child)] for values, child in node.arcs)
     return counts[id(tree)]
 
 
@@ -160,7 +163,9 @@ class HeuristicScore:
 
 
 def rank_variables(net: Network) -> tuple[HeuristicScore, ...]:
-    """Greedy-selection scores for every variable that has children."""
+    """``weight / arc_deletion_score`` for every variable with children, on
+    the whole declared network: not the builder's scores, which count only
+    arcs among the 2-core's candidates (:func:`build_conditional_cutset`)."""
     builder, families, out = _Builder(net), _families(net, net.var_names), []
     for name in sorted(net.var_names):
         if not net.children(name):
@@ -172,7 +177,9 @@ def rank_variables(net: Network) -> tuple[HeuristicScore, ...]:
 
 
 def best_cut_variable(net: Network) -> str:
-    """The variable the greedy heuristic would instantiate first."""
+    """The variable of least ``(ratio, name)`` in :func:`rank_variables`.
+    Not always the root of :func:`build_conditional_cutset`'s tree, which
+    picks by the builder's own scores."""
     ranked = rank_variables(net)
     if not ranked:
         raise ValueError("network has no variable with children")

@@ -5,11 +5,10 @@ Adjacency maps are ``dict[str, set[str]]``; all procedures are deterministic,
 breaking ties in lexicographic node order.  A network's moral graph is
 eliminated once, by :func:`min_fill_order`, which records each step's
 clique; :func:`elimination_cliques` reads the maximal cliques and the join
-tree off those steps without eliminating again.  The min-fill order runs on
-integer bitsets: nodes are ranked by sorted name, each holds its neighbors
-as an ``int`` mask and its count of edges among them, and an elimination
-updates those counts exactly where they change, so no node's fill is ever
-recounted from scratch.
+tree off those steps without eliminating again.  Min-fill ranks nodes by
+sorted name; each holds the set of its neighbors' ranks and its count of
+edges among them, and an elimination updates those counts exactly where they
+change, so no node's fill is ever recounted from scratch.
 """
 
 from __future__ import annotations
@@ -37,19 +36,9 @@ def two_core(adj: dict[str, set[str]]) -> set[str]:
     return set(work)
 
 
-def _bits(mask: int) -> list[int]:
-    """The positions of ``mask``'s set bits, lowest first."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
-def _missing(ns: int, tri: int) -> int:
+def _missing(ns: set, tri: int) -> int:
     """Missing edges among the neighbors ``ns`` that have ``tri`` edges among them."""
-    d = ns.bit_count()
+    d = len(ns)
     return d * (d - 1) // 2 - tri
 
 
@@ -62,18 +51,19 @@ def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[
     lexicographically smallest name, which keeps the order (and everything
     derived from it) reproducible.  Nodes are ranked by sorted name, so the
     heap can key on ``(fill, rank)``; stale entries are skipped lazily.  Each
-    node holds its neighbors as a bitset and ``tri``, the number of edges
-    among them, so its fill is ``deg (deg - 1) / 2 - tri``.  Eliminating
-    ``v`` takes from each neighbor's ``tri`` the edges it had to ``v``'s other
-    neighbors; each fill edge ``(a, b)`` adds their common neighbors to
-    ``tri[a]`` and ``tri[b]``, and one to each common neighbor's.
+    node holds the set of its neighbors' ranks and ``tri``, the number of
+    edges among them, so its fill is ``deg (deg - 1) / 2 - tri``.
+    Eliminating ``v`` takes from each neighbor's ``tri`` the edges it had to
+    ``v``'s other neighbors; each fill edge ``(a, b)`` adds their common
+    neighbors to ``tri[a]`` and ``tri[b]``, and one to each common
+    neighbor's.  These are exact counts, so the order in which a set yields
+    its members changes nothing.
     """
     names = sorted(adj)
     rank = {v: i for i, v in enumerate(names)}
-    near = [[rank[n] for n in adj[v]] for v in names]
-    nb = [sum(1 << n for n in ns) for ns in near]
-    tri = [sum((nb[n] & mask).bit_count() for n in ns) // 2 for ns, mask in zip(near, nb)]
-    fill: list = [_missing(mask, t) for mask, t in zip(nb, tri)]
+    nb = [{rank[n] for n in adj[v]} for v in names]
+    tri = [sum(len(nb[n] & ns) for n in ns) // 2 for ns in nb]
+    fill: list = [_missing(ns, t) for ns, t in zip(nb, tri)]
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
     order: list[str] = []
@@ -84,23 +74,24 @@ def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[
             continue
         order.append(names[v])
         fill[v] = None
-        ns = touched = nb[v]
-        near = _bits(ns)
-        steps.append(frozenset([names[v]] + [names[n] for n in near]))
-        for n in near:
-            nb[n] ^= 1 << v
-            tri[n] -= (nb[n] & ns).bit_count()
-        for a in near:
-            for b in _bits(ns & ~nb[a] & -(2 << a)):  # non-neighbors above a
-                common = nb[a] & nb[b]
-                tri[a] += common.bit_count()
-                tri[b] += common.bit_count()
-                for c in _bits(common):
-                    tri[c] += 1
-                touched |= common
-                nb[a] |= 1 << b
-                nb[b] |= 1 << a
-        for u in _bits(touched):
+        ns = nb[v]
+        touched = set(ns)
+        steps.append(frozenset([names[v]] + [names[n] for n in ns]))
+        for n in ns:
+            nb[n].discard(v)
+            tri[n] -= len(nb[n] & ns)
+        for a in ns:
+            for b in ns - nb[a]:
+                if b > a:
+                    common = nb[a] & nb[b]
+                    tri[a] += len(common)
+                    tri[b] += len(common)
+                    for c in common:
+                        tri[c] += 1
+                    touched |= common
+                    nb[a].add(b)
+                    nb[b].add(a)
+        for u in touched:
             new = _missing(nb[u], tri[u])
             if new != fill[u]:  # else its heap entry is still current
                 fill[u] = new

@@ -543,24 +543,20 @@ class _Walk:
         """The indices of the variables ``tree`` tests, recorded in ``below``
         by ``id``, once per distinct node.  Raises ``ValueError`` unless each
         node's arcs cover its test's values, each once."""
-        out = self.below.get(id(tree))
-        if out is not None:
-            return out
-        if isinstance(tree, cutset_mod.EmptyLeaf):
-            out = frozenset()
-        else:
-            x = self.index[tree.test]
-            covered = [value for values, _ in tree.arcs for value in values]
+        below = self.below
+        for node in cutset_mod._distinct_nodes(tree):
+            if isinstance(node, cutset_mod.EmptyLeaf):
+                below[id(node)] = frozenset()
+                continue
+            x = self.index[node.test]
+            covered = [value for values, _ in node.arcs for value in values]
             if sorted(covered) != sorted(self.values[x]):
                 raise ValueError(
-                    f"cutset node {tree.test!r} has arcs for {covered}, "
+                    f"cutset node {node.test!r} has arcs for {covered}, "
                     f"not for each of {list(self.values[x])} once"
                 )
-            out = frozenset([x]).union(
-                *(self.index_tree(child) for _, child in tree.arcs)
-            )
-        self.below[id(tree)] = out
-        return out
+            below[id(node)] = frozenset([x]).union(*(below[id(child)] for _, child in node.arcs))
+        return below[id(tree)]
 
     def partition(self, nodes) -> tuple[frozenset, ...]:
         """The connected components of ``nodes`` under the current arcs, each

@@ -80,17 +80,24 @@ def decompose_node(net: Network, x: str) -> Network:
 
 
 class _Parts:
-    """A network under decomposition: the variable order, and the variables
-    and node specs by name, which each split changes in place.  One
-    :class:`Network` is built from them at the end."""
+    """A network under decomposition: the variable order, the variables and
+    node specs by name, and each split node's conditional nodes, which each
+    split changes in place.  One :class:`Network` is built at the end."""
 
     def __init__(self, net: Network):
         self.order = list(net.var_names)
         self.variables = {v.name: v for v in net.variables}
         self.specs = {s.var: s for s in net.nodes}
+        self.conditionals: dict[str, list[str]] = {}
 
     def network(self) -> Network:
-        order, specs = self.order, self.specs
+        """Each node declared right after its conditional nodes."""
+        order, specs, pending, stack = [], self.specs, dict(self.conditionals), self.order[::-1]
+        while stack:
+            if stack[-1] in pending:
+                stack += reversed(pending.pop(stack[-1]))
+            else:
+                order.append(stack.pop())
         return Network([self.variables[v] for v in order], [specs[v] for v in order if v in specs])
 
     def split(self, x: str) -> DecompositionReport:
@@ -123,8 +130,7 @@ class _Parts:
         mux_parents = (selector,) + tuple(v.name for v in conditional_vars)
         specs[x] = NodeSpec(x, mux_parents, CptTable(tuple(rows)), deterministic=True)
         variables.update((v.name, v) for v in conditional_vars)
-        at = self.order.index(x)
-        self.order[at:at] = [v.name for v in conditional_vars]
+        self.conditionals[x] = [v.name for v in conditional_vars]
         return DecompositionReport(
             node=x,
             table_entries_before=math.prod(len(variables[p].values) for p in spec.parents),

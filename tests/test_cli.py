@@ -490,7 +490,9 @@ class TestCutset:
             for u, v in zip(names, names[1:])
         ]
         net = Network(tuple(Variable(v, ("t", "f")) for v in names), tuple(nodes))
-        assert cutset.count_branches(cutset.flat_cutset(net, names)) == 2**1200
+        flat = cutset.flat_cutset(net, names)
+        assert cutset.count_branches(flat) == 2**1200
+        assert cutset.cutset_variables(flat) == set(names)
         path = tmp_path / "chain.json"
         path.write_text(serialize_network(net))
         monkeypatch.setattr(

@@ -80,6 +80,13 @@ class TestScores:
         assert best_cut_variable(fig2) == "A"
         assert min(s.ratio for s in ranked.values()) == ranked["A"].ratio
 
+    def test_best_cut_variable_is_not_the_builders_first_pick(self):
+        # rank_variables scores the whole network; the builder scores 2-core
+        # candidates by their arcs into fellow candidates
+        net = windowed_net(np.random.default_rng(1), 14)
+        assert best_cut_variable(net) == "V5"
+        assert build_conditional_cutset(net).test == "V4"
+
     def test_rank_covers_exactly_parents(self):
         net = chain_net()
         scores = {s.variable: s for s in rank_variables(net)}

@@ -2,13 +2,16 @@
 join tree read off them, against the naive full-rescan versions; pinned
 min-fill orders on small graphs, plus the fixtures' clique reports."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csibn import fixtures
 from csibn.graphs import elimination_cliques, min_fill_order
-from csibn.transform import clique_report, decompose_network
+from csibn.transform import clique_report, decompose_network, moral_adjacency
+
+from conftest import windowed_net
 
 
 def copy_adjacency(adj):
@@ -126,6 +129,18 @@ def test_min_fill_order_matches_full_rescan(graph):
     assert order == oracle_min_fill_order(adj)
     assert steps == oracle_elimination_steps(adj, order)
 
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_min_fill_order_matches_full_rescan_on_scattered_names(seed):
+    # a 300-variable windowed network's moral graph, renamed by a random
+    # permutation, so that sorted-name rank and structure disagree
+    rng = np.random.default_rng(seed)
+    moral = moral_adjacency(windowed_net(rng, 300))
+    rename = dict(zip(sorted(moral), map(str, rng.permutation(sorted(moral)))))
+    adj = {rename[v]: {rename[n] for n in ns} for v, ns in moral.items()}
+    order, steps = min_fill_order(adj)
+    assert order == oracle_min_fill_order(adj)
+    assert steps == oracle_elimination_steps(adj, order)
 
 
 def _graph(edges, isolated=()):

@@ -16,10 +16,11 @@ family, each family's CPT as a tree, and a memo of instantiated families.  A
 network builds it on its first query and keeps it.  Variable elimination is
 one collect pass toward the target on a clique tree of the maximal cliques
 of the network's min-fill triangulation (:func:`~csibn.transform.triangulation`),
-both built once and kept: the evidence enters as one-hot indicator vectors,
-each message is one einsum whose subscripts depend on its directed edge
-alone, and a message out of a subtree without evidence is kept on the
-network for every later query.  The
+both built once and kept: each message is one einsum whose subscripts
+depend on its directed edge alone, the evidence is sliced out of the
+operands on its paths to the target instead of multiplied in, and a message
+out of a subtree without evidence is kept on the network for every later
+query and sliced where it enters those paths.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, and the walk instantiates both in place by
@@ -179,7 +180,7 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     if peak <= 0.0:
         return array, 0
     _, exponent = math.frexp(peak)
-    return np.ldexp(array, -exponent), exponent
+    return (np.ldexp(array, -exponent) if exponent else array), exponent
 
 
 # -- variable elimination on a clique tree ------------------------------------
@@ -188,6 +189,8 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
 _MAX_OPERANDS = 31
 # einsum subscript letters; a clique of more variables would need 2**52 entries
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+# the index of an unobserved variable's axis
+_ALL = slice(None)
 
 
 class _CliqueTree:
@@ -199,16 +202,20 @@ class _CliqueTree:
     component; this class keeps only the numeric parts on top of it.
 
     Each family's array goes to the home of its first-eliminated member (the
-    family's ``owner``), and each variable's indicator to its own home, so
-    the operands of a message and their einsum subscripts depend on its
-    directed edge alone; the subscripts are built on first use and kept in
-    ``plans``.  A message out of a subtree that holds no evidence depends on
-    the network alone, so ``messages`` keeps it, with its power-of-two
+    family's ``owner``).  Every edge of the triangulation lies in a family
+    or in an eliminated node's clique, so each variable of a clique is held
+    by a family there or by two of its neighbors: no message sums over or
+    onto a variable that none of its operands holds.  The einsum subscripts
+    of a message depend on its directed edge alone, and those of a root's
+    product on its node, whatever the evidence: they are built on first use
+    and kept in ``plans``, and :meth:`send` deletes the observed letters at
+    call time.  A message out of a subtree that holds no evidence depends
+    on the network alone, so ``messages`` keeps it, with its power-of-two
     exponent, once computed; one pass, :meth:`collect`, computes every
     message a query needs.  Each node's clique is kept in elimination
-    order, and ``root`` maps each node to its tree's root.
-    ``excess`` counts, for the subtree below each node, the families there
-    less the variables whose home is there; see :meth:`barren`.
+    order, and ``root`` maps each node to its tree's root.  ``excess``
+    counts, for the subtree below each node, the families there less the
+    variables whose home is there; see :meth:`barren`.
     """
 
     def __init__(self, net: Network):
@@ -229,7 +236,7 @@ class _CliqueTree:
         for v, a in enumerate(self.owner):
             owned[a].append(v)
         self.home, self.up, self.cliques = home, up, cliques
-        self.homed = tuple(tuple(v for v in c if home[v] == a) for a, c in enumerate(cliques))
+        homed = [sum(home[v] == a for v in c) for a, c in enumerate(cliques)]
         self.depth, self.root = depth, root = [0] * len(cliques), list(range(len(cliques)))
         downward = [a for a, b in enumerate(up) if b < 0]
         for a in downward:
@@ -237,19 +244,14 @@ class _CliqueTree:
                 if c != up[a]:
                     depth[c], root[c] = depth[a] + 1, root[a]
                     downward.append(c)
-        self.excess = excess = [len(fs) - len(vs) for fs, vs in zip(owned, self.homed)]
+        self.excess = excess = [len(fs) - n for fs, n in zip(owned, homed)]
         for a in reversed(downward):
             if up[a] >= 0:
                 excess[up[a]] += excess[a]
-        arity = [table.shape[-1] for table in tables]
+        self.arity = arity = [table.shape[-1] for table in tables]
         self.families = tuple(tuple(parents[v] + (v,) for v in vs) for vs in owned)
         self.tables = tuple(tuple(tables[v] for v in vs) for vs in owned)
         self.sizes = tuple(math.prod(arity[v] for v in clique) for clique in cliques)
-        shared = {n: np.ones(n) for n in set(arity)}
-        self.units = {n: np.eye(n) for n in shared}
-        for vec in (*shared.values(), *self.units.values()):
-            vec.flags.writeable = False
-        self.arity, self.ones = arity, tuple(shared[n] for n in arity)
         self.plans: dict[tuple, tuple] = {}
         self.messages: dict[tuple, tuple] = {}
 
@@ -276,45 +278,70 @@ class _CliqueTree:
             top = a
         return region
 
-    def plan(self, a: int, skip: int, out: tuple) -> tuple:
-        """The einsum steps of node ``a``'s product over ``out``, taking in
-        the messages from every neighbor but ``skip``: each step's subscripts
-        and operand count.  No step takes more than ``_MAX_OPERANDS``; each
-        but the last multiplies the leading operands into one."""
+    def plan(self, a: int, skip: int) -> tuple:
+        """The einsum steps of node ``a``'s product, taking in the messages
+        from every neighbor but ``skip``: each step's subscripts and operand
+        count.  The last sums onto the separator with ``skip``; a root's
+        (``skip`` -1) leaves its output to :meth:`send`.  No step takes more
+        than ``_MAX_OPERANDS``; each but the last multiplies the leading
+        operands into one."""
         letter = dict(zip(self.cliques[a], _LETTERS))
         spell = lambda vs: "".join([letter[v] for v in vs])
-        terms = [spell(vs) for vs in self.families[a]] + [letter[v] for v in self.homed[a]]
+        terms = [spell(vs) for vs in self.families[a]]
         terms += [spell(self.seps[a, c]) for c in self.near[a] if c != skip]
         steps = []
         while len(terms) > _MAX_OPERANDS:
             keep = "".join(dict.fromkeys("".join(terms[:_MAX_OPERANDS])))
             steps.append((",".join(terms[:_MAX_OPERANDS]) + "->" + keep, _MAX_OPERANDS))
             terms[:_MAX_OPERANDS] = [keep]
-        steps.append((",".join(terms) + "->" + spell(out), len(terms)))
+        out = spell(self.seps[a, skip]) if skip >= 0 else ""
+        steps.append((",".join(terms) + "->" + out, len(terms)))
         return tuple(steps)
 
-    def send(self, a: int, skip: int, out: tuple, ind, incoming: list) -> tuple:
-        """Node ``a``'s product, summed onto ``out``, of its family arrays,
-        its variables' indicators ``ind`` and the ``incoming`` messages (from
-        every neighbor but ``skip``, -1 for none, in neighbor order),
-        rescaled by a power of two; returns it and its exponent, theirs
-        included.  A message's plan is keyed on its edge, a root's on
-        ``out``."""
-        key = (a, skip if skip >= 0 else out)
-        steps = self.plans.get(key)
+    def send(self, a: int, skip: int, out: tuple, evidence: Mapping, incoming: list) -> tuple:
+        """Node ``a``'s product, summed onto ``out``, of its family arrays and
+        the ``incoming`` messages (from every neighbor but ``skip``, -1 for
+        none, in neighbor order) given ``evidence``, a value index by
+        variable, rescaled by a power of two; returns it and its exponent,
+        theirs included.  The evidence is sliced out: each family array that
+        holds an observed variable is indexed at its value and the
+        variable's letter is deleted from the subscripts, so the product
+        never spans it; the messages come in without those axes.  The plan
+        is keyed on the edge, or on ``a`` for a root, whose ``out`` letters
+        are appended here."""
+        steps = self.plans.get((a, skip))
         if steps is None:
-            steps = self.plans[key] = self.plan(a, skip, out)
-        operands = [*self.tables[a], *[ind[v] for v in self.homed[a]]]
+            steps = self.plans[a, skip] = self.plan(a, skip)
+        operands = [*self.tables[a]]
         exponent = 0
         for vec, shift in incoming:
             operands.append(vec)
             exponent += shift
+        seen = evidence.keys() & self.cliques[a] if evidence else None
+        if seen:
+            for i, vs in enumerate(self.families[a]):
+                if not seen.isdisjoint(vs):
+                    operands[i] = operands[i][tuple([evidence.get(v, _ALL) for v in vs])]
+            for v in seen:
+                letter = _LETTERS[self.cliques[a].index(v)]
+                steps = [(subscripts.replace(letter, ""), count) for subscripts, count in steps]
+        if skip < 0:
+            letters = "".join([_LETTERS[self.cliques[a].index(v)] for v in out])
+            steps = [*steps[:-1], (steps[-1][0] + letters, steps[-1][1])]
         for subscripts, count in steps[:-1]:
             table, shift = _scaled(np.einsum(subscripts, *operands[:count]))
             operands[:count] = [table]
             exponent += shift
         table, shift = _scaled(np.einsum(steps[-1][0], *operands))
         return table, exponent + shift
+
+    def enter(self, c: int, a: int, evidence: Mapping) -> tuple:
+        """The kept message from ``c`` to ``a`` and its exponent, indexed at
+        the ``evidence`` on their separator."""
+        vec, shift = self.messages[c, a]
+        if evidence.keys().isdisjoint(self.seps[c, a]):
+            return vec, shift
+        return vec[tuple([evidence.get(v, _ALL) for v in self.seps[c, a]])], shift
 
     def barren(self, c: int, a: int) -> bool:
         """Whether the message from ``c`` to ``a`` is all ones when no
@@ -326,17 +353,19 @@ class _CliqueTree:
             return not self.excess[c]
         return self.excess[a] == len(self.seps[a, c])
 
-    def collect(self, root: int, sources, out: tuple, ind, stats: dict) -> tuple:
-        """``root``'s product over ``out`` given the indicators ``ind``, with
-        its exponent, by one post-order pass over the directed edges toward
-        ``root``, without recursion.  A message out of a node on the paths
-        from ``sources`` (the homes of the evidence in ``root``'s tree) to
-        ``root`` takes ``ind`` and serves this query alone.  Any other comes
-        out of a subtree without evidence: it is taken from ``messages``, or
-        kept there as a read-only view of 1.0 if barren, or computed once
-        with the shared ``ones`` and kept.  Adds to ``stats`` the messages
-        computed and those taken or kept into the paths, and widens its
-        largest clique and width to the paths' cliques."""
+    def collect(self, root: int, sources, out: tuple, evidence: Mapping, stats: dict) -> tuple:
+        """``root``'s product over ``out`` given ``evidence`` (a value index
+        by variable), with its exponent, by one post-order pass over the
+        directed edges toward ``root``, without recursion.  A message out of
+        a node on the paths from ``sources`` (the homes of the evidence in
+        ``root``'s tree) to ``root`` has the evidence sliced out and serves
+        this query alone; a kept message is sliced where it enters those
+        paths.  Any other comes out of a subtree without evidence: it is
+        taken from ``messages``, or kept there as a read-only view of 1.0 if
+        barren, or computed once over its whole separator and kept.  Adds to
+        ``stats`` the messages computed and those taken or kept into the
+        paths, and widens its largest clique and width to the paths'
+        cliques, counted whole."""
         near, seps, messages = self.near, self.seps, self.messages
         region = self.region(root, sources)
         sent: dict[tuple, tuple] = {}
@@ -346,11 +375,13 @@ class _CliqueTree:
             a, b, ready = stack.pop()
             inside = a in region
             if ready:
-                incoming = [(sent if c in region else messages)[c, a] for c in near[a] if c != b]
                 if inside:
-                    sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, ind, incoming)
+                    take = lambda c: sent[c, a] if c in region else self.enter(c, a, evidence)
+                    incoming = [take(c) for c in near[a] if c != b]
+                    sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, evidence, incoming)
                 else:
-                    messages[a, b] = self.send(a, b, seps[a, b], self.ones, incoming)
+                    incoming = [messages[c, a] for c in near[a] if c != b]
+                    messages[a, b] = self.send(a, b, seps[a, b], {}, incoming)
                 computed += b >= 0
                 continue
             stack.append((a, b, True))
@@ -379,44 +410,48 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     Shenoy, Ann. Math. AI 2, 1990), reproducible bit for bit.
 
     The tree (:class:`_CliqueTree`) is built once per network from its
-    min-fill triangulation and kept beside the compiled form.  The evidence
-    enters as one-hot indicator vectors at its variables' homes, and the
-    root is the node that holds the target's own family.  One post-order
-    pass over the directed edges toward the root computes every message the
-    query needs, each by one einsum over its node's family arrays,
-    indicators and incoming messages.  Those on the tree paths from each
-    evidence home to the root serve this query alone.  Every other message
-    into those paths comes out of a subtree without evidence; it depends on
-    the network alone, so it is computed the first time a query needs it
-    and kept, unless it sums out to 1.  Each other connected component that
-    holds evidence is collected to its own root, and the probability of its
-    evidence multiplies into the answer.  Every message, every root's
-    product and every partial product of a node with more than
-    ``_MAX_OPERANDS`` operands is rescaled by a power of two whose exponent
-    is carried, so evidence of tiny but non-zero probability does not
-    underflow to an impossible-evidence error.  ``stats`` holds
+    min-fill triangulation and kept beside the compiled form, and the root
+    is the node that holds the target's own family.  One post-order pass
+    over the directed edges toward the root computes every message the
+    query needs, each by one einsum over its node's family arrays and
+    incoming messages.  Those on the tree paths from each evidence
+    variable's home to the root serve this query alone, and the evidence
+    enters them by slicing: every operand there that holds an observed
+    variable is indexed at its value, so no product spans an observed
+    variable's axis.  Every other message into those paths comes out of a
+    subtree without evidence; it depends on the network alone, so it is
+    computed the first time a query needs it and kept, unless it sums out
+    to 1, and it is sliced where it enters the paths.  Each other connected
+    component that holds evidence is collected to its own root, and the
+    probability of its evidence multiplies into the answer.  Every
+    message, every root's product and every partial product of a node with
+    more than ``_MAX_OPERANDS`` operands is rescaled by a power of two whose
+    exponent is carried, so evidence of tiny but non-zero probability does
+    not underflow to an impossible-evidence error.  ``stats`` holds
     ``largest_factor``, the entries of the largest clique on those paths,
-    and ``induced_width``, its variables less one, which the kept messages
-    do not change; and the messages the query computed
-    (``computed_messages``) and took from those kept (``cached_messages``).
+    counted over all of its variables, and ``induced_width``, its variables
+    less one, which the kept messages do not change; and the messages the
+    query computed (``computed_messages``) and took from those kept
+    (``cached_messages``).
     """
     net.check_context(query.evidence)
     index = _compile(net)[0]
     if net._clique_tree is None:
         net._clique_tree = _CliqueTree(net)
     tree = net._clique_tree
-    ind, sources = list(tree.ones), {}
+    evidence, sources = {}, {}
     for name, value in query.evidence.items():
         v = index[name]
-        ind[v] = tree.units[tree.arity[v]][net.values(name).index(value)]
+        evidence[v] = net.values(name).index(value)
         sources.setdefault(tree.root[tree.home[v]], []).append(tree.home[v])
     target = index[query.target]
     root = tree.owner[target]
     counters = ("largest_factor", "induced_width", "computed_messages", "cached_messages")
     stats = dict.fromkeys(counters, 0)
-    weights, exponent = tree.collect(root, sources.pop(tree.root[root], ()), (target,), ind, stats)
+    homes = sources.pop(tree.root[root], ())
+    weights, exponent = tree.collect(root, homes, (target,), evidence, stats)
     for other in sorted(sources):
-        scale, shift = tree.collect(other, sources[other], (), ind, stats)
+        scale, shift = tree.collect(other, sources[other], (), evidence, stats)
         weights, rescale = _scaled(weights * scale)
         exponent += shift + rescale
     return _finish([float(w) for w in weights], 1, exponent, stats=MappingProxyType(stats))

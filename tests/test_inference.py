@@ -213,9 +213,9 @@ class TestVariableElimination:
             )
 
     def test_repeated_query_computes_no_evidence_free_message_twice(self, monkeypatch):
-        # an evidence-free message is sent with the shared all-ones
-        # indicators; each is kept, so no edge sends one twice, and a query
-        # asked again computes only the messages the evidence reaches
+        # an evidence-free message is sent without evidence; each is kept,
+        # so no edge sends one twice, and a query asked again computes only
+        # the messages the evidence reaches
         net = windowed_net(np.random.default_rng(3), 60)
         names = net.var_names
         rng = np.random.default_rng(4)
@@ -227,9 +227,9 @@ class TestVariableElimination:
         sent = []
         real = inference._CliqueTree.send
 
-        def send(tree, a, skip, out, ind, incoming):
-            sent.append((a, skip, ind is tree.ones))
-            return real(tree, a, skip, out, ind, incoming)
+        def send(tree, a, skip, out, evidence, incoming):
+            sent.append((a, skip, not evidence))
+            return real(tree, a, skip, out, evidence, incoming)
 
         monkeypatch.setattr(inference._CliqueTree, "send", send)
         first = [variable_elimination(net, q) for q in queries]
@@ -307,6 +307,93 @@ class TestVariableElimination:
                     continue
                 posteriors_close(result, query_enumerate(net, q))
                 assert result.stats["largest_factor"] <= cap, (names, q)
+
+    def test_plans_kept_once_per_directed_edge_and_root(self):
+        # the subscripts are keyed on the edge, or a root's on its node, and
+        # the evidence is deleted from them at call time; plans keyed on
+        # which variables are observed would grow with every fresh pattern
+        net = windowed_net(np.random.default_rng(5), 80)
+        names = net.var_names
+        rng = np.random.default_rng(6)
+
+        def ask(k):
+            for i in range(k):
+                target = names[i % len(names)]
+                ev = {v: str(rng.choice(("t", "f"))) for v in names if rng.random() < 0.15}
+                ev.pop(target, None)
+                variable_elimination(net, Query(target, Context(ev)))
+
+        ask(200)
+        tree = net._clique_tree
+        plans = len(tree.plans)
+        # seps holds each edge once per direction
+        assert plans <= len(tree.seps) + len(tree.cliques)
+        ask(200)
+        assert len(tree.plans) == plans
+
+    def test_every_clique_variable_held_by_a_family_there_or_two_neighbors(self, fig1, fig3):
+        # so a message's operands hold every variable it sums over or onto,
+        # whichever neighbor it goes to, and no all-ones operand is needed
+        rng = np.random.default_rng(23)
+        nets = [fig1, fig3, decompose_network(fig1)[0], windowed_net(rng, 300)]
+        nets += [random_loopy_net(rng) for _ in range(40)]
+        for net in nets:
+            variable_elimination(net, Query(net.var_names[0], Context()))
+            tree = net._clique_tree
+            for a, clique in enumerate(tree.cliques):
+                for v in clique:
+                    holders = sum(v in tree.seps[a, c] for c in tree.near[a])
+                    assert holders >= 2 or any(v in f for f in tree.families[a])
+
+    @staticmethod
+    def _small_net():
+        net = windowed_net(np.random.default_rng(2), 12)
+        variable_elimination(net, Query(net.var_names[0], Context()))
+        index = {v: i for i, v in enumerate(net.var_names)}
+        return net, net._clique_tree, index
+
+    def test_family_sliced_to_a_scalar(self):
+        # every variable of the target's clique but the target is observed,
+        # so a family there that leaves the target out slices to a 0-d operand
+        net, tree, index = self._small_net()
+        names, asked = net.var_names, 0
+        for target in names:
+            root = tree.owner[index[target]]
+            if all(index[target] in vs for vs in tree.families[root]):
+                continue
+            for bits in range(4):
+                ev = {
+                    names[v]: ("t", "f")[(bits >> k) & 1]
+                    for k, v in enumerate(v for v in tree.cliques[root] if names[v] != target)
+                }
+                q = Query(target, Context(ev))
+                posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
+                asked += 1
+        assert asked
+
+    def test_evidence_only_in_another_component(self):
+        # the second loop's evidence is collected to its own root onto no
+        # variable at all; the first loop's messages take none
+        net = two_loops_net()
+        for target in ("X1", "A1", "C1"):
+            for ev in ({"C2": "t"}, {"X2": "f", "A2": "t", "B2": "t", "C2": "f"}):
+                q = Query(target, Context(ev))
+                posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
+        tree = net._clique_tree
+        index = {v: i for i, v in enumerate(net.var_names)}
+        assert tree.root[tree.home[index["C2"]]] != tree.root[tree.owner[index["X1"]]]
+
+    def test_evidence_whose_family_sits_away_from_its_home(self):
+        net, tree, index = self._small_net()
+        names = net.var_names
+        away = [v for v in names if tree.owner[index[v]] != tree.home[index[v]]]
+        assert away
+        for observed in away:
+            for target in (names[0], names[6], names[-1]):
+                if target != observed:
+                    for value in ("t", "f"):
+                        q = Query(target, Context({observed: value}))
+                        posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
 
 
 # VE's counters for each target, given the first value of the last variable

@@ -1,14 +1,15 @@
 """Small undirected-graph helpers shared by the transform, cutset and
 inference modules.
 
-Adjacency maps are ``dict[str, set[str]]``; all procedures are deterministic,
-breaking ties in lexicographic node order.  A network's moral graph is
-eliminated once, by :func:`min_fill_order`, which records each step's
-clique; :func:`elimination_cliques` reads the maximal cliques and the join
-tree off those steps without eliminating again.  Min-fill ranks nodes by
-sorted name; each holds the set of its neighbors' ranks and its count of
-edges among them, and an elimination updates those counts exactly where they
-change, so no node's fill is ever recounted from scratch.
+Adjacency maps are ``dict[node, set[node]]`` over names or integer labels;
+all procedures are deterministic, breaking ties in sorted node order.  A
+network's moral graph is eliminated once, by :func:`min_fill_order`, which
+records each step's clique; :func:`elimination_cliques` reads the maximal
+cliques and the join tree off those steps without eliminating again.
+Min-fill ranks nodes in sorted order; each holds the set of its neighbors'
+ranks and its count of edges among them, and an elimination updates those
+counts exactly where they change, so no node's fill is ever recounted from
+scratch.
 """
 
 from __future__ import annotations
@@ -42,17 +43,17 @@ def _missing(ns: set, tri: int) -> int:
     return d * (d - 1) // 2 - tri
 
 
-def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[str]]]:
+def min_fill_order(adj: dict) -> tuple[list, list[frozenset]]:
     """Elimination order greedily minimizing fill-in edges, and each step's
     clique in that order: the node and its neighbors when it is eliminated.
 
-    Each step eliminates the node of least ``(fill, name)``: the fewest
-    missing edges among its neighbors, ties broken toward the
-    lexicographically smallest name, which keeps the order (and everything
-    derived from it) reproducible.  Nodes are ranked by sorted name, so the
-    heap can key on ``(fill, rank)``; stale entries are skipped lazily.  Each
-    node holds the set of its neighbors' ranks and ``tri``, the number of
-    edges among them, so its fill is ``deg (deg - 1) / 2 - tri``.
+    Each step eliminates the node of least ``(fill, node)``: the fewest
+    missing edges among its neighbors, ties broken toward the smallest node
+    (the lexicographically smallest name), which keeps the order and all
+    derived from it reproducible.  Nodes are ranked in sorted order, so the
+    heap can key on ``(fill, rank)``; stale entries are skipped lazily.
+    Each node holds the set of its neighbors' ranks and ``tri``, the number
+    of edges among them, so its fill is ``deg (deg - 1) / 2 - tri``.
     Eliminating ``v`` takes from each neighbor's ``tri`` the edges it had to
     ``v``'s other neighbors; each fill edge ``(a, b)`` adds their common
     neighbors to ``tri[a]`` and ``tri[b]``, and one to each common
@@ -66,8 +67,8 @@ def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[
     fill: list = [_missing(ns, t) for ns, t in zip(nb, tri)]
     heap = [(f, v) for v, f in enumerate(fill)]
     heapq.heapify(heap)
-    order: list[str] = []
-    steps: list[frozenset[str]] = []
+    order: list = []
+    steps: list[frozenset] = []
     while heap:
         f, v = heapq.heappop(heap)
         if fill[v] != f:
@@ -80,7 +81,7 @@ def min_fill_order(adj: dict[str, set[str]]) -> tuple[list[str], list[frozenset[
         for n in ns:
             nb[n].discard(v)
             tri[n] -= len(nb[n] & ns)
-        for a in ns:
+        for a in ns if f else ():  # no fill edge when the neighbors form a clique
             for b in ns - nb[a]:
                 if b > a:
                     common = nb[a] & nb[b]

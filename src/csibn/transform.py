@@ -12,6 +12,8 @@ join-tree method would have to build.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,9 +26,7 @@ from .model import (
     Node,
     NodeSpec,
     Variable,
-    parent_assignments,
     table_to_tree,
-    tree_size,
 )
 from . import graphs
 from .csi import instantiate_family
@@ -36,17 +36,18 @@ def is_full_tree(tree: CptTree) -> bool:
     """True when every root-to-leaf path tests the same variables in the
     same order: the tree is an exhaustive table in disguise (a bare leaf
     counts, as the table over zero parents)."""
-    return _test_signature(tree) is not None
+    return _shape(tree)[1] is not None
 
 
-def _test_signature(tree: CptTree) -> tuple[str, ...] | None:
+def _shape(tree: CptTree) -> tuple[int, tuple[str, ...] | None]:
+    """The tree's leaf count and the variables each of its root-to-leaf
+    paths tests, in order, or None when two paths differ."""
     if isinstance(tree, Leaf):
-        return ()
-    sigs = {_test_signature(sub) for _, sub in tree.branches}
-    if len(sigs) != 1 or None in sigs:
-        return None
-    (child_sig,) = sigs
-    return (tree.test,) + child_sig
+        return 1, ()
+    shapes = [_shape(sub) for _, sub in tree.branches]
+    sigs = {sig for _, sig in shapes}
+    sig = (tree.test,) + sigs.pop() if len(sigs) == 1 and None not in sigs else None
+    return sum(size for size, _ in shapes), sig
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,10 @@ class _Parts:
                 order.append(stack.pop())
         return Network([self.variables[v] for v in order], [specs[v] for v in order if v in specs])
 
-    def split(self, x: str) -> DecompositionReport:
+    def split(self, x: str) -> tuple[DecompositionReport, list[str]]:
         """Replace ``x`` by its conditional nodes, declared just before it,
-        and a multiplexer over them."""
+        and a multiplexer over them; with the report, the conditional nodes
+        whose trees are not full, in declared order."""
         variables, specs, spec = self.variables, self.specs, self.specs[x]
         tree = spec.cpt
         if isinstance(tree, CptTable):
@@ -111,34 +113,46 @@ class _Parts:
             raise ValueError(f"node {x!r} has no root test to split on")
 
         x_values, selector = variables[x].values, tree.test
-        conditional_vars: list[Variable] = []
         cond_summary: list[tuple[str, tuple[str, ...], int]] = []
+        unfinished: list[str] = []
         for value, _ in tree.branches:
             name = _conditional_name(x, selector, value)
             if name in variables:
                 raise ValueError(f"decomposition name collision: {name!r} already declared")
             subtree, parents = instantiate_family(tree, spec.parents, {selector: value})
-            conditional_vars.append(Variable(name, x_values))
+            size, sig = _shape(subtree)
+            variables[name] = Variable(name, x_values)
             specs[name] = NodeSpec(name, parents, subtree)
-            cond_summary.append((name, parents, tree_size(subtree)))
+            cond_summary.append((name, parents, size))
+            if sig is None:
+                unfinished.append(name)
 
         # The multiplexer copies the conditional node picked by the selector.
-        selector_values, rows = variables[selector].values, []
-        for assignment in parent_assignments([variables[selector]] + conditional_vars):
-            chosen = conditional_vars[selector_values.index(assignment[selector])].name
-            rows.append(Distribution(tuple(float(v == assignment[chosen]) for v in x_values)))
-        mux_parents = (selector,) + tuple(v.name for v in conditional_vars)
-        specs[x] = NodeSpec(x, mux_parents, CptTable(tuple(rows)), deterministic=True)
-        variables.update((v.name, v) for v in conditional_vars)
-        self.conditionals[x] = [v.name for v in conditional_vars]
+        mux = _multiplexer(len(variables[selector].values), len(x_values))
+        names = [name for name, _, _ in cond_summary]
+        specs[x] = NodeSpec(x, (selector, *names), mux, deterministic=True)
+        self.conditionals[x] = names
+        # the subtrees' leaves are the tree's: validate forbids a repeated test on a path
+        tree_entries = sum(s for _, _, s in cond_summary)
         return DecompositionReport(
             node=x,
             table_entries_before=math.prod(len(variables[p].values) for p in spec.parents),
-            tree_entries_before=tree_size(tree),
+            tree_entries_before=tree_entries,
             conditional_nodes=tuple(cond_summary),
-            multiplexer=(x, len(rows)),
-            entries_after=sum(s for _, _, s in cond_summary) + len(rows),
-        )
+            multiplexer=(x, len(mux.rows)),
+            entries_after=tree_entries + len(mux.rows),
+        ), unfinished
+
+
+@functools.cache
+def _multiplexer(selector_arity: int, arity: int) -> CptTable:
+    """The multiplexer CPT over a selector with ``selector_arity`` values and
+    as many conditional nodes of ``arity`` values: row ``(s, c_1..c_k)``, in
+    row-major order, is one-hot at ``c_{s+1}``.  It depends on the two
+    arities alone, so each shape's one immutable table serves every split."""
+    one_hot = [Distribution(tuple(float(i == c) for i in range(arity))) for c in range(arity)]
+    combos = itertools.product(range(selector_arity), *[range(arity)] * selector_arity)
+    return CptTable(tuple(one_hot[chosen[s]] for s, *chosen in combos))
 
 
 def decompose_network(net: Network) -> tuple[Network, list[DecompositionReport]]:
@@ -151,13 +165,16 @@ def decompose_network(net: Network) -> tuple[Network, list[DecompositionReport]]
     """
     reports: list[DecompositionReport] = []
     parts = _Parts(net)
-    agenda = [v for v in reversed(net.topological_order()) if v in parts.specs]  # a stack
+    agenda = [  # a stack of the nodes to split
+        spec.var
+        for spec in map(parts.specs.get, reversed(net.topological_order()))
+        if spec and not (isinstance(spec.cpt, CptTable) or spec.deterministic)
+        and not is_full_tree(spec.cpt)
+    ]
     while agenda:
-        spec = parts.specs[agenda.pop()]
-        if isinstance(spec.cpt, CptTable) or spec.deterministic or is_full_tree(spec.cpt):
-            continue
-        reports.append(parts.split(spec.var))
-        agenda += reversed([name for name, _, _ in reports[-1].conditional_nodes])
+        report, unfinished = parts.split(agenda.pop())
+        reports.append(report)
+        agenda += reversed(unfinished)
     return (parts.network() if reports else net), reports
 
 
@@ -179,15 +196,22 @@ class CliqueReport:
     total_table_weight: float
 
 
-def moral_adjacency(net: Network) -> dict[str, set[str]]:
-    adj = net.skeleton()
+def moral_graph(net: Network) -> tuple[dict[int, set[int]], list[int]]:
+    """The network's moral graph on integer labels, and each label's index
+    into ``net.var_names``.  A variable's label is its position in
+    sorted-name order, so min-fill breaks its ties between labels as it
+    would between the names."""
+    names = net.var_names
+    index = sorted(range(len(names)), key=names.__getitem__)
+    label = {names[i]: k for k, i in enumerate(index)}
+    adj: dict[int, set[int]] = {k: set() for k in range(len(index))}
     for spec in net.nodes:
-        ps = sorted(spec.parents)
-        for i, a in enumerate(ps):
-            for b in ps[i + 1 :]:
-                adj[a].add(b)
-                adj[b].add(a)
-    return adj
+        family = [label[v] for v in (spec.var, *spec.parents)]
+        for v in family:
+            adj[v].update(family)
+    for k, ns in adj.items():
+        ns.discard(k)
+    return adj, index
 
 
 def triangulation(net: Network) -> tuple:
@@ -199,16 +223,17 @@ def triangulation(net: Network) -> tuple:
     network alone, so it is computed on the first call and kept on the
     network."""
     if net._triangulation is None:
-        order, steps = graphs.min_fill_order(moral_adjacency(net))
+        adj, index = moral_graph(net)
+        order, steps = graphs.min_fill_order(adj)
         cliques, home, up = graphs.elimination_cliques(order, steps)
-        names = net.var_names
-        index = {v: i for i, v in enumerate(names)}
-        rank = {v: k for k, v in enumerate(order)}
+        rank, where = [0] * len(index), [0] * len(index)
+        for k, v in enumerate(order):
+            rank[index[v]], where[index[v]] = k, home[v]
         net._triangulation = (
             tuple(index[v] for v in order),
-            tuple(rank[v] for v in names),
+            tuple(rank),
             tuple(frozenset(index[u] for u in clique) for clique in cliques),
-            tuple(home[v] for v in names),
+            tuple(where),
             tuple(up),
         )
     return net._triangulation
@@ -217,13 +242,12 @@ def triangulation(net: Network) -> tuple:
 def clique_report(net: Network) -> CliqueReport:
     order, _, cliques = triangulation(net)[:3]
     names = net.var_names
-    cliques = [frozenset(names[u] for u in clique) for clique in cliques]
-    # fsum: correctly rounded whatever order a clique's names iterate in
-    weights = [math.fsum(math.log2(len(net.values(v))) for v in clique) for clique in cliques]
-    sizes = [float(math.prod(len(net.values(v)) for v in clique)) for clique in cliques]
+    arity = [len(v.values) for v in net.variables]
+    bits = [math.log2(a) for a in arity]
     return CliqueReport(
         elimination_order=tuple(names[v] for v in order),
-        cliques=tuple(cliques),
-        max_clique_weight=max(weights) if weights else 0.0,
-        total_table_weight=float(sum(sizes)),
+        cliques=tuple(frozenset(names[u] for u in clique) for clique in cliques),
+        # fsum: correctly rounded whatever order a clique's members iterate in
+        max_clique_weight=max((math.fsum(bits[u] for u in c) for c in cliques), default=0.0),
+        total_table_weight=float(sum(float(math.prod(arity[u] for u in c)) for c in cliques)),
     )

@@ -71,6 +71,17 @@ def oracle_has_undirected_cycle(adj: dict) -> bool:
     return False
 
 
+def moral_adjacency(net: Network) -> dict[str, set[str]]:
+    """The moral graph on variable names: the skeleton, plus an edge between
+    every two parents of one node."""
+    adj = net.skeleton()
+    for spec in net.nodes:
+        for a, b in itertools.combinations(spec.parents, 2):
+            adj[a].add(b)
+            adj[b].add(a)
+    return adj
+
+
 def oracle_d_separated(net: Network, xs, ys, zs) -> bool:
     """d-separation via the moralized ancestral graph construction."""
     xs, ys, zs = set(xs), set(ys), set(zs)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from csibn import fixtures
 from csibn.graphs import elimination_cliques, min_fill_order
-from csibn.transform import clique_report, decompose_network, moral_adjacency
+from csibn.transform import clique_report, decompose_network
 
-from conftest import windowed_net
+from conftest import moral_adjacency, windowed_net
 
 
 def copy_adjacency(adj):

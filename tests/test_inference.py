@@ -924,12 +924,12 @@ class TestCompiledForm:
         # compiled form: no query after the first builds an array or a
         # moral graph
         built = []
-        real_array, real_moral = inference.cpt_array, transform.moral_adjacency
+        real_array, real_moral = inference.cpt_array, transform.moral_graph
         monkeypatch.setattr(
             inference, "cpt_array", lambda n, name: built.append(name) or real_array(n, name)
         )
         monkeypatch.setattr(
-            transform, "moral_adjacency", lambda n: built.append(None) or real_moral(n)
+            transform, "moral_graph", lambda n: built.append(None) or real_moral(n)
         )
         for fig in ("fig1", "fig2", "fig3"):
             net = parse_network(serialize_network(fixtures.load(fig)))

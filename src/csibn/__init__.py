@@ -67,7 +67,6 @@ from .model import (
     parse_context,
     parse_network,
     serialize_network,
-    tree_leaves,
     tree_size,
     tree_tested_vars,
     validate,
@@ -77,7 +76,6 @@ from .transform import (
     DecompositionReport,
     clique_report,
     decompose_network,
-    decompose_node,
     is_full_tree,
 )
 
@@ -119,7 +117,6 @@ __all__ = [
     "cutset_variables",
     "d_separated",
     "decompose_network",
-    "decompose_node",
     "expected_parents",
     "flat_cutset",
     "format_context",
@@ -136,7 +133,6 @@ __all__ = [
     "reduce_tree",
     "serialize_network",
     "solve_singly_connected",
-    "tree_leaves",
     "tree_size",
     "tree_tested_vars",
     "validate",

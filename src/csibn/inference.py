@@ -23,22 +23,24 @@ out of a subtree without evidence is kept on the network for every later
 query and sliced where it enters those paths.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
-each cutset branch are contexts, and the walk instantiates both in place by
-one per-family step, whose result -- kept parents and table -- depends only
-on the values bound on the family's declared parents and is memoized on the
-network; a memo miss takes the kept parents from ``csi.instantiate_family``.
-The walk keeps the connected components up to date as it binds, solves each
-component once per binding of the cutset variables it depends on, by an
-iterative collect pass, and multiplies in a component that no binding below
-a cutset-tree node can change once, at that node.  Each cutset subtree
-returns the sum of its branches, computed once per query for each state of
-the components it can see; the cutset builder shares equal subtrees, so that
-sum serves every branch that reaches one of them.
+each cutset branch are contexts, instantiated in place by one per-family
+step whose result -- kept parents and table -- depends only on the values
+bound on the family's declared parents and is memoized on the network.  The
+walk moves a batch of branches at once: the values of a tested variable
+that reach one child node and leave its children the same kept parents
+share one visit, its arcs and components, and one solve per component, the
+members' tables stacked on a leading axis.  Before a batch descends into a
+subtree its members are deduplicated on what the subtree can see, and each
+member keeps its own power-of-two exponent.  A component that no binding
+below a cutset-tree node can change is weighed once, at that node, and each
+subtree sum is computed once per query for each state of the components it
+can see, so equal subtrees, which the cutset builder shares, share it.
 """
 
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Mapping
@@ -157,7 +159,7 @@ def _compile(net: Network) -> tuple:
     index in declared order, its parents' and children's index tuples, its
     family's :func:`cpt_array` (parent axes in declared order, then its own
     axis; not writeable), each family's CPT in tree form, and the cutset
-    walk's memo of instantiated families (see :meth:`_Walk.instantiate`).  It
+    walk's memo of instantiated families (see :meth:`_Walk.family`).  It
     depends on the network alone, so it is built on the first call and kept
     on the network, which it does not refer to."""
     if net._compiled is None:
@@ -460,6 +462,25 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
 # -- forest solver and cutset conditioning -----------------------------------
 
 
+def _scaled_rows(array: np.ndarray) -> tuple:
+    """:func:`_scaled` for each row of a 2-D ``array``, one per member of a
+    batch, with a vector of exponents; a 1-D ``array`` is one row."""
+    if array.ndim == 1:
+        return _scaled(array)
+    _, exponent = np.frexp(array.max(axis=1))
+    return np.ldexp(array, -exponent[:, None]), exponent
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """``arrays`` on a leading member axis, or the one array they all are."""
+    return arrays[0] if all(a is arrays[0] for a in arrays) else np.array(arrays)
+
+
+def _picker(indices):
+    """A function of a row that returns its entries at ``indices``, hashable."""
+    return itemgetter(*indices) if indices else lambda row: ()
+
+
 def _solve_component(root: int, parents, children, tables, ind, bound):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
@@ -467,9 +488,13 @@ def _solve_component(root: int, parents, children, tables, ind, bound):
 
     One collect pass toward ``root``: a breadth-first order, then each node's
     π/λ message to its neighbor on the root side, in reverse order, each
-    rescaled by a power of two.  A λ message out of a subtree holding no
-    observed node (one whose ``bound`` entry is not 0) is all ones, so
-    neither it nor any message feeding only it is computed.
+    rescaled by a power of two; the belief at ``root`` is left to the
+    caller, which multiplies it further, to rescale.  A λ message out of a
+    subtree holding no observed node (one whose ``bound`` entry is not 0) is
+    all ones, so neither it nor any message feeding only it is computed.
+    Tables and indicators may carry a leading member axis, one row per
+    member of a batch; the messages then carry it too, and each row its own
+    exponent.
     """
     up, order = {root: None}, [root]
     for v in order:
@@ -497,15 +522,16 @@ def _solve_component(root: int, parents, children, tables, ind, bound):
         if not own:
             vec = lam * tables[v]
         else:
-            operands = [tables[v], list(range(own + 1)), lam, [own]]
+            operands = [tables[v], [..., *range(own + 1)], lam, [..., own]]
             for i, p in enumerate(parents[v]):
                 if p != u:
-                    operands += [msg[p], [i]]
+                    operands += [msg[p], [..., i]]
             out = parents[v].index(u) if u in parents[v] else own
-            vec = np.einsum(*operands, [out])
-        msg[v], shift = _scaled(vec)
-        exponent += shift
-    return msg[root], exponent, len(needed) - 1
+            vec = np.einsum(*operands, [..., out])
+        if u is None:  # the root's belief, which the caller rescales
+            return vec, exponent, len(needed) - 1
+        msg[v], shift = _scaled_rows(vec)
+        exponent = exponent + shift
 
 
 def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
@@ -521,58 +547,75 @@ def solve_singly_connected(net: Network, query: Query) -> InferenceResult:
 class _Walk:
     """One cutset-conditioning query: the network's cached compiled form,
     instantiated in place by the evidence and then along a depth-first walk
-    of the cutset tree, both by one per-family step, :meth:`instantiate`.
+    of the cutset tree, both by one per-family step, :meth:`family`.
 
-    It holds its own copies of the compiled lists that step changes, which
-    the walk restores from the undo record, the connected components with
-    ``excess`` (arcs minus nodes plus components: each component has at
-    least its size minus one arcs, so this is 0 exactly when every component
-    is a tree), and, once per distinct cutset-tree node, its below-set (the
-    cutset variables its subtree tests).  Instantiated families are memoized
-    on the network, since they depend only on the values bound on the
-    family's declared parents.  Two per-query memos are keyed on a component
-    and the values bound on the cutset variables it sees (:meth:`seen`),
-    which fix the arcs and tables inside it: its weight and, with a
-    cutset-tree node and ``excess``, the node's subtree sum.  A third holds
-    a component's partition when a binding splits it, keyed on the
-    component and its nodes' kept parents, which are all its arcs.
-    :meth:`visit` returns a subtree's sum over its branches of the weights
-    still pending; a node weighs each pending component its below-set
-    misses once, and a leaf the rest.
+    It moves a *batch* of branches at once: ``rows`` holds each member's
+    bound values by variable (1 + value index, or 0), and the members bind
+    the same variables and leave every family the same kept parents, so the
+    arcs, the connected components and ``excess`` (arcs minus nodes plus
+    components, 0 exactly when every component is a tree) are the batch's.
+    Tables and indicators are read per member where a component is solved
+    (:meth:`weight`).  It holds its own copies of the compiled parents and
+    children, restored from the undo record; the network keeps the
+    below-sets (the cutset variables each distinct node's subtree tests) of
+    the last tree queried.  Two per-query memos are keyed, member by member,
+    on a component and the values bound on the cutset variables it sees
+    (:meth:`seen`), which fix the arcs and tables inside it: its weight and,
+    with a cutset-tree node and ``excess``, the node's subtree sum.  A third
+    holds each split component's parts, keyed on its nodes' kept parents.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
         index, parents, children, tables, self.trees, self.families = _compile(net)
         self.declared, self.compiled_tables = parents, tables
-        # instantiate changes these three in place, so the walk holds its own lists
-        self.parents, self.children, self.tables = list(parents), list(children), list(tables)
+        # instantiate changes these two in place, so the walk holds its own lists
+        self.parents, self.children = list(parents), list(children)
         self.names = names = net.var_names
         self.index = index
         self.values = values = [net.values(v) for v in names]
-        self.eyes = {n: np.eye(n) for n in {len(vs) for vs in values}}
-        self.ind = [np.ones(len(vs)) for vs in values]
-        self.bound = [0] * len(names)  # 1 + bound value index, or 0
+        self.units = {n: tuple(np.eye(n)) for n in {len(vs) for vs in values}}
+        ones = {n: np.ones(n) for n in self.units}  # read only, so shared
+        self.ind = [ones[len(vs)] for vs in values]
+        self.rows = [[0] * len(names)]  # one member, bound by the evidence alone
         self.target = index[query.target]
         # components still to weigh: the target's, then the evidence's
         self.pending = [self.target] + [index[v] for v in sorted(query.evidence)]
         for x in self.pending[1:]:
-            self.observe(x, values[x].index(query.evidence[names[x]]))
+            k = values[x].index(query.evidence[names[x]])
+            self.ind[x], self.rows[0][x] = self.units[len(values[x])][k], k + 1
         # every family, evidence-free ones too: a declared parent its tree
         # never tests drops here
         self.excess = sum(map(len, parents)) - len(names)
-        self.instantiate(range(len(names)), [])
+        self.pickers = [_picker(family) for family in parents]
+        hits = [self.family(c, self.rows[0]) for c in range(len(names))]
+        self.instantiate(range(len(names)), [kept for kept, _ in hits], [])
+        self.tables = [table for _, table in hits]  # under the evidence alone
         self.reduced_children = tuple(self.children)
-        self.below: dict[int, frozenset] = {}
-        self.cut = sorted(self.index_tree(ct))
+        # kept on the network for the last tree queried: below-sets, the
+        # families whose tables vary with the cutset, for each cutset variable
+        # x the other cutset parents of x's children, and the branch count
+        if net._cutset_walk is None or net._cutset_walk[0] is not ct:
+            self.below: dict[int, frozenset] = {}
+            cut = self.index_tree(ct)
+            watched = {c for c, family in enumerate(parents) if not cut.isdisjoint(family)}
+            around = {}
+            for x in cut:
+                family = {p for c in children[x] for p in parents[c]}
+                around[x] = _picker(sorted(cut.intersection(family) - {x}))
+            evaluations = cutset_mod.count_branches(ct)
+            net._cutset_walk = ct, self.below, cut, watched, around, evaluations
+        _, self.below, self.cutset, self.watched, self.around, self.evaluations = net._cutset_walk
+        self.cut = sorted(self.cutset)
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
         self.partitions = 0  # component searches run
         self.assign(self.partition(range(len(names))))
-        self.sees: dict[frozenset, tuple] = {}  # cutset variables a component depends on
+        self.sees: dict[frozenset, tuple] = {}
+        self.sum_pickers: dict[tuple, object] = {}  # per subtree-sum key's components
         self.weights: dict[tuple, tuple] = {}
         self.splits: dict[tuple, tuple] = {}
-        self.sums: dict[tuple, tuple | None] = {}
-        self.messages = 0
+        self.sums: dict[tuple, tuple] = {}
+        self.messages = self.visits = 0
 
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
         """The indices of the variables ``tree`` tests, recorded in ``below``
@@ -620,77 +663,71 @@ class _Walk:
                 component[v] = part
 
     def seen(self, part: frozenset) -> tuple:
-        """The values bound on the cutset variables ``part`` depends on:
-        those in it, and those with a child in it once the evidence is
-        instantiated.  They fix the arcs and tables inside ``part``."""
-        sees = self.sees.get(part)
-        if sees is None:
+        """The cutset variables ``part`` depends on -- those in it, and those
+        with a child in it once the evidence is instantiated -- and a
+        :func:`_picker` of a member's values on them, which fix the arcs and
+        tables inside ``part``; then its watched families and its cutset
+        variables."""
+        hit = self.sees.get(part)
+        if hit is None:
             reach = self.reduced_children
-            sees = self.sees[part] = tuple(
-                x for x in self.cut if x in part or not part.isdisjoint(reach[x])
-            )
-        bound = self.bound
-        return tuple([bound[x] for x in sees])
+            sees = tuple(x for x in self.cut if x in part or not part.isdisjoint(reach[x]))
+            watched = [v for v in part if v in self.watched]
+            hit = self.sees[part] = sees, _picker(sees), watched, self.cutset.intersection(part)
+        return hit
 
-    def observe(self, x: int, k: int) -> list:
-        """Set ``x``'s indicator and bound value to its ``k``-th value;
-        returns the undo record."""
-        ind, bound = self.ind, self.bound
-        saved = [(ind, x, ind[x]), (bound, x, bound[x])]
-        ind[x], bound[x] = self.eyes[len(self.values[x])][k], k + 1
-        return saved
-
-    def instantiate(self, families, saved: list) -> None:
-        """Give each family the parents and table it has under the values
-        bound on its declared parents, and drop every parent it no longer
-        tests, recording the undo in ``saved``.
+    def family(self, c: int, row: list) -> tuple:
+        """Family ``c``'s kept parents and read-only table under the values
+        ``row`` binds on its declared parents.
 
         The pair depends on those values alone, so it is memoized on the
         network.  A miss takes the kept parents from the family step every CSI
         consumer shares, :func:`~csibn.csi.instantiate_family`, and indexes the
         compiled table once: at the bound value's index on a bound parent's
         axis, and at 0 on a dropped unbound one, along which it is constant."""
-        bound, parents, children, tables = self.bound, self.parents, self.children, self.tables
-        declared, memo = self.declared, self.families
-        for c in families:
-            at = tuple([bound[p] for p in declared[c]])
-            hit = memo.get((c, at))
-            if hit is None:
-                hit = memo[c, at] = self.reduce(c, at)
-            kept, table = hit
+        hit = self.families.get((c, self.pickers[c](row)))
+        if hit is None:
+            names, values, family = self.names, self.values, self.declared[c]
+            at = [row[p] for p in family]
+            context = {names[p]: values[p][b - 1] for p, b in zip(family, at) if b}
+            _, tested = instantiate_family(self.trees[c], tuple(names[p] for p in family), context)
+            kept = tuple(p for p in family if names[p] in tested)
+            cut = tuple(b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at))
+            # contiguous, so a solve rounds alike whether or not it stacks it
+            table = np.ascontiguousarray(self.compiled_tables[c][cut])
+            table.flags.writeable = False
+            hit = self.families[c, self.pickers[c](row)] = kept, table
+        return hit
+
+    def instantiate(self, families, kept_parents, saved: list) -> None:
+        """Give each family its kept parents, dropping every parent it no
+        longer tests, and record the undo in ``saved``."""
+        parents, children = self.parents, self.children
+        for c, kept in zip(families, kept_parents):
             family = parents[c]
-            saved += [(tables, c, tables[c]), (parents, c, family)]
+            if len(kept) == len(family):  # kept parents only ever shrink
+                continue
+            saved.append((parents, c, family))
             for p in family:
                 if p not in kept:
                     saved.append((children, p, children[p]))
-                    children[p] = tuple(q for q in children[p] if q != c)
-            tables[c], parents[c] = table, kept
+                    children[p] = tuple([q for q in children[p] if q != c])
+            parents[c] = kept
             self.excess -= len(family) - len(kept)
 
-    def reduce(self, c: int, at: tuple) -> tuple:
-        """Family ``c``'s kept parents and read-only table when its declared
-        parents have the bound values ``at`` (1 + value index, or 0)."""
-        names, values, family = self.names, self.values, self.declared[c]
-        context = {names[p]: values[p][b - 1] for p, b in zip(family, at) if b}
-        _, tested = instantiate_family(self.trees[c], tuple(names[p] for p in family), context)
-        kept = tuple(p for p in family if names[p] in tested)
-        table = self.compiled_tables[c][
-            tuple(b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at))
-        ]
-        return kept, table
-
-    def bind(self, x: int, k: int) -> list:
-        """Instantiate ``x`` to its ``k``-th value; returns the undo record
-        (``excess`` is the caller's to restore).  Each child of ``x`` loses
-        the arc from ``x`` and every other arc its reduced tree no longer
-        needs.  Every dropped arc lies in ``x``'s component, which is then
-        split again; its parts depend only on it and its nodes' kept
-        parents, which hold every arc left inside it."""
-        saved = self.observe(x, k)
+    def bind(self, x: int, kept: tuple) -> list:
+        """Instantiate ``x``, which every member binds, its children keeping
+        ``kept``; returns the undo record (``excess`` is the caller's to
+        restore).  Each child of ``x`` loses the arc from ``x`` and every
+        other arc its reduced tree no longer needs.  Every dropped arc lies
+        in ``x``'s component, which is then split again; its parts depend
+        only on it and its nodes' kept parents, which hold every arc left
+        inside it."""
+        saved: list = []
         if not self.children[x]:
             return saved
         self.excess -= 1
-        self.instantiate(self.children[x], saved)
+        self.instantiate(self.children[x], kept, saved)
         old, parents = self.component[x], self.parents
         key = (old, *[parents[v] for v in old])
         parts = self.splits.get(key)
@@ -700,33 +737,48 @@ class _Walk:
         self.assign(parts)
         return saved
 
-    def weight(self, part: frozenset) -> tuple:
-        """``part``'s belief vector at the target if it holds the target,
-        else its total weight, with its power-of-two exponent."""
-        key = (part, self.seen(part))
-        hit = self.weights.get(key)
-        if hit is None:
-            target = self.target
-            root = target if target in part else min(part)
-            vec, exponent, count = _solve_component(
-                root, self.parents, self.children, self.tables, self.ind, self.bound
+    def weight(self, part: frozenset) -> list:
+        """For each member, ``part``'s belief vector at the target, a list, if
+        it holds the target, else its total weight, with its power-of-two
+        exponent.  The members whose keys miss the memo are solved together,
+        one per key, each watched family's table and bound cutset indicator
+        stacked on a leading member axis."""
+        memo, rows, (_, pick, watched, marked) = self.weights, self.rows, self.seen(part)
+        hits = [memo.get((part, pick(row))) for row in rows]
+        if None not in hits:
+            return hits
+        keys = [(part, pick(row)) for row in rows]
+        todo = {key: row for key, row in zip(keys, rows) if key not in memo}
+        rows, families, pickers = list(todo.values()), self.families, self.pickers
+        tables, ind = self.tables[:], self.ind[:]
+        for v in watched:
+            tables[v] = _stacked(
+                [(families.get((v, pickers[v](row))) or self.family(v, row))[1] for row in rows]
             )
-            self.messages += count
-            if root != target:
-                mantissa, shift = math.frexp(float(vec.sum()))
-                vec, exponent = mantissa, exponent + shift
-            hit = self.weights[key] = (vec, exponent)
-        return hit
+        for v in marked:
+            if rows[0][v]:
+                ind[v] = _stacked([self.units[len(self.values[v])][row[v] - 1] for row in rows])
+        root = self.target if self.target in part else min(part)
+        vec, shifts, n = _solve_component(root, self.parents, self.children, tables, ind, rows[0])
+        self.messages += n * len(rows)
+        # a result without a member axis is every member's
+        vecs = vec.tolist() if vec.ndim > 1 else [vec.tolist()] * len(rows)
+        exps = shifts.tolist() if isinstance(shifts, np.ndarray) else [shifts] * len(rows)
+        for key, vec, exponent in zip(todo, vecs, exps):
+            if root != self.target:
+                vec, shift = math.frexp(sum(vec))
+                exponent += shift
+            memo[key] = vec, exponent
+        return [memo[key] for key in keys]
 
     def settle(self, pending: list, below: frozenset) -> tuple:
         """Weigh each component of ``pending`` disjoint from ``below``, which
         no binding beneath can change; returns the indices whose components
-        are still pending, and the product of the weights: the target's vector
-        (None unless it was weighed), a scale and an exponent.  While a
-        cycle is left, a component that is not a tree stays pending, for
-        the leaf's cycle check."""
+        are still pending, and each member's product of the weights: the
+        target's vector (None unless weighed), a scale and an exponent.  While
+        a cycle is left, a component that is not a tree stays pending."""
         component, target, parents = self.component, self.target, self.parents
-        vec, scale, exponent = None, 1.0, 0
+        factors = [(None, 1.0, 0)] * len(self.rows)
         left, done = [], set()
         for i in pending:
             part = component[i]
@@ -738,134 +790,174 @@ class _Walk:
                 left.append(i)  # every index: a binding beneath may split part
                 continue
             done.add(part)
-            weight, shift = self.weight(part)
-            if target in part:
-                vec, exponent = weight, exponent + shift
-            else:
-                scale, rescale = math.frexp(scale * weight)
-                exponent += shift + rescale
-        return left, vec, scale, exponent
+            out = []
+            for (vec, scale, exponent), (weight, shift) in zip(factors, self.weight(part)):
+                if target in part:
+                    vec, exponent = weight, exponent + shift
+                else:
+                    scale, rescale = math.frexp(scale * weight)
+                    exponent += shift + rescale
+                out.append((vec, scale, exponent))
+            factors = out
+        return left, factors
 
-    def visit(self, tree: "cutset_mod.CutsetTree", pending: list) -> tuple | None:
-        """The sum over ``tree``'s live branches, those that agree with the
-        evidence, of the product of the weights of ``pending``'s components,
-        as ``(value, exponent)``, or None for zero; the value is a vector if
-        the target's component is pending, else a scalar.  A node weighs the
-        components its subtree cannot change once, then adds up its
-        branches (:meth:`branches`); a leaf weighs them all."""
+    def visit(self, tree: "cutset_mod.CutsetTree", pending: list) -> list:
+        """For each member, the sum over ``tree``'s live branches, those that
+        agree with the evidence, of the product of the weights of
+        ``pending``'s components, as ``(value, exponent)``, or None for zero;
+        the value is a list over the target's values if the target's
+        component is pending, else a scalar.  A node weighs the components
+        its subtree cannot change once, then adds up its branches
+        (:meth:`branches`); a leaf weighs them all.  A node's sum depends
+        only on the node, ``excess`` (so a hit skips no leaf that would find
+        a cycle) and the components that are pending or hold a variable its
+        subtree tests, each with the values the member binds on what it
+        sees; it is memoized on those, the components ordered by id, and one
+        member per key that misses descends."""
+        self.visits += 1
         if isinstance(tree, cutset_mod.EmptyLeaf):
             if self.excess:
                 raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-            _, vec, scale, exponent = self.settle(pending, frozenset())
-            total = (1.0, 0)
+            _, factors = self.settle(pending, frozenset())
+            totals = [(1.0, 0)] * len(factors)
         else:
-            pending, vec, scale, exponent = self.settle(pending, self.below[id(tree)])
-            total = self.branches(tree, pending)
-            if total is None:
-                return None
-        value, shift = total
-        value = value * scale if vec is None else vec * (value * scale)
-        if isinstance(value, np.ndarray):
-            value, rescale = _scaled(value)
-            if not value.any():
-                return None
-        else:
-            value, rescale = math.frexp(value)
-            if not value:
-                return None
-        return value, exponent + shift + rescale
+            component, below, rows = self.component, self.below[id(tree)], self.rows
+            pending, factors = self.settle(pending, below)
+            parts = {component[i] for i in pending}.union(component[x] for x in below)
+            head = (id(tree), self.excess, *sorted(parts, key=id))
+            pick = self.sum_pickers.get(head[2:])
+            if pick is None:
+                sees = [x for part in head[2:] for x in self.seen(part)[0]]
+                pick = self.sum_pickers[head[2:]] = _picker(sees)
+            keys = [(head, pick(row)) for row in rows]
+            todo = {key: row for key, row in zip(keys, rows) if key not in self.sums}
+            if todo:
+                self.rows = list(todo.values())
+                self.sums.update(zip(todo, self.branches(tree, pending)))
+                self.rows = rows
+            totals = [self.sums[key] for key in keys]
+        out = []
+        for (vec, scale, exponent), total in zip(factors, totals):
+            if total is not None:
+                value, shift = total
+                if vec is not None:  # the target's vector, weighed here
+                    value, scale = vec, value * scale
+                vector = isinstance(value, list)
+                # scaling by a positive number keeps the largest entry largest
+                peak, rescale = math.frexp((max(value) if vector else value) * scale)
+                value = [math.ldexp(v * scale, -rescale) for v in value] if vector else peak
+                total = (value, exponent + shift + rescale) if peak else None
+            out.append(total)
+        return out
 
-    def branches(self, tree: "cutset_mod.CutsetNode", pending: list) -> tuple | None:
-        """The sum of :meth:`visit` over ``tree``'s live branches, each
-        binding its value of the tested variable, in canonical order.
-
-        It depends only on the node, ``excess``, and the components that are
-        pending or hold a variable the node's subtree tests, each with the
-        values it sees, so it is memoized for the query on those; the
-        components are one object each per query, so their ids order them.
-        ``excess`` in the key keeps a hit from skipping a leaf that would
-        find a cycle."""
-        component, below = self.component, self.below[id(tree)]
-        parts = {component[i] for i in pending}.union(component[x] for x in below)
-        key = (id(tree), self.excess, *[(part, self.seen(part)) for part in sorted(parts, key=id)])
-        if key in self.sums:
-            return self.sums[key]
-        x, bound, total = self.index[tree.test], self.bound, None
+    def branches(self, tree: "cutset_mod.CutsetNode", pending: list) -> list:
+        """For each member, the sum of :meth:`visit` over ``tree``'s live
+        branches, each binding its value of the tested variable ``x``, added
+        in canonical branch order.  The branches that reach one child node
+        and leave ``x``'s children the same kept parents are one batch, bound
+        and visited once."""
+        x, rows = self.index[tree.test], self.rows
+        children, around, members, groups, kept = self.children[x], self.around[x], [], {}, {}
         for arc_values, child in tree.arcs:
             for value in arc_values:
                 k = self.values[x].index(value)
-                if bound[x] not in (0, k + 1):  # the evidence binds x otherwise
+                if rows[0][x] not in (0, k + 1):  # the evidence binds x otherwise
                     continue
-                excess, saved = self.excess, self.bind(x, k)
-                term = self.visit(child, pending + [x])
-                self.excess = excess
-                for store, i, old in reversed(saved):
-                    store[i] = old
-                if term is None:
-                    continue
-                if total is None:
-                    total = term
+                for row in rows:
+                    row = row[:]
+                    row[x] = k + 1
+                    # x's children keep the same parents where their other ones agree
+                    key = (k, around(row))
+                    if key not in kept:
+                        kept[key] = tuple([self.family(c, row)[0] for c in children])
+                    groups.setdefault((id(child), kept[key]), (child, []))[1].append(len(members))
+                    members.append(row)
+        terms = [None] * len(members)
+        for (_, kept), (child, batch) in groups.items():
+            self.rows = [members[i] for i in batch]
+            excess, saved = self.excess, self.bind(x, kept)
+            for i, term in zip(batch, self.visit(child, pending + [x])):
+                terms[i] = term
+            self.excess = excess
+            for store, i, old in reversed(saved):
+                store[i] = old
+        self.rows = rows
+        totals = []
+        for m in range(len(rows)):
+            total = None
+            for term in terms[m :: len(rows)]:  # the member's branches in order
+                if term is None or total is None:
+                    total = total or term
                     continue
                 # align the smaller exponent's value to the larger
                 (a, a_exp), (b, b_exp) = total, term
                 if a_exp < b_exp:
                     (a, a_exp), (b, b_exp) = term, total
-                ldexp = np.ldexp if isinstance(b, np.ndarray) else math.ldexp
-                total = a + ldexp(b, b_exp - a_exp), a_exp
-        self.sums[key] = total
-        return total
+                if isinstance(b, list):
+                    total = [x + math.ldexp(y, b_exp - a_exp) for x, y in zip(a, b)], a_exp
+                else:
+                    total = a + math.ldexp(b, b_exp - a_exp), a_exp
+            totals.append(total)
+        return totals
 
 
 def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
     """Posterior by conditioning on the branches of a conditional cutset.
 
     One private ``_Walk`` object copies the network's cached compiled form
-    (integer-indexed parents, CPT arrays) and instantiates the evidence in
-    place, by the same per-family step that instantiates cutset branches;
-    then it finds the connected components.  That step's kept parents and
-    table for a family depend only on the values bound on its declared
-    parents, so they are memoized on the network and a binding met before,
-    in this query or an earlier one, reduces no tree.  A depth-first walk of
-    the cutset tree instantiates each arc value in place and undoes it on
-    the way back.  Binding ``X`` removes arcs only inside ``X``'s component,
-    so only that component is split again, once per query for each set of
-    arcs left inside it; a count of the arcs beyond a spanning forest tells
-    a leaf whether a cycle is left.
+    and instantiates the evidence in place, by the per-family step that
+    instantiates cutset branches too: a family's kept parents and table
+    depend only on the values bound on its declared parents, so they are
+    memoized on the network.  A depth-first walk of the cutset tree binds
+    each arc value in place and undoes it on the way back.  Binding ``X``
+    removes arcs only inside ``X``'s component, so only that component is
+    split again, once per query for each set of arcs left inside it; a count
+    of the arcs beyond a spanning forest tells a leaf whether a cycle is left.
+
+    The walk moves branches in batches.  The values of a tested variable
+    that lead to one child node (a grouped arc such as ``={t,f}``, or a flat
+    cutset's shared child) and leave its children the same kept parents are
+    bound together and walk that child once; a value whose kept parents
+    differ forms its own batch, so a batch of one is the plain walk.  A
+    batch shares its arcs and components, and each component is solved once
+    for all the members that need it, their tables stacked on a leading
+    member axis.  Two rules keep this exact and bounded: before a batch
+    descends into a subtree, its members are deduplicated on the values that
+    subtree can see, so it never holds more members than the unbatched walk
+    would visit there; and every member carries its own power-of-two
+    exponent.
 
     A branch's weight is the target component's belief vector times the
     total weight of every other component holding an evidence or bound
-    variable (one without sums to 1).  This is recursive conditioning
-    (Darwiche, AIJ 126, 2001).  Its decomposition: a component that holds
-    none of the variables a cutset subtree can still bind keeps its weight
-    throughout that subtree, so the subtree returns the sum of its branches
-    over the other components alone, and its root multiplies that sum by
-    the component's weight once.  A component that is not a tree stays
-    pending, for the leaf's cycle check.  Its caching: each component weight
-    is solved once per query for each binding it can see -- the values
-    bound on its nodes and on their parents once the evidence is
-    instantiated -- and each subtree sum is computed once per query for
-    each distinct node, cycle count and state of the components it can see
-    or change.  The cutset builder shares equal subtrees, so equal subtrees
-    under different branches share their sums too.  Sums and weights carry
-    power-of-two exponents, so tiny evidence probabilities do not underflow,
-    and a node adds its branches in canonical branch order.  A branch
+    variable; this is recursive conditioning (Darwiche, AIJ 126, 2001).  A
+    component that holds none of the variables a subtree can still bind is
+    weighed once, at the subtree's root; one that is not a tree stays
+    pending, for the leaf's cycle check.  Each component weight is solved
+    once per query for each binding it can see -- the values bound on its
+    nodes and on their parents once the evidence is instantiated -- and each
+    subtree sum once per distinct node, cycle count and state of the
+    components it can see or change, so equal subtrees, which the builder
+    shares, share their sums.  Sums and weights carry power-of-two
+    exponents, so tiny evidence probabilities do not underflow, and each
+    member adds its branches in canonical branch order.  A branch
     contradicting evidence on a cutset variable weighs 0 and is skipped.
     ``evaluations`` counts every branch and ``messages_computed`` the
-    messages actually solved.  ``stats`` holds the sizes of the per-query
-    memos -- ``subtree_sums``, ``component_weights`` and ``split_keys`` --
-    and ``partitions``, the component searches run: one for the
-    instantiated evidence, then one per split-memo miss.  Raises
-    :class:`NotSinglyConnectedError` when a branch leaves a cycle.
+    messages solved, one per member of a batched solve.  ``stats`` holds the
+    sizes of the per-query memos (``subtree_sums``, ``component_weights``
+    and ``split_keys``), ``partitions``, the component searches run (one for
+    the instantiated evidence, then one per split-memo miss), and
+    ``visits``, the cutset-tree nodes and leaves visited, once per batch.
+    Raises :class:`NotSinglyConnectedError` when a branch leaves a cycle.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)
-    total = walk.visit(ct, walk.pending)
+    total = walk.visit(ct, walk.pending)[0]
     weights, exponent = (np.zeros(len(walk.values[walk.target])), 0) if total is None else total
     stats = MappingProxyType({
         "subtree_sums": len(walk.sums),
         "component_weights": len(walk.weights),
         "split_keys": len(walk.splits),
         "partitions": walk.partitions,
+        "visits": walk.visits,
     })
-    evaluations = cutset_mod.count_branches(ct)
-    return _finish([float(w) for w in weights], evaluations, exponent, walk.messages, stats)
+    return _finish([float(w) for w in weights], walk.evaluations, exponent, walk.messages, stats)

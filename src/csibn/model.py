@@ -204,6 +204,7 @@ class Network:
         self._compiled = None  # inference._compile
         self._triangulation = None  # transform.triangulation
         self._clique_tree = None  # inference.variable_elimination
+        self._cutset_walk = None  # inference._Walk, for the last cutset tree
         self._kept_parents = None  # csi._kept_parents
 
     # -- structure accessors -------------------------------------------------
@@ -308,14 +309,6 @@ def tree_size(cpt: Cpt) -> int:
     if isinstance(cpt, Leaf):
         return 1
     return sum(tree_size(sub) for _, sub in cpt.branches)
-
-
-def tree_leaves(tree: CptTree) -> Iterator[Leaf]:
-    if isinstance(tree, Leaf):
-        yield tree
-    else:
-        for _, sub in tree.branches:
-            yield from tree_leaves(sub)
 
 
 def tree_tested_vars(tree: CptTree) -> set[str]:

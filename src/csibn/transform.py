@@ -29,7 +29,6 @@ from .model import (
     table_to_tree,
 )
 from . import graphs
-from .csi import instantiate_family
 
 
 def is_full_tree(tree: CptTree) -> bool:
@@ -39,15 +38,17 @@ def is_full_tree(tree: CptTree) -> bool:
     return _shape(tree)[1] is not None
 
 
-def _shape(tree: CptTree) -> tuple[int, tuple[str, ...] | None]:
-    """The tree's leaf count and the variables each of its root-to-leaf
-    paths tests, in order, or None when two paths differ."""
+def _shape(tree: CptTree) -> tuple[int, tuple[str, ...] | None, frozenset[str]]:
+    """The tree's leaf count, the variables each of its root-to-leaf paths
+    tests, in order, or None when two paths differ, and the variables it
+    tests, all from one walk."""
     if isinstance(tree, Leaf):
-        return 1, ()
+        return 1, (), frozenset()
     shapes = [_shape(sub) for _, sub in tree.branches]
-    sigs = {sig for _, sig in shapes}
+    sigs = {sig for _, sig, _ in shapes}
     sig = (tree.test,) + sigs.pop() if len(sigs) == 1 and None not in sigs else None
-    return sum(size for size, _ in shapes), sig
+    tested = frozenset([tree.test]).union(*[t for _, _, t in shapes])
+    return sum(size for size, _, _ in shapes), sig, tested
 
 
 @dataclass(frozen=True)
@@ -71,13 +72,6 @@ class DecompositionReport:
 def _conditional_name(base: str, test: str, value: str) -> str:
     sep = "," if "@" in base else "@"
     return f"{base}{sep}{test}={value}"
-
-
-def decompose_node(net: Network, x: str) -> Network:
-    net.node(x)  # an unknown name raises the network's KeyError
-    parts = _Parts(net)
-    parts.split(x)
-    return parts.network()
 
 
 class _Parts:
@@ -115,12 +109,15 @@ class _Parts:
         x_values, selector = variables[x].values, tree.test
         cond_summary: list[tuple[str, tuple[str, ...], int]] = []
         unfinished: list[str] = []
-        for value, _ in tree.branches:
+        for value, subtree in tree.branches:
             name = _conditional_name(x, selector, value)
             if name in variables:
                 raise ValueError(f"decomposition name collision: {name!r} already declared")
-            subtree, parents = instantiate_family(tree, spec.parents, {selector: value})
-            size, sig = _shape(subtree)
+            # validate forbids a path that tests the selector twice, so the
+            # branch is the tree reduced by selector=value, and its tested
+            # parents are the ones the conditional node keeps
+            size, sig, tested = _shape(subtree)
+            parents = tuple(p for p in spec.parents if p in tested)
             variables[name] = Variable(name, x_values)
             specs[name] = NodeSpec(name, parents, subtree)
             cond_summary.append((name, parents, size))

@@ -14,7 +14,7 @@ import pytest
 
 from typing import Mapping
 
-from csibn import fixtures
+from csibn import fixtures, transform
 from csibn.inference import joint_probability
 from csibn.model import (
     CptTree,
@@ -69,6 +69,24 @@ def oracle_has_undirected_cycle(adj: dict) -> bool:
         if edges >= len(comp):
             return True
     return False
+
+
+def tree_leaves(tree: CptTree):
+    """The tree's leaves, left to right."""
+    if isinstance(tree, Leaf):
+        yield tree
+    else:
+        for _, sub in tree.branches:
+            yield from tree_leaves(sub)
+
+
+def decompose_node(net: Network, x: str) -> Network:
+    """``net`` with the one node ``x`` split, by the step that
+    ``decompose_network`` repeats."""
+    net.node(x)  # an unknown name raises the network's KeyError
+    parts = transform._Parts(net)
+    parts.split(x)
+    return parts.network()
 
 
 def moral_adjacency(net: Network) -> dict[str, set[str]]:

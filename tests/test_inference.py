@@ -409,13 +409,15 @@ PINNED_STATS = {
 
 
 # the cutset walk's counters (subtree_sums, component_weights, split_keys,
-# partitions) for the same queries; fig2 and fig3 get the empty cutset
+# partitions, visits) for the same queries; fig2 and fig3 get the empty
+# cutset.  fig1's tree is U -> {t}: leaf, {f}: V={t,f} -> W={t,f} -> leaf:
+# one batch each for V's and W's values makes 5 visits (9 unbatched)
 PINNED_WALK = {
-    "fig1": dict.fromkeys(("S", "U", "V", "W", "X", "Z"), (4, 9, 4, 5)),
-    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (0, 1, 0, 1)),
-    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (0, 1, 0, 1)),
+    "fig1": dict.fromkeys(("S", "U", "V", "W", "X", "Z"), (4, 9, 4, 5, 5)),
+    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (0, 1, 0, 1, 1)),
+    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (0, 1, 0, 1, 1)),
 }
-WALK_COUNTERS = ("subtree_sums", "component_weights", "split_keys", "partitions")
+WALK_COUNTERS = ("subtree_sums", "component_weights", "split_keys", "partitions", "visits")
 
 
 class TestStats:
@@ -570,6 +572,20 @@ class TestCutsetInfer:
         broken = CutsetNode(auto.test, (t_arc,) if arcs == "missing" else (t_arc, f_arc, f_arc))
         with pytest.raises(ValueError, match="not for each of"):
             cutset_infer(fig1, Query("Z", Context()), broken)
+
+    def test_tree_parts_kept_for_the_last_tree_only(self, fig1):
+        # the network keeps a tree's below-sets, arc check and branch count
+        # for the last tree queried: each other tree is checked and counted
+        # afresh, and a rejected one leaves the kept parts as they were
+        auto = build_conditional_cutset(fig1)
+        flat = flat_cutset(fig1, ["U", "V", "W"])
+        broken = CutsetNode(auto.test, auto.arcs[:1])
+        q = Query("Z", Context())
+        for tree, evaluations in ((auto, 5), (flat, 8), (auto, 5)):
+            assert cutset_infer(fig1, q, tree).evaluations == evaluations
+            with pytest.raises(ValueError, match="not for each of"):
+                cutset_infer(fig1, q, broken)
+            assert fig1._cutset_walk[0] is tree
 
     def test_built_and_flat_trees_accepted(self, fig1):
         rng = np.random.default_rng(7)
@@ -778,8 +794,15 @@ class TestCutsetInfer:
                 posteriors_close(solve_singly_connected(net, q), want)
                 posteriors_close(cutset_infer(net, q, tree), want)
 
-    def test_component_solved_once_per_binding_it_sees(self):
+    def test_component_solved_once_per_binding_it_sees(self, monkeypatch):
         net = two_loops_net()
+        solves = []
+        solve = inference._solve_component
+        monkeypatch.setattr(
+            inference,
+            "_solve_component",
+            lambda *args: solves.append(solve(*args)) or solves[-1],
+        )
         q = Query("A1", Context({"C1": "t", "C2": "f"}))
         got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
         posteriors_close(got, query_enumerate(net, q))
@@ -787,21 +810,144 @@ class TestCutsetInfer:
         # each path is solved for the 2 values of its own Xi, by 2 messages
         # (solving it at each of the 4 leaves would take 16); {Xi} takes none
         assert got.messages_computed == 2 * 2 * 2
+        # and both values of Xi are one batch, so each path is solved by one
+        # call, with a row per value ({Xi}, without arcs, by one call of no
+        # message)
+        calls = sorted((len(vec), count) for vec, _, count in solves)
+        assert calls == [(2, 0), (2, 0), (2, 2), (2, 2)]
 
     def test_subtree_sum_reused_across_branches(self, monkeypatch):
-        # binding X1 leaves the X2 loop as it was, so the X2 node's sum under
-        # X1=f is the one computed under X1=t: X2 is not bound again
+        # binding X1 leaves the X2 loop as it was, so both of X1's values
+        # see one state at the X2 node: one of them descends, and X2 is bound
+        # once, for its two values together
         net = two_loops_net()
         binds = []
         bind = inference._Walk.bind
         monkeypatch.setattr(
-            inference._Walk, "bind", lambda walk, x, k: binds.append(x) or bind(walk, x, k)
+            inference._Walk,
+            "bind",
+            lambda walk, x, kept: binds.append((x, len(walk.rows))) or bind(walk, x, kept),
         )
         q = Query("A1", Context({"C1": "t", "C2": "f"}))
         got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
         posteriors_close(got, query_enumerate(net, q))
-        assert len(binds) == 4  # X1=t, X2=t, X2=f, X1=f (6 without the reuse)
+        x1, x2 = (net.var_names.index(v) for v in ("X1", "X2"))
+        # unbatched: X1=t, X2=t, X2=f, X1=f, and X2 twice more without the reuse
+        assert binds == [(x1, 2), (x2, 2)]
+        assert got.stats["visits"] == 3  # the X1 node, the X2 node and the leaf
         assert got.messages_computed == 2 * 2 * 2
+
+    def test_batch_splits_where_kept_parents_differ(self):
+        # C tests Y first, then X only under Y=t, and A unless X=t and Y=t:
+        # both values of X keep C's parents (Y, A), so they are one batch at
+        # the Y node, where (X=t, Y=t) drops A and the other three keep it,
+        # and with it the loop A -> C, A -> D, C -> D that binding A breaks:
+        # the batch splits in two, each of which visits the A node and a leaf
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        on = lambda var, a, b: Node(var, (("t", leaf(a)), ("f", leaf(b))))
+        c_tree = Node(
+            "Y",
+            (
+                ("t", Node("X", (("t", leaf(0.85)), ("f", on("A", 0.3, 0.6))))),
+                ("f", on("A", 0.45, 0.1)),
+            ),
+        )
+        net = Network(
+            tuple(Variable(v, ("t", "f")) for v in "XYACD"),
+            (
+                NodeSpec("X", (), leaf(0.35)),
+                NodeSpec("Y", (), leaf(0.6)),
+                NodeSpec("A", (), leaf(0.25)),
+                NodeSpec("C", ("X", "Y", "A"), c_tree),
+                NodeSpec(
+                    "D", ("A", "C"), Node("A", (("t", on("C", 0.9, 0.2)), ("f", on("C", 0.4, 0.7))))
+                ),
+            ),
+        )
+        tree = flat_cutset(net, ["X", "Y", "A"])
+        for target in "XYACD":
+            for ev in ({}, {"D": "t"}, {"C": "f", "D": "t"}, {"A": "f"}):
+                if target in ev:
+                    continue
+                q = Query(target, Context(ev))
+                got = cutset_infer(net, q, tree)
+                posteriors_close(got, query_enumerate(net, q))
+                if not ev:
+                    assert got.stats["visits"] == 6  # 4 without the split
+
+    def test_members_stay_few_on_a_long_chain(self, monkeypatch):
+        # a flat cutset over every variable of a chain has 2**300 branches;
+        # each node sees only the value above it, so a batch keeps at most
+        # two members, which bind the next variable to each of its values,
+        # and each node is visited once.  The spy is on bind, which returns
+        # before the walk recurses, so it adds no frame to the 600 it takes
+        net = binary_chain(300, stay=0.7, leave=0.2)
+        names = net.var_names
+        tree = flat_cutset(net, names)
+        bind = inference._Walk.bind
+
+        def bounded(walk, x, kept):
+            assert len(walk.rows) <= 4
+            return bind(walk, x, kept)
+
+        monkeypatch.setattr(inference._Walk, "bind", bounded)
+        for q in (Query("V299", Context({"V0": "t"})), Query("V150", Context({"V299": "f"}))):
+            got = cutset_infer(net, q, tree)
+            want = variable_elimination(net, q)
+            assert got.evaluations == 2**300
+            np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, atol=1e-9)
+            assert got.log_evidence_probability == pytest.approx(
+                want.log_evidence_probability, rel=1e-9
+            )
+            assert got.stats["visits"] == len(names) + 1
+
+    def test_each_member_keeps_its_own_exponent(self):
+        # two evidence chains hang off X: hidden chains A0 -> A1 -> ... and
+        # B0 -> B1 -> ..., each link also a child of X, each with an
+        # observed child.  Chain A's hidden variables are almost surely f
+        # under X=f, where each observation is about 2**-18 as likely as
+        # under X=t, and chain B the other way, so in the batch of X's two
+        # values each chain's weights lie about 2**1100 apart, in opposite
+        # directions.  One exponent for both members would flush one member
+        # of each chain to 0, and the product of every member to 0.
+        # Variable elimination shares one exponent per message over X, so the
+        # reference conditions it on each value of X in turn
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        n, tiny = 60, 2.0**-20
+        variables, nodes = [Variable("X", ("t", "f"))], [NodeSpec("X", (), leaf(0.5))]
+        for chain, likely in (("A", "t"), ("B", "f")):
+            for i in range(n):
+                name, above = f"{chain}{i}", f"{chain}{i - 1}"
+                on = {likely: (0.95, 0.9), ("f" if likely == "t" else "t"): (2 * tiny, tiny)}
+                step = {
+                    x: Node(above, (("t", leaf(a)), ("f", leaf(b)))) if i else leaf(a)
+                    for x, (a, b) in on.items()
+                }
+                variables += [Variable(name, ("t", "f")), Variable(name + "e", ("t", "f"))]
+                nodes += [
+                    NodeSpec(
+                        name,
+                        ("X", above) if i else ("X",),
+                        Node("X", (("t", step["t"]), ("f", step["f"]))),
+                    ),
+                    NodeSpec(
+                        name + "e", (name,), Node(name, (("t", leaf(0.9)), ("f", leaf(tiny))))
+                    ),
+                ]
+        net = Network(tuple(variables), tuple(nodes))
+        evidence = {spec.var: "t" for spec in nodes if spec.var.endswith("e")}
+        got = cutset_infer(net, Query("X", Context(evidence)), flat_cutset(net, ["X"]))
+        joint = [
+            variable_elimination(net, Query("A0", Context({**evidence, "X": x})))
+            .log_evidence_probability
+            for x in ("t", "f")
+        ]
+        top = max(joint)
+        total = top + math.log(sum(math.exp(j - top) for j in joint))
+        want = tuple(math.exp(j - total) for j in joint)
+        np.testing.assert_allclose(got.posterior.probs, want, atol=1e-9)
+        assert got.log_evidence_probability == pytest.approx(total, rel=1e-9)
+        assert total < -1100 * math.log(2)
 
     @pytest.mark.parametrize("x1_values", [("t", "f"), ("f", "t")])
     def test_reused_subtree_sum_never_hides_a_cycle(self, x1_values):

@@ -20,13 +20,12 @@ from csibn.model import (
     parent_assignments,
     row_index,
     table_to_tree,
-    tree_leaves,
     tree_lookup,
     tree_size,
     tree_tested_vars,
 )
 
-from conftest import chain_net, windowed_net
+from conftest import chain_net, tree_leaves, windowed_net
 
 
 def mini_doc():

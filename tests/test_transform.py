@@ -22,13 +22,19 @@ from csibn.model import (
 from csibn.transform import (
     clique_report,
     decompose_network,
-    decompose_node,
     is_full_tree,
     moral_graph,
     triangulation,
 )
 
-from conftest import chain_net, full_joint_tensor, moral_adjacency, random_tree_net, windowed_net
+from conftest import (
+    chain_net,
+    decompose_node,
+    full_joint_tensor,
+    moral_adjacency,
+    random_tree_net,
+    windowed_net,
+)
 
 
 def marginal_onto(net: Network, names) -> np.ndarray:

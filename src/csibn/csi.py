@@ -77,7 +77,8 @@ def reduce_network(net: Network, assignment: Mapping[str, str]) -> Network:
     Every family is instantiated by :func:`instantiate_family`, its parent
     list shrinking to the kept parents.  Instantiated variables stay in the
     network as nodes (their own CPTs reduced likewise); only their outgoing
-    arcs disappear, which is the form the singly-connected solver consumes.
+    arcs disappear.  No engine calls it: the engines instantiate families in
+    place on their compiled form, by the same per-family step.
     """
     replacements: dict[str, NodeSpec] = {}
     for spec in net.nodes:

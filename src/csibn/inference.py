@@ -26,15 +26,16 @@ object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, instantiated in place by one per-family
 step whose result -- kept parents and table -- depends only on the values
 bound on the family's declared parents and is memoized on the network.  The
-walk moves a batch of branches at once: the values of a tested variable
-that reach one child node and leave its children the same kept parents
-share one visit, its arcs and components, and one solve per component, the
-members' tables stacked on a leading axis.  Before a batch descends into a
-subtree its members are deduplicated on what the subtree can see, and each
-member keeps its own power-of-two exponent.  A component that no binding
-below a cutset-tree node can change is weighed once, at that node, and each
-subtree sum is computed once per query for each state of the components it
-can see, so equal subtrees, which the cutset builder shares, share it.
+walk moves a batch of branches at once, one frame per cutset-tree level: the
+values of a tested variable that reach one child node and leave its children
+the same kept parents share one visit, its arcs and components, and one
+solve per component, the members' tables stacked on a leading axis.  Before
+a batch descends into a subtree its members are deduplicated on what the
+subtree can see, and each member keeps its own power-of-two exponent.  A
+component that no binding below a cutset-tree node can change is weighed
+once, at that node, and each subtree sum is computed once per query for each
+state of the components it can see, so equal subtrees, which the cutset
+builder shares, share it.
 """
 
 from __future__ import annotations
@@ -549,11 +550,12 @@ class _Walk:
     instantiated in place by the evidence and then along a depth-first walk
     of the cutset tree, both by one per-family step, :meth:`family`.
 
-    It moves a *batch* of branches at once: ``rows`` holds each member's
-    bound values by variable (1 + value index, or 0), and the members bind
-    the same variables and leave every family the same kept parents, so the
-    arcs, the connected components and ``excess`` (arcs minus nodes plus
-    components, 0 exactly when every component is a tree) are the batch's.
+    It moves a *batch* of branches at once, one :meth:`visit` frame per
+    cutset-tree level.  A batch's ``rows`` hold each member's bound values by
+    variable (1 + value index, or 0), and its members bind the same variables
+    and leave every family the same kept parents, so the arcs, the connected
+    components and ``excess`` (arcs minus nodes plus components, 0 exactly
+    when every component is a tree) are the batch's.
     Tables and indicators are read per member where a component is solved
     (:meth:`weight`).  It holds its own copies of the compiled parents and
     children, restored from the undo record; the network keeps the
@@ -561,8 +563,7 @@ class _Walk:
     the last tree queried.  Two per-query memos are keyed, member by member,
     on a component and the values bound on the cutset variables it sees
     (:meth:`seen`), which fix the arcs and tables inside it: its weight and,
-    with a cutset-tree node and ``excess``, the node's subtree sum.  A third
-    holds each split component's parts, keyed on its nodes' kept parents.
+    with a cutset-tree node and ``excess``, the node's subtree sum.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
@@ -576,18 +577,18 @@ class _Walk:
         self.units = {n: tuple(np.eye(n)) for n in {len(vs) for vs in values}}
         ones = {n: np.ones(n) for n in self.units}  # read only, so shared
         self.ind = [ones[len(vs)] for vs in values]
-        self.rows = [[0] * len(names)]  # one member, bound by the evidence alone
+        self.evidence = [0] * len(names)  # the one member before any binding
         self.target = index[query.target]
         # components still to weigh: the target's, then the evidence's
         self.pending = [self.target] + [index[v] for v in sorted(query.evidence)]
         for x in self.pending[1:]:
             k = values[x].index(query.evidence[names[x]])
-            self.ind[x], self.rows[0][x] = self.units[len(values[x])][k], k + 1
+            self.ind[x], self.evidence[x] = self.units[len(values[x])][k], k + 1
         # every family, evidence-free ones too: a declared parent its tree
         # never tests drops here
         self.excess = sum(map(len, parents)) - len(names)
         self.pickers = [_picker(family) for family in parents]
-        hits = [self.family(c, self.rows[0]) for c in range(len(names))]
+        hits = [self.family(c, self.evidence) for c in range(len(names))]
         self.instantiate(range(len(names)), [kept for kept, _ in hits], [])
         self.tables = [table for _, table in hits]  # under the evidence alone
         self.reduced_children = tuple(self.children)
@@ -609,18 +610,17 @@ class _Walk:
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
         self.partitions = 0  # component searches run
-        self.assign(self.partition(range(len(names))))
+        self.partition(range(len(names)))
         self.sees: dict[frozenset, tuple] = {}
-        self.sum_pickers: dict[tuple, object] = {}  # per subtree-sum key's components
         self.weights: dict[tuple, tuple] = {}
-        self.splits: dict[tuple, tuple] = {}
         self.sums: dict[tuple, tuple] = {}
         self.messages = self.visits = 0
 
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
         """The indices of the variables ``tree`` tests, recorded in ``below``
         by ``id``, once per distinct node.  Raises ``ValueError`` unless each
-        node's arcs cover its test's values, each once."""
+        node's arcs cover its test's values, each once, and no node's test is
+        tested again beneath it, where a batch would hold both its values."""
         below = self.below
         for node in cutset_mod._distinct_nodes(tree):
             if isinstance(node, cutset_mod.EmptyLeaf):
@@ -633,15 +633,19 @@ class _Walk:
                     f"cutset node {node.test!r} has arcs for {covered}, "
                     f"not for each of {list(self.values[x])} once"
                 )
-            below[id(node)] = frozenset([x]).union(*(below[id(child)] for _, child in node.arcs))
+            beneath = frozenset().union(*(below[id(child)] for _, child in node.arcs))
+            if x in beneath:
+                raise ValueError(f"cutset node {node.test!r} is tested again beneath itself")
+            below[id(node)] = beneath | {x}
         return below[id(tree)]
 
-    def partition(self, nodes) -> tuple[frozenset, ...]:
-        """The connected components of ``nodes`` under the current arcs, each
-        one object per query, however often it recurs."""
-        parents, children, interned = self.parents, self.children, self.interned
+    def partition(self, nodes) -> None:
+        """Make each connected component of ``nodes`` under the current arcs
+        its nodes' component, one object per query however often it recurs,
+        counting each in ``excess``."""
+        parents, children, component = self.parents, self.children, self.component
         self.partitions += 1
-        left, parts = set(nodes), []
+        left = set(nodes)
         while left:
             part = [left.pop()]
             for v in part:
@@ -650,15 +654,8 @@ class _Walk:
                         left.remove(w)
                         part.append(w)
             part = frozenset(part)
-            parts.append(interned.setdefault(part, part))
-        return tuple(parts)
-
-    def assign(self, parts: tuple) -> None:
-        """Make each of ``parts`` its nodes' component, counting each in
-        ``excess``."""
-        component = self.component
-        self.excess += len(parts)
-        for part in parts:
+            part = self.interned.setdefault(part, part)
+            self.excess += 1
             for v in part:
                 component[v] = part
 
@@ -720,41 +717,30 @@ class _Walk:
         ``kept``; returns the undo record (``excess`` is the caller's to
         restore).  Each child of ``x`` loses the arc from ``x`` and every
         other arc its reduced tree no longer needs.  Every dropped arc lies
-        in ``x``'s component, which is then split again; its parts depend
-        only on it and its nodes' kept parents, which hold every arc left
-        inside it."""
+        in ``x``'s component, which is then split again."""
         saved: list = []
         if not self.children[x]:
             return saved
         self.excess -= 1
         self.instantiate(self.children[x], kept, saved)
-        old, parents = self.component[x], self.parents
-        key = (old, *[parents[v] for v in old])
-        parts = self.splits.get(key)
-        if parts is None:
-            parts = self.splits[key] = self.partition(old)
         saved.append((self.component, slice(None), self.component[:]))  # all at once
-        self.assign(parts)
+        self.partition(self.component[x])
         return saved
 
-    def weight(self, part: frozenset) -> list:
-        """For each member, ``part``'s belief vector at the target, a list, if
-        it holds the target, else its total weight, with its power-of-two
-        exponent.  The members whose keys miss the memo are solved together,
-        one per key, each watched family's table and bound cutset indicator
-        stacked on a leading member axis."""
-        memo, rows, (_, pick, watched, marked) = self.weights, self.rows, self.seen(part)
-        hits = [memo.get((part, pick(row))) for row in rows]
-        if None not in hits:
-            return hits
+    def weight(self, part: frozenset, rows: list) -> list:
+        """For each member of ``rows``, ``part``'s belief vector at the
+        target, a list, if it holds the target, else its total weight, with
+        its power-of-two exponent.  The members whose keys miss the memo are
+        solved together, one per key, each watched family's table and bound
+        cutset indicator stacked on a leading member axis."""
+        memo, (_, pick, watched, marked) = self.weights, self.seen(part)
         keys = [(part, pick(row)) for row in rows]
         todo = {key: row for key, row in zip(keys, rows) if key not in memo}
-        rows, families, pickers = list(todo.values()), self.families, self.pickers
-        tables, ind = self.tables[:], self.ind[:]
+        if not todo:
+            return [memo[key] for key in keys]
+        rows, tables, ind = list(todo.values()), self.tables[:], self.ind[:]
         for v in watched:
-            tables[v] = _stacked(
-                [(families.get((v, pickers[v](row))) or self.family(v, row))[1] for row in rows]
-            )
+            tables[v] = _stacked([self.family(v, row)[1] for row in rows])
         for v in marked:
             if rows[0][v]:
                 ind[v] = _stacked([self.units[len(self.values[v])][row[v] - 1] for row in rows])
@@ -771,14 +757,15 @@ class _Walk:
             memo[key] = vec, exponent
         return [memo[key] for key in keys]
 
-    def settle(self, pending: list, below: frozenset) -> tuple:
+    def settle(self, pending: list, below: frozenset, rows: list) -> tuple:
         """Weigh each component of ``pending`` disjoint from ``below``, which
         no binding beneath can change; returns the indices whose components
-        are still pending, and each member's product of the weights: the
-        target's vector (None unless weighed), a scale and an exponent.  While
-        a cycle is left, a component that is not a tree stays pending."""
+        are still pending, and, for each member of ``rows``, the product of
+        the weights: the target's vector (None unless weighed), a scale and an
+        exponent.  While a cycle is left, a component that is not a tree
+        stays pending."""
         component, target, parents = self.component, self.target, self.parents
-        factors = [(None, 1.0, 0)] * len(self.rows)
+        factors = [(None, 1.0, 0)] * len(rows)
         left, done = [], set()
         for i in pending:
             part = component[i]
@@ -791,7 +778,7 @@ class _Walk:
                 continue
             done.add(part)
             out = []
-            for (vec, scale, exponent), (weight, shift) in zip(factors, self.weight(part)):
+            for (vec, scale, exponent), (weight, shift) in zip(factors, self.weight(part, rows)):
                 if target in part:
                     vec, exponent = weight, exponent + shift
                 else:
@@ -801,41 +788,79 @@ class _Walk:
             factors = out
         return left, factors
 
-    def visit(self, tree: "cutset_mod.CutsetTree", pending: list) -> list:
-        """For each member, the sum over ``tree``'s live branches, those that
-        agree with the evidence, of the product of the weights of
-        ``pending``'s components, as ``(value, exponent)``, or None for zero;
-        the value is a list over the target's values if the target's
-        component is pending, else a scalar.  A node weighs the components
-        its subtree cannot change once, then adds up its branches
-        (:meth:`branches`); a leaf weighs them all.  A node's sum depends
-        only on the node, ``excess`` (so a hit skips no leaf that would find
-        a cycle) and the components that are pending or hold a variable its
-        subtree tests, each with the values the member binds on what it
+    def visit(self, tree: "cutset_mod.CutsetTree", pending: list, rows: list) -> list:
+        """For each member of the batch ``rows``, the sum over ``tree``'s live
+        branches, those that agree with the evidence, of the product of the
+        weights of ``pending``'s components, as ``(value, exponent)``, or None
+        for zero; the value is a list over the target's values if the target's
+        component is pending, else a scalar.
+
+        A leaf weighs every component.  A node weighs the components its
+        subtree cannot change once, then adds up its branches, each binding its
+        value of the tested variable ``x``, in canonical branch order; the
+        branches that reach one child node and leave ``x``'s children the same
+        kept parents are one batch, bound and visited once.  A node's sum
+        depends only on the node, ``excess`` (so a hit skips no leaf that would
+        find a cycle) and the components that are pending or hold a variable
+        its subtree tests, each with the values the member binds on what it
         sees; it is memoized on those, the components ordered by id, and one
         member per key that misses descends."""
         self.visits += 1
+        component, below, sums = self.component, self.below[id(tree)], self.sums
+        pending, factors = self.settle(pending, below, rows)
         if isinstance(tree, cutset_mod.EmptyLeaf):
             if self.excess:
                 raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-            _, factors = self.settle(pending, frozenset())
-            totals = [(1.0, 0)] * len(factors)
+            totals = [(1.0, 0)] * len(rows)
         else:
-            component, below, rows = self.component, self.below[id(tree)], self.rows
-            pending, factors = self.settle(pending, below)
             parts = {component[i] for i in pending}.union(component[x] for x in below)
             head = (id(tree), self.excess, *sorted(parts, key=id))
-            pick = self.sum_pickers.get(head[2:])
-            if pick is None:
-                sees = [x for part in head[2:] for x in self.seen(part)[0]]
-                pick = self.sum_pickers[head[2:]] = _picker(sees)
+            pick = _picker([x for part in head[2:] for x in self.seen(part)[0]])
             keys = [(head, pick(row)) for row in rows]
-            todo = {key: row for key, row in zip(keys, rows) if key not in self.sums}
+            todo = {key: row for key, row in zip(keys, rows) if key not in sums}
             if todo:
-                self.rows = list(todo.values())
-                self.sums.update(zip(todo, self.branches(tree, pending)))
-                self.rows = rows
-            totals = [self.sums[key] for key in keys]
+                x, members, groups, kept = self.index[tree.test], [], {}, {}
+                children, around = self.children[x], self.around[x]
+                for arc_values, child in tree.arcs:
+                    for value in arc_values:
+                        k = self.values[x].index(value)
+                        if self.evidence[x] not in (0, k + 1):  # the evidence binds x otherwise
+                            continue
+                        for row in todo.values():
+                            row = row[:]
+                            row[x] = k + 1
+                            # x's children keep the same parents where their other ones agree
+                            key = (k, around(row))
+                            if key not in kept:
+                                kept[key] = tuple([self.family(c, row)[0] for c in children])
+                            group = groups.setdefault((id(child), kept[key]), (child, []))
+                            group[1].append(len(members))
+                            members.append(row)
+                terms = [None] * len(members)
+                for (_, kept), (child, batch) in groups.items():
+                    excess, saved = self.excess, self.bind(x, kept)
+                    batch_rows = [members[i] for i in batch]
+                    for i, term in zip(batch, self.visit(child, pending + [x], batch_rows)):
+                        terms[i] = term
+                    self.excess = excess
+                    for store, i, old in reversed(saved):
+                        store[i] = old
+                for m, key in enumerate(todo):
+                    total = None
+                    for term in terms[m :: len(todo)]:  # the member's branches in order
+                        if term is None or total is None:
+                            total = total or term
+                            continue
+                        # align the smaller exponent's value to the larger
+                        (a, a_exp), (b, b_exp) = total, term
+                        if a_exp < b_exp:
+                            (a, a_exp), (b, b_exp) = term, total
+                        if isinstance(b, list):
+                            total = [p + math.ldexp(q, b_exp - a_exp) for p, q in zip(a, b)], a_exp
+                        else:
+                            total = a + math.ldexp(b, b_exp - a_exp), a_exp
+                    sums[key] = total
+            totals = [sums[key] for key in keys]
         out = []
         for (vec, scale, exponent), total in zip(factors, totals):
             if total is not None:
@@ -850,56 +875,6 @@ class _Walk:
             out.append(total)
         return out
 
-    def branches(self, tree: "cutset_mod.CutsetNode", pending: list) -> list:
-        """For each member, the sum of :meth:`visit` over ``tree``'s live
-        branches, each binding its value of the tested variable ``x``, added
-        in canonical branch order.  The branches that reach one child node
-        and leave ``x``'s children the same kept parents are one batch, bound
-        and visited once."""
-        x, rows = self.index[tree.test], self.rows
-        children, around, members, groups, kept = self.children[x], self.around[x], [], {}, {}
-        for arc_values, child in tree.arcs:
-            for value in arc_values:
-                k = self.values[x].index(value)
-                if rows[0][x] not in (0, k + 1):  # the evidence binds x otherwise
-                    continue
-                for row in rows:
-                    row = row[:]
-                    row[x] = k + 1
-                    # x's children keep the same parents where their other ones agree
-                    key = (k, around(row))
-                    if key not in kept:
-                        kept[key] = tuple([self.family(c, row)[0] for c in children])
-                    groups.setdefault((id(child), kept[key]), (child, []))[1].append(len(members))
-                    members.append(row)
-        terms = [None] * len(members)
-        for (_, kept), (child, batch) in groups.items():
-            self.rows = [members[i] for i in batch]
-            excess, saved = self.excess, self.bind(x, kept)
-            for i, term in zip(batch, self.visit(child, pending + [x])):
-                terms[i] = term
-            self.excess = excess
-            for store, i, old in reversed(saved):
-                store[i] = old
-        self.rows = rows
-        totals = []
-        for m in range(len(rows)):
-            total = None
-            for term in terms[m :: len(rows)]:  # the member's branches in order
-                if term is None or total is None:
-                    total = total or term
-                    continue
-                # align the smaller exponent's value to the larger
-                (a, a_exp), (b, b_exp) = total, term
-                if a_exp < b_exp:
-                    (a, a_exp), (b, b_exp) = term, total
-                if isinstance(b, list):
-                    total = [x + math.ldexp(y, b_exp - a_exp) for x, y in zip(a, b)], a_exp
-                else:
-                    total = a + math.ldexp(b, b_exp - a_exp), a_exp
-            totals.append(total)
-        return totals
-
 
 def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
     """Posterior by conditioning on the branches of a conditional cutset.
@@ -908,11 +883,11 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     and instantiates the evidence in place, by the per-family step that
     instantiates cutset branches too: a family's kept parents and table
     depend only on the values bound on its declared parents, so they are
-    memoized on the network.  A depth-first walk of the cutset tree binds
-    each arc value in place and undoes it on the way back.  Binding ``X``
-    removes arcs only inside ``X``'s component, so only that component is
-    split again, once per query for each set of arcs left inside it; a count
-    of the arcs beyond a spanning forest tells a leaf whether a cycle is left.
+    memoized on the network.  A depth-first walk of the cutset tree, one
+    frame per level, binds each arc value in place and undoes it on the way
+    back.  Binding ``X`` removes arcs only inside ``X``'s component, so only
+    that component is split again; a count of the arcs beyond a spanning
+    forest tells a leaf whether a cycle is left.
 
     The walk moves branches in batches.  The values of a tested variable
     that lead to one child node (a grouped arc such as ``={t,f}``, or a flat
@@ -943,20 +918,20 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     contradicting evidence on a cutset variable weighs 0 and is skipped.
     ``evaluations`` counts every branch and ``messages_computed`` the
     messages solved, one per member of a batched solve.  ``stats`` holds the
-    sizes of the per-query memos (``subtree_sums``, ``component_weights``
-    and ``split_keys``), ``partitions``, the component searches run (one for
-    the instantiated evidence, then one per split-memo miss), and
-    ``visits``, the cutset-tree nodes and leaves visited, once per batch.
-    Raises :class:`NotSinglyConnectedError` when a branch leaves a cycle.
+    sizes of the per-query memos (``subtree_sums`` and
+    ``component_weights``), ``partitions``, the component searches run (one
+    for the instantiated evidence, then one per batch bound on a variable
+    with children), and ``visits``, the cutset-tree nodes and leaves visited,
+    once per batch.  Raises :class:`NotSinglyConnectedError` when a branch
+    leaves a cycle, and ``ValueError`` for a malformed ``ct``.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)
-    total = walk.visit(ct, walk.pending)[0]
+    total = walk.visit(ct, walk.pending, [walk.evidence])[0]
     weights, exponent = (np.zeros(len(walk.values[walk.target])), 0) if total is None else total
     stats = MappingProxyType({
         "subtree_sums": len(walk.sums),
         "component_weights": len(walk.weights),
-        "split_keys": len(walk.splits),
         "partitions": walk.partitions,
         "visits": walk.visits,
     })

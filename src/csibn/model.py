@@ -546,10 +546,13 @@ _NUMBER = (int, float)
 
 
 def _array_of(raw: object, kind: type | tuple[type, ...], what: str) -> tuple:
-    """``raw`` as a tuple; raises unless it is a JSON array of ``kind`` items
-    (booleans are not numbers)."""
+    """``raw`` as a tuple, numbers as floats; raises unless it is a JSON array
+    of ``kind`` items (booleans are not numbers) that a float can hold."""
     if isinstance(raw, list) and all(isinstance(x, kind) and not isinstance(x, bool) for x in raw):
-        return tuple(raw)
+        try:
+            return tuple(raw) if kind is str else tuple(map(float, raw))
+        except OverflowError:  # an integer literal beyond the float range
+            raise NetworkSemanticsError([f"malformed {what} holds a number too large for a float"])
     noun = "strings" if kind is str else "numbers"
     raise NetworkSemanticsError([f"malformed {what} must be an array of {noun}"])
 

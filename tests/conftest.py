@@ -389,6 +389,24 @@ def diamond_net() -> Network:
     return Network(variables, nodes)
 
 
+def disjoint_diamonds(n: int) -> Network:
+    """``n`` unconnected copies of :func:`diamond_net`, ``A{i}`` to ``D{i}``:
+    an easy network whose cutset tree is ``n`` levels deep."""
+    leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+    branch = lambda test, pt, pf: Node(test, (("t", leaf(pt)), ("f", leaf(pf))))
+    variables, nodes = [], []
+    for i in range(n):
+        a, b, c, d = (f"{v}{i}" for v in "ABCD")
+        variables += [Variable(v, ("t", "f")) for v in (a, b, c, d)]
+        nodes += [
+            NodeSpec(a, (), leaf(0.6)),
+            NodeSpec(b, (a,), branch(a, 0.7, 0.2)),
+            NodeSpec(c, (a,), branch(a, 0.25, 0.85)),
+            NodeSpec(d, (b, c), Node(b, (("t", branch(c, 0.9, 0.5)), ("f", branch(c, 0.3, 0.2))))),
+        ]
+    return Network(tuple(variables), tuple(nodes))
+
+
 def deterministic_diamond_net() -> Network:
     """Diamond where B and C copy A exactly; evidence B != C is impossible."""
     variables = tuple(Variable(v, ("t", "f")) for v in "ABCD")

@@ -26,7 +26,7 @@ from csibn.model import (
     serialize_network,
 )
 
-from conftest import deterministic_diamond_net
+from conftest import deterministic_diamond_net, disjoint_diamonds
 
 FIG1 = str(fixtures.path("fig1"))
 FIG2 = str(fixtures.path("fig2"))
@@ -69,21 +69,33 @@ class TestValidate:
             assert line.startswith("error[semantics]: ")
 
     @pytest.mark.parametrize(
-        "values, leaf",
-        [(["t", "f"], ["x", 1]), (["t", "f"], 5), ("tf", [0.5, 0.5])],
-        ids=["leaf-with-string", "leaf-not-array", "values-string"],
+        "values, cpt",
+        [
+            (["t", "f"], {"kind": "tree", "root": {"leaf": ["x", 1]}}),
+            (["t", "f"], {"kind": "tree", "root": {"leaf": 5}}),
+            ("tf", {"kind": "tree", "root": {"leaf": [0.5, 0.5]}}),
+            # integers too large for a float raised OverflowError in every command
+            (["t", "f"], {"kind": "tree", "root": {"leaf": [10**400, 0.5]}}),
+            (["t", "f"], {"kind": "table", "rows": [[0.5, -(10**400)]]}),
+        ],
+        ids=[
+            "leaf-with-string", "leaf-not-array", "values-string", "leaf-huge-int", "row-huge-int"
+        ],
     )
-    def test_mistyped_fields_are_semantic_errors(self, capsys, tmp_path, values, leaf):
+    def test_mistyped_fields_are_semantic_errors(self, capsys, tmp_path, values, cpt):
         doc = {
             "variables": [{"name": "A", "values": values}],
-            "nodes": [{"var": "A", "parents": [], "cpt": {"kind": "tree", "root": {"leaf": leaf}}}],
+            "nodes": [{"var": "A", "parents": [], "cpt": cpt}],
         }
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
-        code, out, err = invoke(capsys, "validate", str(bad))
-        assert (code, out) == (1, "")
-        assert err.startswith("error[semantics]: malformed ")
-        assert len(err.splitlines()) == 1
+        for argv in (["validate"], ["infer", "-q", "A"]):
+            code, out, err = invoke(capsys, argv[0], str(bad), *argv[1:])
+            assert (code, out) == (1, "")
+            assert err.startswith("error[semantics]: malformed ")
+            assert len(err.splitlines()) == 1
+        code, out, err = invoke(capsys, "validate", str(bad), "--json")
+        assert (code, json.loads(out)["valid"]) == (1, False)
 
     @pytest.mark.parametrize(
         "path, bad",
@@ -503,6 +515,26 @@ class TestCutset:
             code, out, err = invoke(capsys, argv[0], str(path), *argv[1:])
             assert (code, out) == (1, "")
             assert err.startswith("error[too-deep]: ") and err.count("\n") == 1, err
+
+
+    def test_deep_tree_of_disjoint_diamonds_answers(self, capsys, tmp_path):
+        # each diamond adds a level to the cutset tree: 520 of them made the
+        # walk, at two frames per level, exit 1 with error[too-deep]
+        path = tmp_path / "diamonds.json"
+        path.write_text(serialize_network(disjoint_diamonds(520)))
+        docs = {}
+        for method in ("cutset", "ve"):
+            argv = ["infer", str(path), "-q", "D0", "--method", method, "--json"]
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, "")
+            docs[method] = json.loads(out)
+        for key in ("t", "f"):
+            assert math.isclose(
+                docs["cutset"]["posterior"][key], docs["ve"]["posterior"][key], abs_tol=1e-9
+            )
+        assert math.isclose(
+            docs["cutset"]["evidence_probability"], docs["ve"]["evidence_probability"], abs_tol=1e-9
+        )
 
 
 class TestContract:

@@ -408,16 +408,16 @@ PINNED_STATS = {
 }
 
 
-# the cutset walk's counters (subtree_sums, component_weights, split_keys,
-# partitions, visits) for the same queries; fig2 and fig3 get the empty
+# the cutset walk's counters (subtree_sums, component_weights, partitions,
+# visits) for the same queries; fig2 and fig3 get the empty
 # cutset.  fig1's tree is U -> {t}: leaf, {f}: V={t,f} -> W={t,f} -> leaf:
 # one batch each for V's and W's values makes 5 visits (9 unbatched)
 PINNED_WALK = {
-    "fig1": dict.fromkeys(("S", "U", "V", "W", "X", "Z"), (4, 9, 4, 5, 5)),
-    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (0, 1, 0, 1, 1)),
-    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (0, 1, 0, 1, 1)),
+    "fig1": dict.fromkeys(("S", "U", "V", "W", "X", "Z"), (4, 9, 5, 5)),
+    "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (0, 1, 1, 1)),
+    "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (0, 1, 1, 1)),
 }
-WALK_COUNTERS = ("subtree_sums", "component_weights", "split_keys", "partitions", "visits")
+WALK_COUNTERS = ("subtree_sums", "component_weights", "partitions", "visits")
 
 
 class TestStats:
@@ -435,15 +435,15 @@ class TestStats:
                 assert solve_singly_connected(net, q).stats == stats
         assert got == PINNED_WALK[fig]
 
-    def test_split_memo_keys_on_the_arcs_left(self):
-        # keyed on every cutset value the component sees, the split memo ran
-        # 263 component searches for this query
+    def test_one_component_search_per_batch_bound(self):
+        # one search for the evidence, then one per batch bound on a variable
+        # with children
         net = windowed_net(np.random.default_rng(1), 30)
         q = Query("V29", Context({"V0": "t"}))
         result = cutset_infer(net, q, build_conditional_cutset(net))
         posteriors_close(result, variable_elimination(net, q))
         assert result.evaluations == 288
-        assert result.stats["partitions"] == 46
+        assert result.stats["partitions"] == 87
 
     @pytest.mark.parametrize("fig", sorted(PINNED_STATS))
     def test_elimination_counters_pinned(self, fig):
@@ -563,14 +563,24 @@ class TestCutsetInfer:
         assert got_auto.evaluations == 5
         assert got_flat.evaluations == 8
 
-    @pytest.mark.parametrize("arcs", ["missing", "duplicate"])
+    @pytest.mark.parametrize("arcs", ["missing", "duplicate", "tested-twice"])
     def test_malformed_tree_rejected(self, fig1, arcs):
         # without the root's ={f} arc the walk returned (0.5833, 0.4167)
-        # with P(e) = 0.61; with it twice, P(e) = 1.61
+        # with P(e) = 0.61; with it twice, P(e) = 1.61.  With V tested again
+        # under V={t,f}, one batch held both values of V and it returned
+        # (0.5570, 0.4430) with P(e) = 0.9795
         auto = build_conditional_cutset(fig1)
         (t_arc, f_arc) = auto.arcs
-        broken = CutsetNode(auto.test, (t_arc,) if arcs == "missing" else (t_arc, f_arc, f_arc))
-        with pytest.raises(ValueError, match="not for each of"):
+        if arcs == "tested-twice":
+            (v_values, w_node), = f_arc[1].arcs
+            again = CutsetNode("V", ((("t",), w_node), (("f",), w_node)))
+            v_node = CutsetNode("V", ((v_values, again),))
+            broken = CutsetNode(auto.test, (t_arc, (f_arc[0], v_node)))
+            message = "tested again"
+        else:
+            broken = CutsetNode(auto.test, (t_arc,) if arcs == "missing" else (t_arc, f_arc, f_arc))
+            message = "not for each of"
+        with pytest.raises(ValueError, match=message):
             cutset_infer(fig1, Query("Z", Context()), broken)
 
     def test_tree_parts_kept_for_the_last_tree_only(self, fig1):
@@ -821,19 +831,19 @@ class TestCutsetInfer:
         # see one state at the X2 node: one of them descends, and X2 is bound
         # once, for its two values together
         net = two_loops_net()
-        binds = []
-        bind = inference._Walk.bind
-        monkeypatch.setattr(
-            inference._Walk,
-            "bind",
-            lambda walk, x, kept: binds.append((x, len(walk.rows))) or bind(walk, x, kept),
-        )
+        batches = []
+        visit = inference._Walk.visit
+
+        def spy(walk, tree, pending, rows):
+            batches.append((getattr(tree, "test", None), len(rows)))
+            return visit(walk, tree, pending, rows)
+
+        monkeypatch.setattr(inference._Walk, "visit", spy)
         q = Query("A1", Context({"C1": "t", "C2": "f"}))
         got = cutset_infer(net, q, flat_cutset(net, ["X1", "X2"]))
         posteriors_close(got, query_enumerate(net, q))
-        x1, x2 = (net.var_names.index(v) for v in ("X1", "X2"))
         # unbatched: X1=t, X2=t, X2=f, X1=f, and X2 twice more without the reuse
-        assert binds == [(x1, 2), (x2, 2)]
+        assert batches == [("X1", 1), ("X2", 2), (None, 2)]
         assert got.stats["visits"] == 3  # the X1 node, the X2 node and the leaf
         assert got.messages_computed == 2 * 2 * 2
 
@@ -879,18 +889,18 @@ class TestCutsetInfer:
         # a flat cutset over every variable of a chain has 2**300 branches;
         # each node sees only the value above it, so a batch keeps at most
         # two members, which bind the next variable to each of its values,
-        # and each node is visited once.  The spy is on bind, which returns
-        # before the walk recurses, so it adds no frame to the 600 it takes
+        # and each node is visited once.  The spy adds one frame to each of
+        # the walk's 301
         net = binary_chain(300, stay=0.7, leave=0.2)
         names = net.var_names
         tree = flat_cutset(net, names)
-        bind = inference._Walk.bind
+        visit = inference._Walk.visit
 
-        def bounded(walk, x, kept):
-            assert len(walk.rows) <= 4
-            return bind(walk, x, kept)
+        def bounded(walk, tree, pending, rows):
+            assert len(rows) <= 4
+            return visit(walk, tree, pending, rows)
 
-        monkeypatch.setattr(inference._Walk, "bind", bounded)
+        monkeypatch.setattr(inference._Walk, "visit", bounded)
         for q in (Query("V299", Context({"V0": "t"})), Query("V150", Context({"V299": "f"}))):
             got = cutset_infer(net, q, tree)
             want = variable_elimination(net, q)

@@ -74,17 +74,17 @@ def vacuous_parents(net: Network, x: str, context: Mapping[str, str]) -> frozens
 def reduce_network(net: Network, assignment: Mapping[str, str]) -> Network:
     """Instantiate ``assignment`` throughout the network.
 
-    Every family is instantiated by :func:`instantiate_family`, its parent
-    list shrinking to the kept parents.  Instantiated variables stay in the
-    network as nodes (their own CPTs reduced likewise); only their outgoing
-    arcs disappear.  No engine calls it: the engines instantiate families in
-    place on their compiled form, by the same per-family step.
+    Every family is instantiated as in :func:`context_network`, its parent
+    list shrinking to the kept parents: the bound ones drop too.
+    Instantiated variables stay in the network as nodes (their own CPTs
+    reduced likewise); only their outgoing arcs disappear.  No engine calls
+    it: the engines instantiate families in place on their compiled form, by
+    the same per-family step.
     """
-    replacements: dict[str, NodeSpec] = {}
-    for spec in net.nodes:
-        tree, kept = instantiate_family(as_tree(net, spec.var), spec.parents, assignment)
-        replacements[spec.var] = NodeSpec(spec.var, kept, tree, spec.deterministic)
-    return net.with_nodes(replacements)
+    return net.with_nodes({
+        s.var: NodeSpec(s.var, tuple(p for p in ps if p not in assignment), tree, s.deterministic)
+        for s, tree, ps in _context_families(net, assignment)
+    })
 
 
 # -- separation --------------------------------------------------------------

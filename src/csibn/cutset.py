@@ -206,19 +206,21 @@ def build_conditional_cutset(net: Network) -> CutsetTree:
     a variable's apparent usefulness.
 
     The residual is a family map, ``{var: (CPT tree, parents)}`` over its
-    2-core in declared order; no network is built.  The root map holds the
-    declared families, and each value of a pick instantiates the pick's
-    children in a copy (:func:`~csibn.csi.instantiate_family`), restricted
-    to the child's core.  The result is a DAG: a subtree depends only on
-    that core's families, each with its parents and CPT tree shape, and on
-    which core variables are already instantiated, so it is built once per
-    such key (:meth:`_Builder.key`), and nodes are interned on their test
-    and arcs.  A pick's values with one key share one arc, so values whose
-    residuals differ only outside the core print as ``={t,f}``.
+    2-core in declared order; no network is built.  One rule makes every
+    level's map: a family is instantiated (:func:`~csibn.csi.instantiate_family`)
+    and keeps only the parents its tree still tests.  The root map
+    instantiates every family in the empty context, so an arc no path of the
+    child's tree tests is dropped before the first pick, and each value of a
+    pick instantiates the pick's children in a copy, restricted to the
+    child's core.  The result is a DAG: a subtree depends only on that
+    core's families, each with its parents and CPT tree shape, so it is
+    built once per such key (:meth:`_Builder.key`), and nodes are interned
+    on their test and arcs.  A pick's values with one key share one arc, so
+    values whose residuals differ only outside the core print as ``={t,f}``.
     """
-    core = graphs.two_core(net.skeleton())
-    families = _families(net, [v for v in net.var_names if v in core])
-    return _Builder(net).node(families, frozenset())
+    families = {v: instantiate_family(as_tree(net, v), net.parents(v), {}) for v in net.var_names}
+    core = graphs.two_core(_core_skeleton(families))
+    return _Builder(net).node({v: family for v, family in families.items() if v in core})
 
 
 Families = dict[str, tuple[CptTree, tuple[str, ...]]]  # var -> (CPT tree, parents)
@@ -252,10 +254,9 @@ class _Builder:
         self.shapes: dict[int, tuple] = {}  # id -> (tree, shape), which keeps the id
         self.deletions: dict[tuple, tuple] = {}  # (id, parents, x) -> (tree, terms)
 
-    def key(self, families: Families, instantiated: frozenset) -> tuple:
+    def key(self, families: Families) -> tuple:
         """The residual core's structure, blind to leaf probabilities: each
-        family with its parents and CPT tree shape, in name order, and the
-        core variables already instantiated."""
+        family with its parents and CPT tree shape, in name order."""
         shapes, out = self.shapes, []
         for v in sorted(families):
             tree, parents = families[v]
@@ -263,7 +264,7 @@ class _Builder:
             if hit is None:
                 hit = shapes[id(tree)] = (tree, _tree_shape(tree))
             out.append((v, parents, hit[1]))
-        return tuple(out), instantiated.intersection(families)
+        return tuple(out)
 
     def score(self, families: Families, x: str, children: list[str], pool) -> float:
         """The expected number of arcs into ``pool`` deleted by instantiating
@@ -285,8 +286,9 @@ class _Builder:
                 total += term
         return total / len(values)
 
-    def node(self, families: Families, instantiated: frozenset) -> CutsetTree:
-        """The subtree for the residual ``families``, which cover its core."""
+    def node(self, families: Families) -> CutsetTree:
+        """The subtree for the residual ``families``, which cover its core
+        and are instantiated: a pick's value instantiates only its children."""
         if not families:
             return EMPTY
         children: dict[str, list[str]] = {v: [] for v in families}
@@ -294,7 +296,7 @@ class _Builder:
             for p in parents:
                 if p in children:
                     children[p].append(c)
-        candidates = sorted(v for v, cs in children.items() if cs and v not in instantiated)
+        candidates = sorted(v for v, cs in children.items() if cs)
         if not candidates:
             raise RuntimeError("cyclic residual with no cuttable variable")
 
@@ -306,11 +308,6 @@ class _Builder:
             scored = [(v, self.score(families, v, children[v], families)) for v in candidates]
         pick = min(scored, key=lambda vd: (_ratio(weight(self.variables[vd[0]]), vd[1]), vd[0]))[0]
 
-        # the root picks on the declared families; below it every family is
-        # instantiated, so a pick's value instantiates only its children
-        if not instantiated:
-            families = {v: instantiate_family(*family, {}) for v, family in families.items()}
-        below = instantiated | {pick}
         groups: dict[tuple, tuple[list[str], Families]] = {}  # by key
         for value in self.variables[pick].values:
             reduced = dict(families)
@@ -318,10 +315,10 @@ class _Builder:
                 reduced[c] = instantiate_family(*families[c], {pick: value})
             sub = graphs.two_core(_core_skeleton(reduced))
             reduced = {v: family for v, family in reduced.items() if v in sub}
-            groups.setdefault(self.key(reduced, below), ([], reduced))[0].append(value)
+            groups.setdefault(self.key(reduced), ([], reduced))[0].append(value)
         for key, (_, rep) in groups.items():
             if key not in self.built:  # one subtree per residual core
-                self.built[key] = self.node(rep, below)
+                self.built[key] = self.node(rep)
         arcs = tuple((tuple(values), self.built[key]) for key, (values, _) in groups.items())
         key = (pick, tuple((values, id(child)) for values, child in arcs))
         node = self.interned.get(key)

@@ -592,20 +592,19 @@ class _Walk:
         self.instantiate(range(len(names)), [kept for kept, _ in hits], [])
         self.tables = [table for _, table in hits]  # under the evidence alone
         self.reduced_children = tuple(self.children)
-        # kept on the network for the last tree queried: below-sets, the
-        # families whose tables vary with the cutset, for each cutset variable
-        # x the other cutset parents of x's children, and the branch count
+        # kept on the network for the last tree queried: below-sets, for each
+        # cutset variable x the other cutset parents of x's children, and the
+        # branch count
         if net._cutset_walk is None or net._cutset_walk[0] is not ct:
             self.below: dict[int, frozenset] = {}
             cut = self.index_tree(ct)
-            watched = {c for c, family in enumerate(parents) if not cut.isdisjoint(family)}
             around = {}
             for x in cut:
                 family = {p for c in children[x] for p in parents[c]}
                 around[x] = _picker(sorted(cut.intersection(family) - {x}))
             evaluations = cutset_mod.count_branches(ct)
-            net._cutset_walk = ct, self.below, cut, watched, around, evaluations
-        _, self.below, self.cutset, self.watched, self.around, self.evaluations = net._cutset_walk
+            net._cutset_walk = ct, self.below, cut, around, evaluations
+        _, self.below, self.cutset, self.around, self.evaluations = net._cutset_walk
         self.cut = sorted(self.cutset)
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
@@ -619,13 +618,16 @@ class _Walk:
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
         """The indices of the variables ``tree`` tests, recorded in ``below``
         by ``id``, once per distinct node.  Raises ``ValueError`` unless each
-        node's arcs cover its test's values, each once, and no node's test is
-        tested again beneath it, where a batch would hold both its values."""
+        node tests a variable of the network, its arcs cover that variable's
+        values, each once, and its test is not tested again beneath it, where
+        a batch would hold both its values."""
         below = self.below
         for node in cutset_mod._distinct_nodes(tree):
             if isinstance(node, cutset_mod.EmptyLeaf):
                 below[id(node)] = frozenset()
                 continue
+            if node.test not in self.index:
+                raise ValueError(f"cutset node {node.test!r} tests no variable of the network")
             x = self.index[node.test]
             covered = [value for values, _ in node.arcs for value in values]
             if sorted(covered) != sorted(self.values[x]):
@@ -663,13 +665,13 @@ class _Walk:
         """The cutset variables ``part`` depends on -- those in it, and those
         with a child in it once the evidence is instantiated -- and a
         :func:`_picker` of a member's values on them, which fix the arcs and
-        tables inside ``part``; then its watched families and its cutset
-        variables."""
+        tables inside ``part``; then its families with a declared parent in
+        the cutset, whose tables vary with it, and its cutset variables."""
         hit = self.sees.get(part)
         if hit is None:
             reach = self.reduced_children
             sees = tuple(x for x in self.cut if x in part or not part.isdisjoint(reach[x]))
-            watched = [v for v in part if v in self.watched]
+            watched = [v for v in part if not self.cutset.isdisjoint(self.declared[v])]
             hit = self.sees[part] = sees, _picker(sees), watched, self.cutset.intersection(part)
         return hit
 

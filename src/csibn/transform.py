@@ -26,7 +26,6 @@ from .model import (
     Node,
     NodeSpec,
     Variable,
-    table_to_tree,
 )
 from . import graphs
 
@@ -101,8 +100,6 @@ class _Parts:
         whose trees are not full, in declared order."""
         variables, specs, spec = self.variables, self.specs, self.specs[x]
         tree = spec.cpt
-        if isinstance(tree, CptTable):
-            tree = table_to_tree(tree, [variables[p] for p in spec.parents])
         if not isinstance(tree, Node):
             raise ValueError(f"node {x!r} has no root test to split on")
 

@@ -211,6 +211,11 @@ class TestQuery:
         assert code == 2
         assert err.startswith("error[context]: ")
 
+    def test_variable_bound_twice_is_usage_error(self, capsys):
+        code, out, err = invoke(capsys, "query", FIG2, "-q", "X", "-e", "A=t,A=f")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error[context]: variable 'A' bound twice"]
+
 
 class TestInfer:
     def test_methods_agree(self, capsys):
@@ -347,6 +352,20 @@ class TestSeparation:
         assert doc["separated"] is True
         assert doc["z"] == ["S"]
 
+    def test_csisep_json(self, capsys):
+        code, out, err = invoke(
+            capsys, "csisep", FIG2, "-X", "X", "-Y", "B,C", "-c", "A=t", "--json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "schema_version": 1,
+            "x": ["X"],
+            "y": ["B", "C"],
+            "z": [],
+            "context": {"A": "t"},
+            "separated": True,
+        }
+
     def test_unknown_variable(self, capsys):
         code, out, err = invoke(capsys, "dsep", FIG1, "-X", "Q", "-Y", "V")
         assert code == 1
@@ -389,6 +408,13 @@ class TestDecompose:
         assert [r["node"] for r in doc["reports"]] == ["X", "X@A=f", "X@A=f,B=f"]
         assert {n["var"] for n in doc["network"]["nodes"]} >= {"X", "X@A=t"}
 
+    def test_nothing_to_decompose(self, capsys, tmp_path):
+        # every CPT of a decomposed network is a table or a full tree
+        once = tmp_path / "once.json"
+        assert invoke(capsys, "decompose", FIG3, "-o", str(once))[0] == 0
+        code, out, err = invoke(capsys, "decompose", str(once))
+        assert code == 0
+        assert out == "nothing to decompose\n---\n" + once.read_text()
 
     def test_unwritable_output_is_io_error(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "decompose", FIG2, "-o", str(tmp_path))

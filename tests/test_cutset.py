@@ -134,6 +134,20 @@ class TestBuild:
         assert isinstance(tree, CutsetNode)
         assert tree.test == "A"
 
+    def test_dead_arc_closes_no_loop(self):
+        # D declares the parent C, but its tree never tests C: the arc C -> D
+        # is vacuous in every context, so the diamond holds no loop to cut
+        net = _dead_arc_diamond()
+        tree = build_conditional_cutset(net)
+        assert tree is EMPTY
+        assert count_branches(tree) == 1
+        for q in (Query("D", Context({"C": "t"})), Query("A", Context({"D": "f"}))):
+            result = cutset_infer(net, q, tree)
+            assert result.evaluations == 1
+            assert result.posterior.probs == pytest.approx(
+                query_enumerate(net, q).posterior.probs, abs=1e-12
+            )
+
     def test_branch_validity_on_random_loopy(self):
         # removing each branch context's variables plus arcs it makes
         # vacuous must leave an acyclic skeleton (independent oracle)
@@ -168,7 +182,7 @@ class TestBuild:
             reduced = reduce_network(level, {"V": v})
             core = graphs.two_core(reduced.skeleton())
             families = {c: (as_tree(reduced, c), reduced.parents(c)) for c in sorted(core)}
-            keys[v] = builder.key(families, frozenset({"U", "V"}))
+            keys[v] = builder.key(families)
         assert keys["t"][0]  # the core is not empty
         assert keys["t"] == keys["f"]
 
@@ -244,6 +258,19 @@ def _pendant_net() -> Network:
         NodeSpec("G", ("E", "F"), collider("E", "F")),
         NodeSpec("Q", (), leaf(0.3)),
         NodeSpec("P", ("A", "Q"), Node("A", (("t", branch("Q", 0.6, 0.15)), ("f", leaf(0.5))))),
+    )
+    return Network(tuple(Variable(spec.var, ("t", "f")) for spec in nodes), nodes)
+
+
+def _dead_arc_diamond() -> Network:
+    """A -> B, A -> C, B, C -> D, where D's tree tests B alone."""
+    leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+    branch = lambda test, pt, pf: Node(test, (("t", leaf(pt)), ("f", leaf(pf))))
+    nodes = (
+        NodeSpec("A", (), leaf(0.6)),
+        NodeSpec("B", ("A",), branch("A", 0.7, 0.2)),
+        NodeSpec("C", ("A",), branch("A", 0.25, 0.85)),
+        NodeSpec("D", ("B", "C"), branch("B", 0.9, 0.3)),
     )
     return Network(tuple(Variable(spec.var, ("t", "f")) for spec in nodes), nodes)
 

@@ -563,15 +563,19 @@ class TestCutsetInfer:
         assert got_auto.evaluations == 5
         assert got_flat.evaluations == 8
 
-    @pytest.mark.parametrize("arcs", ["missing", "duplicate", "tested-twice"])
+    @pytest.mark.parametrize("arcs", ["missing", "duplicate", "tested-twice", "unknown-test"])
     def test_malformed_tree_rejected(self, fig1, arcs):
         # without the root's ={f} arc the walk returned (0.5833, 0.4167)
         # with P(e) = 0.61; with it twice, P(e) = 1.61.  With V tested again
         # under V={t,f}, one batch held both values of V and it returned
-        # (0.5570, 0.4430) with P(e) = 0.9795
+        # (0.5570, 0.4430) with P(e) = 0.9795.  A test of a variable the
+        # network lacks raised a bare KeyError
         auto = build_conditional_cutset(fig1)
         (t_arc, f_arc) = auto.arcs
-        if arcs == "tested-twice":
+        if arcs == "unknown-test":
+            broken = CutsetNode("Q", ((("t", "f"), EMPTY),))
+            message = "'Q' tests no variable of the network"
+        elif arcs == "tested-twice":
             (v_values, w_node), = f_arc[1].arcs
             again = CutsetNode("V", ((("t",), w_node), (("f",), w_node)))
             v_node = CutsetNode("V", ((v_values, again),))

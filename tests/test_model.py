@@ -190,6 +190,33 @@ class TestValidation:
         doc["nodes"][1]["cpt"] = {"kind": "table", "rows": [[0.9, 0.1]]}
         self.check(doc, "malformed CPT")
 
+    @pytest.mark.parametrize(
+        "flaw, violation",
+        [
+            ("duplicate-value", "duplicate value in variable: B"),
+            ("duplicate-parent", "duplicate parent in node B"),
+            ("unnormalized-row", "unnormalized row: node B row 1"),
+            (
+                "branch-coverage",
+                "malformed CPT: node B branches on A do not cover its values exactly",
+            ),
+        ],
+    )
+    def test_violations_of_a_network_built_in_code(self, flaw, violation):
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        a, b = Variable("A", ("t", "f")), Variable("B", ("t", "f"))
+        parents, cpt = ("A",), Node("A", (("t", leaf(0.9)), ("f", leaf(0.2))))
+        if flaw == "duplicate-value":
+            b = Variable("B", ("t", "t"))
+        elif flaw == "duplicate-parent":
+            parents, cpt = ("A", "A"), CptTable(tuple(leaf(0.5).dist for _ in range(4)))
+        elif flaw == "unnormalized-row":
+            cpt = CptTable((leaf(0.9).dist, Distribution((0.5, 0.6))))
+        else:
+            cpt = Node("A", (("f", leaf(0.2)), ("t", leaf(0.9))))
+        net = Network((a, b), (NodeSpec("A", (), leaf(0.3)), NodeSpec("B", parents, cpt)))
+        assert cb.validate(net) == [violation]
+
     def test_valid_network_has_no_violations(self, fig1):
         assert cb.validate(fig1) == []
 

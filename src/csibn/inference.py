@@ -25,7 +25,7 @@ polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, instantiated in place by one per-family
 step whose result -- kept parents and table -- depends only on the values
-bound on the family's declared parents and is memoized on the network.  The
+bound on the family's variables and is memoized on the network.  The
 walk moves a batch of branches at once, one frame per cutset-tree level: the
 values of a tested variable that reach one child node and leave its children
 the same kept parents share one visit, its arcs and components, and one
@@ -240,12 +240,12 @@ class _CliqueTree:
             owned[a].append(v)
         self.home, self.up, self.cliques = home, up, cliques
         homed = [sum(home[v] == a for v in c) for a, c in enumerate(cliques)]
-        self.depth, self.root = depth, root = [0] * len(cliques), list(range(len(cliques)))
+        self.root = root = list(range(len(cliques)))
         downward = [a for a, b in enumerate(up) if b < 0]
         for a in downward:
             for c in self.near[a]:
                 if c != up[a]:
-                    depth[c], root[c] = depth[a] + 1, root[a]
+                    root[c] = root[a]
                     downward.append(c)
         self.excess = excess = [len(fs) - n for fs, n in zip(owned, homed)]
         for a in reversed(downward):
@@ -260,26 +260,19 @@ class _CliqueTree:
 
     def region(self, root: int, sources) -> set:
         """The nodes on the tree paths from each of ``sources`` to ``root``,
-        all in ``root``'s tree, found by climbing ``up`` in time proportional
-        to their number."""
-        up, depth = self.up, self.depth
-        region, top = {root}, root
+        all in ``root``'s tree: each source climbs ``up`` until it meets a
+        node climbed before or ``root``'s own path to its tree's root, and the
+        region is the climbed nodes and that path up to its highest meeting."""
+        up, path = self.up, [root]
+        while up[path[-1]] >= 0:
+            path.append(up[path[-1]])
+        on_path, region, top = {a: i for i, a in enumerate(path)}, set(), 0
         for a in sources:
-            while a not in region and depth[a] > depth[top]:
+            while a not in region and a not in on_path:
                 region.add(a)
                 a = up[a]
-            if a in region:
-                continue
-            b = top
-            while depth[b] > depth[a]:
-                b = up[b]
-                region.add(b)
-            while a != b:
-                region.update((a, b))
-                a, b = up[a], up[b]
-            region.add(a)
-            top = a
-        return region
+            top = max(top, on_path.get(a, 0))
+        return region.union(path[: top + 1])
 
     def plan(self, a: int, skip: int) -> tuple:
         """The einsum steps of node ``a``'s product, taking in the messages
@@ -482,7 +475,7 @@ def _picker(indices):
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _solve_component(root: int, parents, children, tables, ind, bound):
+def _solve_component(root: int, parents, children, tables, bound):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
     number of messages computed.
@@ -491,11 +484,11 @@ def _solve_component(root: int, parents, children, tables, ind, bound):
     π/λ message to its neighbor on the root side, in reverse order, each
     rescaled by a power of two; the belief at ``root`` is left to the
     caller, which multiplies it further, to rescale.  A λ message out of a
-    subtree holding no observed node (one whose ``bound`` entry is not 0) is
-    all ones, so neither it nor any message feeding only it is computed.
-    Tables and indicators may carry a leading member axis, one row per
-    member of a batch; the messages then carry it too, and each row its own
-    exponent.
+    subtree holding no observed node (one whose ``bound`` entry is not 0,
+    its own axis sliced to its value) is all ones, so neither it nor any
+    message feeding only it is computed.  Tables may carry a leading member
+    axis, one row per member of a batch; the messages then carry it too, and
+    each row its own exponent.
     """
     up, order = {root: None}, [root]
     for v in order:
@@ -516,19 +509,15 @@ def _solve_component(root: int, parents, children, tables, ind, bound):
         if v not in needed:
             continue
         u, own = up[v], len(parents[v])
-        lam = ind[v]
-        for c in children[v]:
-            if c != u and c in msg:
-                lam = lam * msg[c]
-        if not own:
-            vec = lam * tables[v]
-        else:
-            operands = [tables[v], [..., *range(own + 1)], lam, [..., own]]
-            for i, p in enumerate(parents[v]):
-                if p != u:
-                    operands += [msg[p], [..., i]]
-            out = parents[v].index(u) if u in parents[v] else own
-            vec = np.einsum(*operands, [..., out])
+        operands = [tables[v], [..., *range(own + 1)]]
+        lams = [msg[c] for c in children[v] if c != u and c in msg]
+        if lams:  # multiplied first, so no einsum takes more operands than numpy allows
+            operands += [math.prod(lams[1:], start=lams[0]), [..., own]]
+        for i, p in enumerate(parents[v]):
+            if p != u:
+                operands += [msg[p], [..., i]]
+        out = parents[v].index(u) if u in parents[v] else own
+        vec = np.einsum(*operands, [..., out])
         if u is None:  # the root's belief, which the caller rescales
             return vec, exponent, len(needed) - 1
         msg[v], shift = _scaled_rows(vec)
@@ -555,15 +544,15 @@ class _Walk:
     variable (1 + value index, or 0), and its members bind the same variables
     and leave every family the same kept parents, so the arcs, the connected
     components and ``excess`` (arcs minus nodes plus components, 0 exactly
-    when every component is a tree) are the batch's.
-    Tables and indicators are read per member where a component is solved
-    (:meth:`weight`).  It holds its own copies of the compiled parents and
-    children, restored from the undo record; the network keeps the
-    below-sets (the cutset variables each distinct node's subtree tests) of
-    the last tree queried.  Two per-query memos are keyed, member by member,
-    on a component and the values bound on the cutset variables it sees
-    (:meth:`seen`), which fix the arcs and tables inside it: its weight and,
-    with a cutset-tree node and ``excess``, the node's subtree sum.
+    when every component is a tree) are the batch's.  Tables are read per
+    member where a component is solved (:meth:`weight`).  It holds its own
+    copies of the compiled parents and children, restored from the undo
+    record; the network keeps the below-sets (the cutset variables each
+    distinct node's subtree tests) of the last tree queried.  Two per-query
+    memos are keyed, member by member, on a component and the values bound
+    on the cutset variables it sees (:meth:`seen`), which fix the arcs and
+    tables inside it: its weight and, with a cutset-tree node and ``excess``,
+    the node's subtree sum.
     """
 
     def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
@@ -574,20 +563,16 @@ class _Walk:
         self.names = names = net.var_names
         self.index = index
         self.values = values = [net.values(v) for v in names]
-        self.units = {n: tuple(np.eye(n)) for n in {len(vs) for vs in values}}
-        ones = {n: np.ones(n) for n in self.units}  # read only, so shared
-        self.ind = [ones[len(vs)] for vs in values]
         self.evidence = [0] * len(names)  # the one member before any binding
         self.target = index[query.target]
         # components still to weigh: the target's, then the evidence's
         self.pending = [self.target] + [index[v] for v in sorted(query.evidence)]
         for x in self.pending[1:]:
-            k = values[x].index(query.evidence[names[x]])
-            self.ind[x], self.evidence[x] = self.units[len(values[x])][k], k + 1
+            self.evidence[x] = values[x].index(query.evidence[names[x]]) + 1
         # every family, evidence-free ones too: a declared parent its tree
         # never tests drops here
         self.excess = sum(map(len, parents)) - len(names)
-        self.pickers = [_picker(family) for family in parents]
+        self.pickers = [_picker(family + (c,)) for c, family in enumerate(parents)]
         hits = [self.family(c, self.evidence) for c in range(len(names))]
         self.instantiate(range(len(names)), [kept for kept, _ in hits], [])
         self.tables = [table for _, table in hits]  # under the evidence alone
@@ -665,25 +650,26 @@ class _Walk:
         """The cutset variables ``part`` depends on -- those in it, and those
         with a child in it once the evidence is instantiated -- and a
         :func:`_picker` of a member's values on them, which fix the arcs and
-        tables inside ``part``; then its families with a declared parent in
-        the cutset, whose tables vary with it, and its cutset variables."""
+        tables inside ``part``; then its families that meet the cutset, the
+        node or a declared parent, whose tables vary with it."""
         hit = self.sees.get(part)
         if hit is None:
             reach = self.reduced_children
             sees = tuple(x for x in self.cut if x in part or not part.isdisjoint(reach[x]))
-            watched = [v for v in part if not self.cutset.isdisjoint(self.declared[v])]
-            hit = self.sees[part] = sees, _picker(sees), watched, self.cutset.intersection(part)
+            watched = [v for v in part if not self.cutset.isdisjoint(self.declared[v] + (v,))]
+            hit = self.sees[part] = sees, _picker(sees), watched
         return hit
 
     def family(self, c: int, row: list) -> tuple:
         """Family ``c``'s kept parents and read-only table under the values
-        ``row`` binds on its declared parents.
+        ``row`` binds on its declared parents and on ``c`` itself.
 
         The pair depends on those values alone, so it is memoized on the
         network.  A miss takes the kept parents from the family step every CSI
         consumer shares, :func:`~csibn.csi.instantiate_family`, and indexes the
-        compiled table once: at the bound value's index on a bound parent's
-        axis, and at 0 on a dropped unbound one, along which it is constant."""
+        compiled table once: at a bound parent's value, at 0 on a dropped
+        unbound one, along which it is constant, and at ``k:k+1`` on its own
+        axis if ``c`` is bound to value ``k``, which keeps a batch's shapes equal."""
         hit = self.families.get((c, self.pickers[c](row)))
         if hit is None:
             names, values, family = self.names, self.values, self.declared[c]
@@ -691,9 +677,10 @@ class _Walk:
             context = {names[p]: values[p][b - 1] for p, b in zip(family, at) if b}
             _, tested = instantiate_family(self.trees[c], tuple(names[p] for p in family), context)
             kept = tuple(p for p in family if names[p] in tested)
-            cut = tuple(b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at))
+            cut = [b - 1 if b else slice(None) if p in kept else 0 for p, b in zip(family, at)]
+            cut.append(slice(row[c] - 1, row[c]) if row[c] else slice(None))
             # contiguous, so a solve rounds alike whether or not it stacks it
-            table = np.ascontiguousarray(self.compiled_tables[c][cut])
+            table = np.ascontiguousarray(self.compiled_tables[c][tuple(cut)])
             table.flags.writeable = False
             hit = self.families[c, self.pickers[c](row)] = kept, table
         return hit
@@ -733,29 +720,30 @@ class _Walk:
         """For each member of ``rows``, ``part``'s belief vector at the
         target, a list, if it holds the target, else its total weight, with
         its power-of-two exponent.  The members whose keys miss the memo are
-        solved together, one per key, each watched family's table and bound
-        cutset indicator stacked on a leading member axis."""
-        memo, (_, pick, watched, marked) = self.weights, self.seen(part)
+        solved together, one per key, each watched family's table stacked on a
+        leading member axis; a bound target's belief, of length 1, goes back
+        at its value in a vector of zeros."""
+        memo, (_, pick, watched) = self.weights, self.seen(part)
         keys = [(part, pick(row)) for row in rows]
         todo = {key: row for key, row in zip(keys, rows) if key not in memo}
         if not todo:
             return [memo[key] for key in keys]
-        rows, tables, ind = list(todo.values()), self.tables[:], self.ind[:]
+        rows, tables = list(todo.values()), self.tables[:]
         for v in watched:
             tables[v] = _stacked([self.family(v, row)[1] for row in rows])
-        for v in marked:
-            if rows[0][v]:
-                ind[v] = _stacked([self.units[len(self.values[v])][row[v] - 1] for row in rows])
         root = self.target if self.target in part else min(part)
-        vec, shifts, n = _solve_component(root, self.parents, self.children, tables, ind, rows[0])
+        vec, shifts, n = _solve_component(root, self.parents, self.children, tables, rows[0])
         self.messages += n * len(rows)
         # a result without a member axis is every member's
         vecs = vec.tolist() if vec.ndim > 1 else [vec.tolist()] * len(rows)
         exps = shifts.tolist() if isinstance(shifts, np.ndarray) else [shifts] * len(rows)
-        for key, vec, exponent in zip(todo, vecs, exps):
+        for (key, row), vec, exponent in zip(todo.items(), vecs, exps):
             if root != self.target:
                 vec, shift = math.frexp(sum(vec))
                 exponent += shift
+            elif row[root]:
+                vec, (value,) = [0.0] * len(self.values[root]), vec
+                vec[row[root] - 1] = value
             memo[key] = vec, exponent
         return [memo[key] for key in keys]
 
@@ -884,10 +872,10 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     One private ``_Walk`` object copies the network's cached compiled form
     and instantiates the evidence in place, by the per-family step that
     instantiates cutset branches too: a family's kept parents and table
-    depend only on the values bound on its declared parents, so they are
-    memoized on the network.  A depth-first walk of the cutset tree, one
-    frame per level, binds each arc value in place and undoes it on the way
-    back.  Binding ``X`` removes arcs only inside ``X``'s component, so only
+    depend only on the values bound on its declared parents and on itself,
+    so they are memoized on the network.  A depth-first walk of the cutset
+    tree, one frame per level, binds each arc value in place and undoes it on
+    the way back.  Binding ``X`` removes arcs only inside ``X``'s component, so only
     that component is split again; a count of the arcs beyond a spanning
     forest tells a leaf whether a cycle is left.
 

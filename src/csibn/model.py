@@ -193,7 +193,7 @@ class Network:
         children: dict[str, list[str]] = {v.name: [] for v in self._variables}
         for spec in nodes:
             for p in spec.parents:
-                if p in children:
+                if p in children and spec.var in children:  # an undeclared node is no child
                     children[p].append(spec.var)
         self._children: dict[str, tuple[str, ...]] = {
             v: tuple(cs) for v, cs in children.items()
@@ -424,10 +424,11 @@ def validate(net: Network) -> list[str]:
         if len(set(var.values)) != len(var.values):
             violations.append(f"duplicate value in variable: {var.name}")
 
-    node_vars = {spec.var for spec in net.nodes}
+    node_vars = net._nodes.keys()  # undeclared ones too, which net.nodes leaves out
     for var in net.variables:
         if var.name not in node_vars:
             violations.append(f"missing node: {var.name}")
+    violations += [f"unknown variable: node {v}" for v in node_vars if v not in seen_names]
 
     for spec in net.nodes:
         if len(set(spec.parents)) != len(spec.parents):

@@ -217,6 +217,15 @@ class TestValidation:
         net = Network((a, b), (NodeSpec("A", (), leaf(0.3)), NodeSpec("B", parents, cpt)))
         assert cb.validate(net) == [violation]
 
+    def test_a_node_for_an_undeclared_variable_is_a_violation(self):
+        # its arc from A is no arc of the network, so A keeps no child
+        leaf = Leaf(Distribution((0.5, 0.5)))
+        on_a = Node("A", (("t", leaf), ("f", leaf)))
+        nodes = (NodeSpec("A", (), leaf), NodeSpec("Q", ("A",), on_a))
+        net = Network((Variable("A", ("t", "f")),), nodes)
+        assert cb.validate(net) == ["unknown variable: node Q"]
+        assert net.children("A") == ()
+
     def test_valid_network_has_no_violations(self, fig1):
         assert cb.validate(fig1) == []
 

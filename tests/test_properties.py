@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 from csibn import fixtures
 from csibn.cli import run
-from csibn.cutset import CutsetNode, EmptyLeaf, build_conditional_cutset, flat_cutset
+from csibn.cutset import (
+    CutsetNode,
+    EmptyLeaf,
+    build_conditional_cutset,
+    cutset_variables,
+    flat_cutset,
+)
 from csibn.inference import (
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
@@ -149,10 +155,11 @@ def _states(net: Network) -> int:
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_engines_agree_with_enumeration(data):
-    """``ve`` and ``cutset`` (over the greedy conditional cutset) give the
-    enumeration answer to 1e-9, on the network and on its decomposed form,
-    which keeps the joint over the original variables; impossible evidence
-    raises in every engine."""
+    """``ve`` and ``cutset`` (over the greedy conditional cutset, and over a
+    flat cutset on its variables and the target, which binds the target on
+    every branch) give the enumeration answer to 1e-9, on the network and on
+    its decomposed form, which keeps the joint over the original variables;
+    impossible evidence raises in every engine."""
     net = data.draw(networks())
     names = list(net.var_names)
     target = data.draw(st.sampled_from(names))
@@ -169,9 +176,12 @@ def test_engines_agree_with_enumeration(data):
     except ImpossibleEvidenceError:
         want = None
     for form, enumerate_it in forms:
+        greedy = build_conditional_cutset(form)
+        bound = flat_cutset(form, sorted(cutset_variables(greedy) | {target}))
         engines = [
             lambda: variable_elimination(form, query),
-            lambda: cutset_infer(form, query, build_conditional_cutset(form)),
+            lambda: cutset_infer(form, query, greedy),
+            lambda: cutset_infer(form, query, bound),
         ]
         if enumerate_it:
             engines.append(lambda: query_enumerate(form, query))

@@ -21,6 +21,12 @@ order of the declared parent order (first parent varies slowest) and of
 each parent's declared value order.  Leaf and row vectors align with the
 node variable's declared value order.
 
+:func:`network_from_json` only decodes: it raises on a document of the
+wrong shape or types.  :func:`validate` alone judges the model rules
+(declared names, one node per variable, parents, branch coverage,
+normalization, acyclicity) and lists every violation, for a network read
+from JSON or built in code alike.
+
 Operations return new model objects and never change their inputs.  The
 one exception is a ``Network``'s caches, each derived from the network
 alone and filled on first use: its compiled numeric form with the cutset
@@ -36,6 +42,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quoted
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -112,10 +119,6 @@ class Context(Mapping[str, str]):
             merged[var] = val
         return Context(merged)
 
-    def restrict(self, variables: Iterable[str]) -> "Context":
-        keep = set(variables)
-        return Context({v: x for v, x in self._bindings.items() if v in keep})
-
     def consistent_with(self, assignment: Mapping[str, str]) -> bool:
         return all(assignment.get(v, x) == x for v, x in self._bindings.items())
 
@@ -183,15 +186,17 @@ class Network:
     """A directed network over discrete variables with one CPT per variable.
 
     Construction performs no validation beyond name indexing; use
-    :func:`validate` to obtain the list of invariant violations.
+    :func:`validate` to obtain the list of invariant violations.  Of two
+    specs for one variable the later is kept, and only kept specs make arcs.
     """
 
     def __init__(self, variables: Sequence[Variable], nodes: Sequence[NodeSpec]):
         self._variables: tuple[Variable, ...] = tuple(variables)
         self._by_name: dict[str, Variable] = {v.name: v for v in self._variables}
+        self._spec_vars = tuple(n.var for n in nodes)  # one per spec given, for validate
         self._nodes: dict[str, NodeSpec] = {n.var: n for n in nodes}
         children: dict[str, list[str]] = {v.name: [] for v in self._variables}
-        for spec in nodes:
+        for spec in self._nodes.values():
             for p in spec.parents:
                 if p in children and spec.var in children:  # an undeclared node is no child
                     children[p].append(spec.var)
@@ -248,15 +253,6 @@ class Network:
 
     def edges(self) -> list[tuple[str, str]]:
         return [(p, n.var) for n in self.nodes for p in n.parents]
-
-    def skeleton(self) -> dict[str, set[str]]:
-        """Undirected adjacency of the parent relation."""
-        adj: dict[str, set[str]] = {v.name: set() for v in self._variables}
-        for p, c in self.edges():
-            if p in adj and c in adj:
-                adj[p].add(c)
-                adj[c].add(p)
-        return adj
 
     def topological_order(self) -> list[str]:
         """Parent-before-child order, stable w.r.t. declared variable order."""
@@ -429,6 +425,7 @@ def validate(net: Network) -> list[str]:
         if var.name not in node_vars:
             violations.append(f"missing node: {var.name}")
     violations += [f"unknown variable: node {v}" for v in node_vars if v not in seen_names]
+    violations += [f"duplicate node: {v}" for v, k in Counter(net._spec_vars).items() if k > 1]
 
     for spec in net.nodes:
         if len(set(spec.parents)) != len(spec.parents):
@@ -476,12 +473,14 @@ def _check_tree(
         elif not tree.dist.is_normalized():
             out.append(f"unnormalized leaf: node {spec.var}")
         return
-    if tree.test not in spec.parents:
+    declared = net._by_name.get(tree.test)
+    if declared is None:
+        out.append(f"unknown variable: test {tree.test} in node {spec.var}")
+    elif tree.test not in spec.parents:
         out.append(f"test not a parent: {tree.test} in node {spec.var}")
     if tree.test in path:
         out.append(f"repeated test on a path: {tree.test} in node {spec.var}")
-    branch_vals = tuple(val for val, _ in tree.branches)
-    if tree.test in net._by_name and branch_vals != net.values(tree.test):
+    if declared and tuple(val for val, _ in tree.branches) != declared.values:
         out.append(
             f"malformed CPT: node {spec.var} branches on {tree.test} "
             f"do not cover its values exactly"
@@ -494,7 +493,9 @@ def _check_tree(
 
 
 def parse_network(text: str) -> Network:
-    """Parse and fully validate a network; raises on any violation."""
+    """Parse and fully validate a network.  Raises :class:`NetworkFormatError`
+    on bad JSON syntax, and :class:`NetworkSemanticsError` with the reader's
+    one decoding fault or else every violation :func:`validate` finds."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -509,6 +510,9 @@ def parse_network(text: str) -> Network:
 
 
 def network_from_json(doc: object) -> Network:
+    """Decode a parsed JSON document; raises only on a wrong shape or type.
+    Branches that cover the test's values are put in declared order, others
+    kept as written; :func:`validate` judges every model rule."""
     if not isinstance(doc, dict):
         raise NetworkSemanticsError(["top level must be an object"])
     raw_vars = doc.get("variables")
@@ -523,24 +527,20 @@ def network_from_json(doc: object) -> Network:
         name = _string(rv["name"], "variable: name")
         values = _array_of(rv["values"], str, f"variable: values of {name}")
         variables.append(Variable(name, values))
-    by_name = {v.name: v for v in variables}
+    values_of = {v.name: v.values for v in variables}
 
-    nodes: dict[str, NodeSpec] = {}
+    nodes = []
     for rn in raw_nodes:
         if not isinstance(rn, dict) or "var" not in rn or "cpt" not in rn:
             raise NetworkSemanticsError(["node entries need var and cpt"])
         var = _string(rn["var"], "node: var")
-        if var not in by_name:
-            raise NetworkSemanticsError([f"unknown variable: node {var!r}"])
-        if var in nodes:
-            raise NetworkSemanticsError([f"duplicate node: {var}"])
         parents = _array_of(rn.get("parents", []), str, f"node: parents of {var}")
-        cpt = _cpt_from_json(rn["cpt"], var, by_name)
+        cpt = _cpt_from_json(rn["cpt"], var, values_of)
         deterministic = rn.get("deterministic", False)
         if not isinstance(deterministic, bool):
             raise NetworkSemanticsError([f"malformed node: deterministic of {var} must be a boolean"])
-        nodes[var] = NodeSpec(var, parents, cpt, deterministic)
-    return Network(variables, tuple(nodes.values()))
+        nodes.append(NodeSpec(var, parents, cpt, deterministic))
+    return Network(variables, nodes)
 
 
 _NUMBER = (int, float)
@@ -564,7 +564,7 @@ def _string(raw: object, what: str) -> str:
     raise NetworkSemanticsError([f"malformed {what} must be a string"])
 
 
-def _cpt_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> Cpt:
+def _cpt_from_json(raw: object, var: str, values_of: dict[str, tuple[str, ...]]) -> Cpt:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise NetworkSemanticsError([f"malformed CPT: node {var} needs a kind"])
     kind = raw["kind"]
@@ -579,11 +579,11 @@ def _cpt_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> Cpt:
             )
         )
     if kind == "tree":
-        return _tree_from_json(raw.get("root"), var, by_name)
+        return _tree_from_json(raw.get("root"), var, values_of)
     raise NetworkSemanticsError([f"malformed CPT: node {var} has unknown kind {kind!r}"])
 
 
-def _tree_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> CptTree:
+def _tree_from_json(raw: object, var: str, values_of: dict[str, tuple[str, ...]]) -> CptTree:
     if not isinstance(raw, dict):
         raise NetworkSemanticsError([f"malformed CPT: node {var} tree entry must be an object"])
     if "leaf" in raw:
@@ -592,18 +592,11 @@ def _tree_from_json(raw: object, var: str, by_name: dict[str, Variable]) -> CptT
         raise NetworkSemanticsError([f"malformed CPT: node {var} tree entry needs test/branches"])
     test = _string(raw["test"], f"CPT: node {var} test")
     raw_branches = raw["branches"]
-    if test not in by_name:
-        raise NetworkSemanticsError([f"unknown variable: test {test!r} in node {var}"])
     if not isinstance(raw_branches, dict):
         raise NetworkSemanticsError([f"malformed CPT: node {var} branches must be an object"])
-    declared = by_name[test].values
-    if set(raw_branches) != set(declared):
-        raise NetworkSemanticsError(
-            [f"malformed CPT: node {var} branches on {test} do not cover its values exactly"]
-        )
-    branches = tuple(
-        (val, _tree_from_json(raw_branches[val], var, by_name)) for val in declared
-    )
+    declared = values_of.get(test, ())
+    order = declared if raw_branches.keys() == set(declared) else raw_branches
+    branches = tuple((val, _tree_from_json(raw_branches[val], var, values_of)) for val in order)
     return Node(test, branches)
 
 

@@ -17,6 +17,7 @@ from typing import Mapping
 from csibn import fixtures, transform
 from csibn.inference import joint_probability
 from csibn.model import (
+    Context,
     CptTree,
     Distribution,
     Leaf,
@@ -71,6 +72,22 @@ def oracle_has_undirected_cycle(adj: dict) -> bool:
     return False
 
 
+def skeleton(net: Network) -> dict[str, set[str]]:
+    """Undirected adjacency of the parent relation."""
+    adj: dict[str, set[str]] = {v.name: set() for v in net.variables}
+    for p, c in net.edges():
+        if p in adj and c in adj:
+            adj[p].add(c)
+            adj[c].add(p)
+    return adj
+
+
+def restrict(ctx: Mapping[str, str], variables) -> Context:
+    """The bindings of ``ctx`` to ``variables``."""
+    keep = set(variables)
+    return Context({v: x for v, x in ctx.items() if v in keep})
+
+
 def tree_leaves(tree: CptTree):
     """The tree's leaves, left to right."""
     if isinstance(tree, Leaf):
@@ -92,7 +109,7 @@ def decompose_node(net: Network, x: str) -> Network:
 def moral_adjacency(net: Network) -> dict[str, set[str]]:
     """The moral graph on variable names: the skeleton, plus an edge between
     every two parents of one node."""
-    adj = net.skeleton()
+    adj = skeleton(net)
     for spec in net.nodes:
         for a, b in itertools.combinations(spec.parents, 2):
             adj[a].add(b)
@@ -299,7 +316,7 @@ def random_loopy_net(rng, max_vars=8) -> Network:
             parents = tuple(p for p in names[:i] if p in tested)
             nodes.append(NodeSpec(name, parents, tree))
         net = Network(variables, tuple(nodes))
-        if oracle_has_undirected_cycle(net.skeleton()):
+        if oracle_has_undirected_cycle(skeleton(net)):
             return net
     raise AssertionError("could not sample a loopy network")
 

@@ -143,6 +143,23 @@ class TestValidate:
         assert (code, out) == (1, "")
         assert err.splitlines() == [f"error[semantics]: duplicate node: {doc['nodes'][0]['var']}"]
 
+    def test_every_violation_is_listed(self, capsys, tmp_path):
+        # a node for an undeclared variable and an unnormalized leaf: the
+        # reader leaves both to validation, which finds them both
+        with open(FIG2, encoding="utf-8") as handle:
+            doc = json.load(handle)
+        doc["nodes"].append({**doc["nodes"][0], "var": "Q"})
+        doc["nodes"][0]["cpt"] = {"kind": "tree", "root": {"leaf": [0.5, 0.6]}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        unnormalized = f"error[semantics]: unnormalized leaf: node {doc['nodes'][0]['var']}"
+        code, out, err = invoke(capsys, "validate", str(bad))
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error[semantics]: unknown variable: node Q", unnormalized]
+        code, out, err = invoke(capsys, "infer", str(bad), "-q", "X")
+        assert (code, out) == (1, "")
+        assert err.splitlines() == ["error[semantics]: unknown variable: node Q (and 1 more)"]
+
     def test_json_mode(self, capsys, tmp_path):
         code, out, err = invoke(capsys, "validate", FIG1, "--json")
         doc = json.loads(out)

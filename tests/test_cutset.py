@@ -45,6 +45,7 @@ from conftest import (
     oracle_has_undirected_cycle,
     random_loopy_net,
     random_polytree_net,
+    skeleton,
     windowed_net,
 )
 
@@ -158,7 +159,7 @@ class TestBuild:
             assert tree is not EMPTY
             for ctx in branch_contexts(tree):
                 residual = reduce_network(net, ctx)
-                adj = residual.skeleton()
+                adj = skeleton(residual)
                 for name in ctx:
                     for nb in adj.pop(name):
                         adj[nb].discard(name)
@@ -180,7 +181,7 @@ class TestBuild:
         builder, keys = _Builder(fig1), {}
         for v in fig1.values("V"):
             reduced = reduce_network(level, {"V": v})
-            core = graphs.two_core(reduced.skeleton())
+            core = graphs.two_core(skeleton(reduced))
             families = {c: (as_tree(reduced, c), reduced.parents(c)) for c in sorted(core)}
             keys[v] = builder.key(families)
         assert keys["t"][0]  # the core is not empty

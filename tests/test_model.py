@@ -25,7 +25,7 @@ from csibn.model import (
     tree_tested_vars,
 )
 
-from conftest import chain_net, tree_leaves, windowed_net
+from conftest import chain_net, restrict, skeleton, tree_leaves, windowed_net
 
 
 def mini_doc():
@@ -79,6 +79,16 @@ class TestParsing:
         del doc["nodes"][1]["cpt"]["root"]["branches"]["f"]
         with pytest.raises(cb.NetworkSemanticsError):
             cb.parse_network(json.dumps(doc))
+
+    def test_branches_are_read_in_declared_order(self):
+        # the reader, not the writer's key order, fixes the branch order
+        doc = mini_doc()
+        branches = doc["nodes"][1]["cpt"]["root"]["branches"]
+        doc["nodes"][1]["cpt"]["root"]["branches"] = {"f": branches["f"], "t": branches["t"]}
+        net = cb.parse_network(json.dumps(doc))
+        assert [val for val, _ in net.cpt("B").branches] == ["t", "f"]
+        assert net == cb.parse_network(json.dumps(mini_doc()))
+        assert cb.parse_network(cb.serialize_network(net)) == net
 
 
 class TestValidation:
@@ -226,6 +236,51 @@ class TestValidation:
         assert cb.validate(net) == ["unknown variable: node Q"]
         assert net.children("A") == ()
 
+    def test_a_second_spec_for_a_variable_is_a_violation(self):
+        # the later spec of B is kept, and with it B's parents and A's children
+        leaf = Leaf(Distribution((0.5, 0.5)))
+        on_a = Node("A", (("t", leaf), ("f", leaf)))
+        nodes = (NodeSpec("A", (), leaf), NodeSpec("B", ("A",), on_a), NodeSpec("B", (), leaf))
+        net = Network((Variable("A", ("t", "f")), Variable("B", ("t", "f"))), nodes)
+        assert cb.validate(net) == ["duplicate node: B"]
+        assert net.children("A") == net.parents("B") == ()
+
+    @pytest.mark.parametrize(
+        "flaw, violation",
+        [
+            ("undeclared-node", "unknown variable: node Q"),
+            ("undeclared-test", "unknown variable: test Z in node B"),
+            ("duplicate-node", "duplicate node: B"),
+            (
+                "uncovered-branch",
+                "malformed CPT: node B branches on A do not cover its values exactly",
+            ),
+        ],
+    )
+    def test_a_fault_reads_the_same_from_json_and_from_code(self, flaw, violation):
+        leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+        doc = mini_doc()
+        root = doc["nodes"][1]["cpt"]["root"]
+        a = NodeSpec("A", (), leaf(0.3))
+        b = NodeSpec("B", ("A",), Node("A", (("t", leaf(0.9)), ("f", leaf(0.2)))))
+        specs = [a, b]
+        if flaw == "undeclared-node":
+            doc["nodes"].append({"var": "Q", "parents": [], "cpt": doc["nodes"][0]["cpt"]})
+            specs.append(NodeSpec("Q", (), a.cpt))
+        elif flaw == "undeclared-test":
+            root["test"] = "Z"
+            specs[1] = NodeSpec("B", ("A",), Node("Z", b.cpt.branches))
+        elif flaw == "duplicate-node":
+            doc["nodes"].append(doc["nodes"][1])
+            specs.append(b)
+        else:
+            del root["branches"]["f"]
+            specs[1] = NodeSpec("B", ("A",), Node("A", b.cpt.branches[:1]))
+        net = Network((Variable("A", ("t", "f")), Variable("B", ("t", "f"))), specs)
+        with pytest.raises(cb.NetworkSemanticsError) as err:
+            cb.parse_network(json.dumps(doc))
+        assert err.value.violations == cb.validate(net) == [violation]
+
     def test_valid_network_has_no_violations(self, fig1):
         assert cb.validate(fig1) == []
 
@@ -252,7 +307,7 @@ class TestContext:
         d = c.union({"B": "f"})
         assert dict(d) == {"A": "t", "B": "f"}
         assert dict(c) == {"A": "t"}  # immutable
-        assert dict(d.restrict(["B"])) == {"B": "f"}
+        assert dict(restrict(d, ["B"])) == {"B": "f"}
 
     def test_union_conflict_raises(self):
         with pytest.raises(ValueError):
@@ -333,7 +388,7 @@ class TestNetwork:
         assert fig1.children("S") == ("U", "V", "W")
         assert fig1.parents("Z") == ("X", "W")
         assert ("S", "U") in fig1.edges()
-        assert fig1.skeleton()["X"] == {"U", "V", "W", "Z"}
+        assert skeleton(fig1)["X"] == {"U", "V", "W", "Z"}
 
     def test_topological_order(self, fig1):
         order = fig1.topological_order()

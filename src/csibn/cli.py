@@ -202,6 +202,7 @@ def _cmd_infer(args) -> int:
 
 def _cmd_vacuous(args) -> int:
     net = _load(args.network)
+    net.variable(args.node)  # an unknown node fails before the context is read
     ctx = _context(net, args.context)
     vac = sorted(vacuous_parents(net, args.node, ctx))
     if args.json:
@@ -213,6 +214,7 @@ def _cmd_vacuous(args) -> int:
 
 def _cmd_reduce(args) -> int:
     net = _load(args.network)
+    net.variable(args.node)  # an unknown node fails before the context is read
     ctx = _context(net, args.context)
     tree = reduce_tree(as_tree(net, args.node), ctx)
     if args.json:

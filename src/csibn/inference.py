@@ -475,7 +475,7 @@ def _picker(indices):
     return itemgetter(*indices) if indices else lambda row: ()
 
 
-def _solve_component(root: int, parents, children, tables, bound):
+def _solve_component(root: int, parents, children, table, bound):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
     number of messages computed.
@@ -486,9 +486,10 @@ def _solve_component(root: int, parents, children, tables, bound):
     caller, which multiplies it further, to rescale.  A λ message out of a
     subtree holding no observed node (one whose ``bound`` entry is not 0,
     its own axis sliced to its value) is all ones, so neither it nor any
-    message feeding only it is computed.  Tables may carry a leading member
-    axis, one row per member of a batch; the messages then carry it too, and
-    each row its own exponent.
+    message feeding only it is computed.  ``table(v)`` is node ``v``'s table,
+    read only for the nodes the pass computes at.  Tables may carry a leading
+    member axis, one row per member of a batch; the messages then carry it
+    too, and each row its own exponent.
     """
     up, order = {root: None}, [root]
     for v in order:
@@ -509,7 +510,7 @@ def _solve_component(root: int, parents, children, tables, bound):
         if v not in needed:
             continue
         u, own = up[v], len(parents[v])
-        operands = [tables[v], [..., *range(own + 1)]]
+        operands = [table(v), [..., *range(own + 1)]]
         lams = [msg[c] for c in children[v] if c != u and c in msg]
         if lams:  # multiplied first, so no einsum takes more operands than numpy allows
             operands += [math.prod(lams[1:], start=lams[0]), [..., own]]
@@ -544,11 +545,13 @@ class _Walk:
     variable (1 + value index, or 0), and its members bind the same variables
     and leave every family the same kept parents, so the arcs, the connected
     components and ``excess`` (arcs minus nodes plus components, 0 exactly
-    when every component is a tree) are the batch's.  Tables are read per
-    member where a component is solved (:meth:`weight`).  It holds its own
-    copies of the compiled parents and children, restored from the undo
-    record; the network keeps the below-sets (the cutset variables each
-    distinct node's subtree tests) of the last tree queried.  Two per-query
+    when every component is a tree) are the batch's.  :meth:`family` is the
+    one source of an instantiated family: the kept parents the evidence and
+    each binding leave, and the tables a component is solved with, per
+    member (:meth:`weight`).  It holds its own copies of the compiled parents
+    and children, restored from the undo record; the network keeps the
+    below-sets (the cutset variables each distinct node's subtree tests) and
+    the branch count of the last tree queried.  Two per-query
     memos are keyed, member by member, on a component and the values bound
     on the cutset variables it sees (:meth:`seen`), which fix the arcs and
     tables inside it: its weight and, with a cutset-tree node and ``excess``,
@@ -573,24 +576,17 @@ class _Walk:
         # never tests drops here
         self.excess = sum(map(len, parents)) - len(names)
         self.pickers = [_picker(family + (c,)) for c, family in enumerate(parents)]
-        hits = [self.family(c, self.evidence) for c in range(len(names))]
-        self.instantiate(range(len(names)), [kept for kept, _ in hits], [])
-        self.tables = [table for _, table in hits]  # under the evidence alone
-        self.reduced_children = tuple(self.children)
-        # kept on the network for the last tree queried: below-sets, for each
-        # cutset variable x the other cutset parents of x's children, and the
+        kept = [self.family(c, self.evidence)[0] for c in range(len(names))]
+        self.instantiate(range(len(names)), kept, [])
+        self.reduced_parents = tuple(self.parents)  # under the evidence alone
+        # kept on the network for the last tree queried: below-sets and the
         # branch count
         if net._cutset_walk is None or net._cutset_walk[0] is not ct:
             self.below: dict[int, frozenset] = {}
-            cut = self.index_tree(ct)
-            around = {}
-            for x in cut:
-                family = {p for c in children[x] for p in parents[c]}
-                around[x] = _picker(sorted(cut.intersection(family) - {x}))
-            evaluations = cutset_mod.count_branches(ct)
-            net._cutset_walk = ct, self.below, cut, around, evaluations
-        _, self.below, self.cutset, self.around, self.evaluations = net._cutset_walk
-        self.cut = sorted(self.cutset)
+            self.index_tree(ct)
+            net._cutset_walk = ct, self.below, cutset_mod.count_branches(ct)
+        _, self.below, self.evaluations = net._cutset_walk
+        self.cutset = self.below[id(ct)]
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
         self.partitions = 0  # component searches run
@@ -600,9 +596,9 @@ class _Walk:
         self.sums: dict[tuple, tuple] = {}
         self.messages = self.visits = 0
 
-    def index_tree(self, tree: "cutset_mod.CutsetTree") -> frozenset:
-        """The indices of the variables ``tree`` tests, recorded in ``below``
-        by ``id``, once per distinct node.  Raises ``ValueError`` unless each
+    def index_tree(self, tree: "cutset_mod.CutsetTree") -> None:
+        """Record in ``below``, by ``id``, the indices of the variables each
+        distinct node of ``tree`` tests.  Raises ``ValueError`` unless each
         node tests a variable of the network, its arcs cover that variable's
         values, each once, and its test is not tested again beneath it, where
         a batch would hold both its values."""
@@ -624,7 +620,6 @@ class _Walk:
             if x in beneath:
                 raise ValueError(f"cutset node {node.test!r} is tested again beneath itself")
             below[id(node)] = beneath | {x}
-        return below[id(tree)]
 
     def partition(self, nodes) -> None:
         """Make each connected component of ``nodes`` under the current arcs
@@ -647,17 +642,15 @@ class _Walk:
                 component[v] = part
 
     def seen(self, part: frozenset) -> tuple:
-        """The cutset variables ``part`` depends on -- those in it, and those
-        with a child in it once the evidence is instantiated -- and a
+        """The cutset variables ``part`` depends on -- those in it, and the
+        parents its nodes keep once the evidence is instantiated -- and a
         :func:`_picker` of a member's values on them, which fix the arcs and
-        tables inside ``part``; then its families that meet the cutset, the
-        node or a declared parent, whose tables vary with it."""
+        tables inside ``part``."""
         hit = self.sees.get(part)
         if hit is None:
-            reach = self.reduced_children
-            sees = tuple(x for x in self.cut if x in part or not part.isdisjoint(reach[x]))
-            watched = [v for v in part if not self.cutset.isdisjoint(self.declared[v] + (v,))]
-            hit = self.sees[part] = sees, _picker(sees), watched
+            reach = part.union(*(self.reduced_parents[v] for v in part))
+            sees = tuple(sorted(self.cutset.intersection(reach)))
+            hit = self.sees[part] = sees, _picker(sees)
         return hit
 
     def family(self, c: int, row: list) -> tuple:
@@ -720,19 +713,19 @@ class _Walk:
         """For each member of ``rows``, ``part``'s belief vector at the
         target, a list, if it holds the target, else its total weight, with
         its power-of-two exponent.  The members whose keys miss the memo are
-        solved together, one per key, each watched family's table stacked on a
-        leading member axis; a bound target's belief, of length 1, goes back
-        at its value in a vector of zeros."""
-        memo, (_, pick, watched) = self.weights, self.seen(part)
+        solved together, one per key, each table the solve reads taken per
+        member from :meth:`family` and stacked on a leading member axis
+        (:func:`_stacked`); a bound target's belief, of length 1, goes back at
+        its value in a vector of zeros."""
+        memo, (_, pick) = self.weights, self.seen(part)
         keys = [(part, pick(row)) for row in rows]
         todo = {key: row for key, row in zip(keys, rows) if key not in memo}
         if not todo:
             return [memo[key] for key in keys]
-        rows, tables = list(todo.values()), self.tables[:]
-        for v in watched:
-            tables[v] = _stacked([self.family(v, row)[1] for row in rows])
+        rows = list(todo.values())
+        table = lambda v: _stacked([self.family(v, row)[1] for row in rows])
         root = self.target if self.target in part else min(part)
-        vec, shifts, n = _solve_component(root, self.parents, self.children, tables, rows[0])
+        vec, shifts, n = _solve_component(root, self.parents, self.children, table, rows[0])
         self.messages += n * len(rows)
         # a result without a member axis is every member's
         vecs = vec.tolist() if vec.ndim > 1 else [vec.tolist()] * len(rows)
@@ -809,8 +802,8 @@ class _Walk:
             keys = [(head, pick(row)) for row in rows]
             todo = {key: row for key, row in zip(keys, rows) if key not in sums}
             if todo:
-                x, members, groups, kept = self.index[tree.test], [], {}, {}
-                children, around = self.children[x], self.around[x]
+                x, members, groups = self.index[tree.test], [], {}
+                children = self.children[x]
                 for arc_values, child in tree.arcs:
                     for value in arc_values:
                         k = self.values[x].index(value)
@@ -819,11 +812,8 @@ class _Walk:
                         for row in todo.values():
                             row = row[:]
                             row[x] = k + 1
-                            # x's children keep the same parents where their other ones agree
-                            key = (k, around(row))
-                            if key not in kept:
-                                kept[key] = tuple([self.family(c, row)[0] for c in children])
-                            group = groups.setdefault((id(child), kept[key]), (child, []))
+                            kept = tuple([self.family(c, row)[0] for c in children])
+                            group = groups.setdefault((id(child), kept), (child, []))
                             group[1].append(len(members))
                             members.append(row)
                 terms = [None] * len(members)

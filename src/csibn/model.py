@@ -289,7 +289,11 @@ class Network:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Network):
             return NotImplemented
-        return self._variables == other._variables and self._nodes == other._nodes
+        return (
+            self._variables == other._variables
+            and self._nodes == other._nodes
+            and sorted(self._spec_vars) == sorted(other._spec_vars)  # a duplicate spec counts
+        )
 
     def __repr__(self) -> str:
         return f"Network({len(self._variables)} variables, {len(self.edges())} edges)"

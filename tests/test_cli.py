@@ -347,6 +347,13 @@ class TestReduce:
         assert doc["tree"]["test"] == "D"
         assert set(doc["tree"]["branches"]) == {"t", "f"}
 
+    @pytest.mark.parametrize("command", ["reduce", "vacuous"])
+    def test_unknown_node_is_domain_error_before_the_context(self, capsys, command):
+        # the message infer and dsep give, whatever the context says
+        for context in ("A=t", "bogus"):
+            code, out, err = invoke(capsys, command, FIG2, "-x", "Q", "-c", context)
+            assert (code, out, err) == (1, "", "error[domain]: unknown variable 'Q'\n")
+
 
 class TestSeparation:
     def test_dsep(self, capsys):

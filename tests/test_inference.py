@@ -437,13 +437,21 @@ class TestStats:
 
     def test_one_component_search_per_batch_bound(self):
         # one search for the evidence, then one per batch bound on a variable
-        # with children
+        # with children; the messages and memo sizes pin the batching too
         net = windowed_net(np.random.default_rng(1), 30)
-        q = Query("V29", Context({"V0": "t"}))
-        result = cutset_infer(net, q, build_conditional_cutset(net))
-        posteriors_close(result, variable_elimination(net, q))
-        assert result.evaluations == 288
-        assert result.stats["partitions"] == 87
+        tree = build_conditional_cutset(net)
+        pinned = [
+            ({"V0": "t"}, 302, (187, 116, 87, 87)),
+            ({"V0": "t", "V12": "f"}, 174, (139, 89, 55, 61)),
+            ({"V9": "t"}, 166, (165, 87, 79, 85)),
+        ]
+        for evidence, messages, counters in pinned:
+            q = Query("V29", Context(evidence))
+            result = cutset_infer(net, q, tree)
+            posteriors_close(result, variable_elimination(net, q))
+            assert result.evaluations == 288
+            assert result.messages_computed == messages
+            assert tuple(result.stats[k] for k in WALK_COUNTERS) == counters
 
     @pytest.mark.parametrize("fig", sorted(PINNED_STATS))
     def test_elimination_counters_pinned(self, fig):

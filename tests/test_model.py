@@ -417,6 +417,16 @@ class TestNetwork:
         assert chain_net() == chain_net()
         assert chain_net() != diamondish()
 
+    def test_equality_counts_duplicate_specs_but_not_spec_order(self):
+        # the kept specs agree, but only one network has the violation
+        leaf = Leaf(Distribution((0.5, 0.5)))
+        a, b = NodeSpec("A", (), leaf), NodeSpec("B", (), leaf)
+        on_a = NodeSpec("B", ("A",), Node("A", (("t", leaf), ("f", leaf))))
+        variables = (Variable("A", ("t", "f")), Variable("B", ("t", "f")))
+        assert Network(variables, (a, on_a, b)) != Network(variables, (a, b))
+        assert Network(variables, (a, on_a, b)) == Network(variables, (on_a, a, b))
+        assert Network(variables, (b, a)) == Network(variables, (a, b))
+
 
 def diamondish():
     variables = tuple(Variable(v, ("t", "f")) for v in "ABC")

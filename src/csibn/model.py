@@ -25,7 +25,11 @@ node variable's declared value order.
 wrong shape or types.  :func:`validate` alone judges the model rules
 (declared names, one node per variable, parents, branch coverage,
 normalization, acyclicity) and lists every violation, for a network read
-from JSON or built in code alike.
+from JSON or built in code alike.  :func:`parse_network` runs both on a
+text, with the process-wide cyclic garbage collector paused meanwhile.
+:func:`serialize_network` writes the text straight from the model objects;
+:func:`network_to_json` builds the same document as Python objects, for
+callers that embed it in a larger one.
 
 Operations return new model objects and never change their inputs.  The
 one exception is a ``Network``'s caches, each derived from the network
@@ -39,6 +43,7 @@ tests check for every engine that reads them.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import json
 import math
@@ -130,7 +135,7 @@ class Distribution:
     probs: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "probs", tuple(float(p) for p in self.probs))
+        object.__setattr__(self, "probs", tuple(map(float, self.probs)))
 
     def is_normalized(self, tol: float = NORMALIZATION_TOL) -> bool:
         return all(p >= 0.0 for p in self.probs) and abs(sum(self.probs) - 1.0) <= tol
@@ -499,15 +504,25 @@ def _check_tree(
 def parse_network(text: str) -> Network:
     """Parse and fully validate a network.  Raises :class:`NetworkFormatError`
     on bad JSON syntax, and :class:`NetworkSemanticsError` with the reader's
-    one decoding fault or else every violation :func:`validate` finds."""
+    one decoding fault or else every violation :func:`validate` finds.
+
+    The cyclic garbage collector, which is process-global, is paused while
+    the document is decoded and validated: the parse makes many objects and
+    no reference cycles, so each collection would only walk them again.
+    Its prior state is restored on return or raise; a caller that has
+    disabled it keeps it disabled."""
+    if enabled := gc.isenabled():
+        gc.disable()
     try:
-        doc = json.loads(text)
+        net = network_from_json(json.loads(text))
+        violations = validate(net)
     except json.JSONDecodeError as exc:
         raise NetworkFormatError(
             f"syntax error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
-    net = network_from_json(doc)
-    violations = validate(net)
+    finally:
+        if enabled:
+            gc.enable()
     if violations:
         raise NetworkSemanticsError(violations)
     return net
@@ -553,7 +568,11 @@ _NUMBER = (int, float)
 def _array_of(raw: object, kind: type | tuple[type, ...], what: str) -> tuple:
     """``raw`` as a tuple, numbers as floats; raises unless it is a JSON array
     of ``kind`` items (booleans are not numbers) that a float can hold."""
-    if isinstance(raw, list) and all(isinstance(x, kind) and not isinstance(x, bool) for x in raw):
+    exact = {str} if kind is str else {int, float}
+    if isinstance(raw, list) and (
+        {*map(type, raw)} <= exact  # one pass in C; the loop admits subclasses such as numpy.float64
+        or all(isinstance(x, kind) and not isinstance(x, bool) for x in raw)
+    ):
         try:
             return tuple(raw) if kind is str else tuple(map(float, raw))
         except OverflowError:  # an integer literal beyond the float range
@@ -605,6 +624,9 @@ def _tree_from_json(raw: object, var: str, values_of: dict[str, tuple[str, ...]]
 
 
 def network_to_json(net: Network) -> dict:
+    """The network as the JSON document :func:`parse_network` reads, for
+    callers that embed it in a larger document (``decompose --json``);
+    :func:`serialize_network` writes the same document's text without it."""
     return {
         "variables": [
             {"name": v.name, "values": list(v.values)} for v in net.variables
@@ -635,59 +657,68 @@ def _tree_to_json(tree: CptTree) -> dict:
 
 def serialize_network(net: Network) -> str:
     """Stable, round-trippable rendering: parse(serialize(n)) == n.  It is
-    ``json.dumps(network_to_json(net), indent=2)`` and a newline, written by
-    :func:`_indented` rather than by json's pure-Python indenting encoder."""
-    parts: list[str] = []
-    _indented(network_to_json(net), "\n", parts)
-    parts.append("\n")
+    ``json.dumps(network_to_json(net), indent=2)`` and a newline, written
+    straight from the variables, specs and trees, one string per entry,
+    without building that document."""
+    entries = [
+        "{\n      \"name\": " + _quoted(v.name) + ",\n      \"values\": "
+        + _array(v.values, _quoted, "\n      ") + "\n    }"
+        for v in net.variables
+    ]
+    nodes = [_node_text(spec) for spec in net.nodes]
+    return "".join(
+        ('{\n  "variables": ', _array(entries, str, "\n  "),
+         ',\n  "nodes": ', _array(nodes, str, "\n  "), "\n}\n")
+    )
+
+
+def _array(items: Sequence, spell, newline: str) -> str:
+    """``items``, each spelled by ``spell``, as json.dumps spells an array
+    with ``indent=2`` after a line that ends in ``newline``."""
+    if not items:
+        return "[]"
+    inner = newline + "  "
+    return "[" + inner + ("," + inner).join(map(spell, items)) + newline + "]"
+
+
+def _numbers(probs: tuple[float, ...], newline: str) -> str:
+    text = _array(probs, float.__repr__, newline)  # json's spelling but for nan and inf
+    return text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+
+
+def _node_text(spec: NodeSpec) -> str:
+    """One entry of ``"nodes"``, as :func:`serialize_network` writes it."""
+    n6, n8 = "\n      ", "\n        "
+    parts = ["{" + n6 + '"var": ' + _quoted(spec.var) + "," + n6 + '"parents": '
+             + _array(spec.parents, _quoted, n6)]
+    if spec.deterministic:
+        parts.append("," + n6 + '"deterministic": true')
+    if isinstance(spec.cpt, CptTable):
+        parts.append("," + n6 + '"cpt": {' + n8 + '"kind": "table",' + n8 + '"rows": '
+                     + _array(spec.cpt.rows, lambda r: _numbers(r.probs, n8 + "  "), n8))
+    else:
+        parts.append("," + n6 + '"cpt": {' + n8 + '"kind": "tree",' + n8 + '"root": ')
+        _tree_text(spec.cpt, n8, parts)
+    parts.append(n6 + "}\n    }")
     return "".join(parts)
 
 
-def _number(x: int | float) -> str:
-    """``x`` spelled as json spells it."""
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
-
-
-def _indented(doc, newline: str, parts: list) -> None:
-    """Append ``doc`` -- dicts with string keys, lists, strings, numbers and
-    booleans -- to ``parts`` as json.dumps spells it with ``indent=2``:
-    ASCII only, each member on its own line after ``newline``, which
-    carries the current indentation."""
-    if isinstance(doc, dict) and doc:
-        inner = newline + "  "
-        lead = "{" + inner
-        for key, value in doc.items():
-            parts.append(lead + _quoted(key) + ": ")
-            lead = "," + inner
-            _indented(value, inner, parts)
-        parts.append(newline + "}")
-    elif isinstance(doc, list) and doc:
-        inner = newline + "  "
-        if all(type(x) is float or type(x) is int for x in doc):
-            parts.append("[" + inner + ("," + inner).join(map(_number, doc)) + newline + "]")
-            return
-        lead = "[" + inner
-        for value in doc:
-            parts.append(lead)
-            lead = "," + inner
-            _indented(value, inner, parts)
-        parts.append(newline + "]")
-    elif isinstance(doc, str):
-        parts.append(_quoted(doc))
-    elif isinstance(doc, bool):
-        parts.append("true" if doc else "false")
-    elif isinstance(doc, (int, float)):
-        parts.append(_number(doc))
-    elif isinstance(doc, (dict, list)):
-        parts.append("{}" if isinstance(doc, dict) else "[]")
-    else:
-        raise TypeError(f"Object of type {type(doc).__name__} is not JSON serializable")
+def _tree_text(tree: CptTree, newline: str, parts: list[str]) -> None:
+    """Append ``tree`` to ``parts`` as json.dumps spells ``_tree_to_json(tree)``
+    with ``indent=2`` after a line that ends in ``newline``."""
+    inner = newline + "  "
+    if isinstance(tree, Leaf):
+        parts.append("{" + inner + '"leaf": ' + _numbers(tree.dist.probs, inner) + newline + "}")
+        return
+    branches = dict(tree.branches)  # a repeated value keeps its last subtree, as in a dict
+    parts.append("{" + inner + '"test": ' + _quoted(tree.test) + "," + inner + '"branches": ')
+    deeper = inner + "  "
+    lead = "{" + deeper
+    for val, sub in branches.items():
+        parts.append(lead + _quoted(val) + ": ")
+        lead = "," + deeper
+        _tree_text(sub, deeper, parts)
+    parts.append((inner + "}" if branches else "{}") + newline + "}")
 
 
 # -- context syntax ----------------------------------------------------------

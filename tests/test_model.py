@@ -1,6 +1,8 @@
 """Model layer: parsing, validation, contexts, tree and table plumbing."""
 
+import gc
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +91,65 @@ class TestParsing:
         assert [val for val, _ in net.cpt("B").branches] == ["t", "f"]
         assert net == cb.parse_network(json.dumps(mini_doc()))
         assert cb.parse_network(cb.serialize_network(net)) == net
+
+    def test_numpy_floats_are_numbers_and_booleans_are_not(self):
+        # the reader checks a number array's item types in one pass and falls
+        # back to a per-item check, which admits float subclasses
+        doc = mini_doc()
+        doc["nodes"][0]["cpt"]["root"]["leaf"] = [np.float64(0.3), np.float64(0.7)]
+        doc["nodes"][1]["cpt"] = {"kind": "table", "rows": [[np.float64(0.9), 0.1], [0.2, 0.8]]}
+        net = cb.network_from_json(doc)
+        assert cb.validate(net) == []
+        assert net.cpt("A").dist.probs == (0.3, 0.7)
+        assert [row.probs for row in net.cpt("B").rows] == [(0.9, 0.1), (0.2, 0.8)]
+        assert all(type(p) is float for p in net.cpt("A").dist.probs + net.cpt("B").rows[0].probs)
+        for leaf in ([True, False], [np.float64(0.3), True], [1, 0.0, False]):
+            doc["nodes"][0]["cpt"]["root"]["leaf"] = leaf
+            with pytest.raises(cb.NetworkSemanticsError, match="must be an array of numbers"):
+                cb.network_from_json(doc)
+
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (json.dumps(mini_doc()), None),
+            ("{not json", cb.NetworkFormatError),
+            ("[]", cb.NetworkSemanticsError),  # the reader's decoding fault
+            (json.dumps({**mini_doc(), "variables": []}), cb.NetworkSemanticsError),  # validate's
+        ],
+        ids=["valid", "syntax", "shape", "semantics"],
+    )
+    def test_parse_restores_the_collector(self, text, error):
+        # parsing pauses the process-wide cyclic collector and restores it
+        assert gc.isenabled()
+        try:
+            if error is None:
+                cb.parse_network(text)
+            else:
+                with pytest.raises(error):
+                    cb.parse_network(text)
+            assert gc.isenabled()
+            gc.disable()  # a caller's choice is kept, and the parse still answers
+            if error is None:
+                assert cb.parse_network(text) == cb.network_from_json(json.loads(text))
+            else:
+                with pytest.raises(error):
+                    cb.parse_network(text)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_writer_builds_no_document(self):
+        # the text is written from the network's objects, not from a JSON
+        # document built first, so the writer's peak memory stays a small
+        # multiple of its output (about 6.4x with the document)
+        net = windowed_net(np.random.default_rng(1), 2000)
+        tracemalloc.start()
+        try:
+            text = cb.serialize_network(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * len(text)
 
 
 class TestValidation:

@@ -139,9 +139,19 @@ _ESCAPED = Network(
 )
 
 
+# empty arrays and objects, which json writes as "[]" and "{}" on one line
+_A = Variable("A", ("t", "f"))
+_EMPTY = Network((), ())
+_ZERO_ROWS = Network((_A,), (NodeSpec("A", (), CptTable(())),))
+_NO_BRANCHES = Network((_A,), (NodeSpec("A", ("A",), Node("A", ())),))
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(any_names=True))
 @example(_ESCAPED)
+@example(_EMPTY)
+@example(_ZERO_ROWS)
+@example(_NO_BRANCHES)
 def test_serialized_text_is_json_dumps_indent_2(net):
     """``serialize_network`` writes what json's indenting encoder writes for
     ``network_to_json``, byte for byte."""

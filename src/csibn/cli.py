@@ -7,9 +7,10 @@ separation tests, decomposition, clique metrics, and cutset construction.
 Output contract: human output is line-oriented with probabilities at six
 decimals; ``--json`` swaps in a machine-readable document carrying
 ``"schema_version": 1``.  Exit codes: 0 success, 1 domain error (invalid
-network, impossible evidence, unknown variable, or ``too-deep``: a structure
+network, impossible evidence, unknown variable, ``too-deep``: a structure
 nested past Python's recursion limit, such as a cutset tree a thousand
-levels deep), 2 usage error.  Every error goes to stderr as one line,
+levels deep, or ``too-large``: a variable elimination clique over its
+budget of entries), 2 usage error.  Every error goes to stderr as one line,
 ``error[code]: message``.
 """
 
@@ -23,6 +24,7 @@ from . import cutset as cutset_mod
 from . import transform
 from .csi import csi_separated, d_separated, reduce_tree, vacuous_parents
 from .inference import (
+    FactorTooLargeError,
     ImpossibleEvidenceError,
     NotSinglyConnectedError,
     Query,
@@ -169,6 +171,8 @@ def _run_query(net, args):
         _fail("impossible-evidence", str(exc))
     except NotSinglyConnectedError as exc:
         _fail("not-singly-connected", str(exc))
+    except FactorTooLargeError as exc:
+        _fail("too-large", str(exc))
 
 
 def _render_result(net, args, result) -> int:

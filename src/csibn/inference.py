@@ -17,10 +17,12 @@ network builds it on its first query and keeps it.  Variable elimination is
 one collect pass toward the target on a clique tree of the maximal cliques
 of the network's min-fill triangulation (:func:`~csibn.transform.triangulation`),
 both built once and kept: each message is one einsum whose subscripts
-depend on its directed edge alone, the evidence is sliced out of the
-operands on its paths to the target instead of multiplied in, and a message
-out of a subtree without evidence is kept on the network for every later
-query and sliced where it enters those paths.  The
+depend on its directed edge alone, with every operand in elimination order
+and sent in one post-order fixed with the tree, the evidence is sliced out
+of the operands on its paths to the target instead of multiplied in, and a
+message out of a subtree without evidence is kept on the network for every
+later query and sliced where it enters those paths.  A clique of more than
+``_MAX_CLIQUE_ENTRIES`` entries is refused.  The
 polytree and cutset engines share one forest solver, run by one private walk
 object on its own copies of the cached compiled lists.  The evidence and
 each cutset branch are contexts, instantiated in place by one per-family
@@ -71,6 +73,11 @@ class ImpossibleEvidenceError(ValueError):
 
 class NotSinglyConnectedError(ValueError):
     """The network's undirected skeleton contains a cycle."""
+
+
+class FactorTooLargeError(ValueError):
+    """Variable elimination would multiply over a clique of more than
+    ``_MAX_CLIQUE_ENTRIES`` entries."""
 
 
 @dataclass(frozen=True)
@@ -179,7 +186,7 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     """``array`` divided by the power of two that brings its largest entry
     into [0.5, 1), and that power's exponent.  Exact in binary floating
     point, so it changes no quotient of normal numbers."""
-    peak = float(array.max())
+    peak = float(np.maximum.reduce(array, axis=None))
     if peak <= 0.0:
         return array, 0
     _, exponent = math.frexp(peak)
@@ -190,6 +197,9 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
 
 # np.einsum takes at most 31 operands under numpy 1.x
 _MAX_OPERANDS = 31
+# the clique budget: entries of the largest clique a message or root product
+# spans, 2 GiB of float64, which bounds every array a product allocates
+_MAX_CLIQUE_ENTRIES = 2**28
 # einsum subscript letters; a clique of more variables would need 2**52 entries
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # the index of an unobserved variable's axis
@@ -215,10 +225,12 @@ class _CliqueTree:
     call time.  A message out of a subtree that holds no evidence depends
     on the network alone, so ``messages`` keeps it, with its power-of-two
     exponent, once computed; one pass, :meth:`collect`, computes every
-    message a query needs.  Each node's clique is kept in elimination
-    order, and ``root`` maps each node to its tree's root.  ``excess``
-    counts, for the subtree below each node, the families there less the
-    variables whose home is there; see :meth:`barren`.
+    message a query needs, in the post-order ``order`` fixed here.  Each
+    node's clique and ``families`` are kept in elimination order, each array
+    in ``tables`` transposed to match (C-contiguous, read-only), so numpy
+    can merge the axes of every einsum.  ``root`` maps each node to its
+    tree's root.  ``excess`` counts, for the subtree below each node, the
+    families there less the variables whose home is there; see :meth:`barren`.
     """
 
     def __init__(self, net: Network):
@@ -233,8 +245,12 @@ class _CliqueTree:
                 near[b].append(a)
                 self.seps[a, b] = self.seps[b, a] = tuple(v for v in cliques[a] if v in cliques[b])
         self.near = tuple(tuple(sorted(ns)) for ns in near)
-        first = rank.__getitem__
-        self.owner = tuple(home[min(family + (v,), key=first)] for v, family in enumerate(parents))
+        spans = [tuple(sorted(ps + (v,), key=rank.__getitem__)) for v, ps in enumerate(parents)]
+        axes = [[(ps + (v,)).index(u) for u in spans[v]] for v, ps in enumerate(parents)]
+        arrays = [np.ascontiguousarray(table.transpose(axes[v])) for v, table in enumerate(tables)]
+        for array in arrays:
+            array.flags.writeable = False
+        self.owner = tuple(home[span[0]] for span in spans)
         owned = [[] for _ in cliques]
         for v, a in enumerate(self.owner):
             owned[a].append(v)
@@ -247,13 +263,14 @@ class _CliqueTree:
                 if c != up[a]:
                     root[c] = root[a]
                     downward.append(c)
+        self.order = {a: i for i, a in enumerate(reversed(downward))}
         self.excess = excess = [len(fs) - n for fs, n in zip(owned, homed)]
         for a in reversed(downward):
             if up[a] >= 0:
                 excess[up[a]] += excess[a]
         self.arity = arity = [table.shape[-1] for table in tables]
-        self.families = tuple(tuple(parents[v] + (v,) for v in vs) for vs in owned)
-        self.tables = tuple(tuple(tables[v] for v in vs) for vs in owned)
+        self.families = tuple(tuple(spans[v] for v in vs) for vs in owned)
+        self.tables = tuple(tuple(arrays[v] for v in vs) for vs in owned)
         self.sizes = tuple(math.prod(arity[v] for v in clique) for clique in cliques)
         self.plans: dict[tuple, tuple] = {}
         self.messages: dict[tuple, tuple] = {}
@@ -280,14 +297,14 @@ class _CliqueTree:
         count.  The last sums onto the separator with ``skip``; a root's
         (``skip`` -1) leaves its output to :meth:`send`.  No step takes more
         than ``_MAX_OPERANDS``; each but the last multiplies the leading
-        operands into one."""
+        operands into one over their letters, in order."""
         letter = dict(zip(self.cliques[a], _LETTERS))
         spell = lambda vs: "".join([letter[v] for v in vs])
         terms = [spell(vs) for vs in self.families[a]]
         terms += [spell(self.seps[a, c]) for c in self.near[a] if c != skip]
         steps = []
         while len(terms) > _MAX_OPERANDS:
-            keep = "".join(dict.fromkeys("".join(terms[:_MAX_OPERANDS])))
+            keep = "".join(sorted(set("".join(terms[:_MAX_OPERANDS])), key=_LETTERS.index))
             steps.append((",".join(terms[:_MAX_OPERANDS]) + "->" + keep, _MAX_OPERANDS))
             terms[:_MAX_OPERANDS] = [keep]
         out = spell(self.seps[a, skip]) if skip >= 0 else ""
@@ -304,7 +321,11 @@ class _CliqueTree:
         variable's letter is deleted from the subscripts, so the product
         never spans it; the messages come in without those axes.  The plan
         is keyed on the edge, or on ``a`` for a root, whose ``out`` letters
-        are appended here."""
+        are appended here.  A clique of more than ``_MAX_CLIQUE_ENTRIES``
+        entries raises :class:`FactorTooLargeError` before any einsum."""
+        if self.sizes[a] > _MAX_CLIQUE_ENTRIES:
+            budget = f"the budget of {_MAX_CLIQUE_ENTRIES:,}"
+            raise FactorTooLargeError(f"a clique of {self.sizes[a]:,} entries exceeds {budget}")
         steps = self.plans.get((a, skip))
         if steps is None:
             steps = self.plans[a, skip] = self.plan(a, skip)
@@ -331,14 +352,6 @@ class _CliqueTree:
         table, shift = _scaled(np.einsum(steps[-1][0], *operands))
         return table, exponent + shift
 
-    def enter(self, c: int, a: int, evidence: Mapping) -> tuple:
-        """The kept message from ``c`` to ``a`` and its exponent, indexed at
-        the ``evidence`` on their separator."""
-        vec, shift = self.messages[c, a]
-        if evidence.keys().isdisjoint(self.seps[c, a]):
-            return vec, shift
-        return vec[tuple([evidence.get(v, _ALL) for v in self.seps[c, a]])], shift
-
     def barren(self, c: int, a: int) -> bool:
         """Whether the message from ``c`` to ``a`` is all ones when no
         evidence lies on ``c``'s side: that side's families are exactly those
@@ -349,48 +362,64 @@ class _CliqueTree:
             return not self.excess[c]
         return self.excess[a] == len(self.seps[a, c])
 
+    def keep(self, c: int, a: int) -> int:
+        """Keep in ``messages`` the message from ``c`` to ``a`` of a subtree
+        without evidence, and each it needs: a read-only view of 1.0 if
+        barren, else computed once over its whole separator, in post-order
+        without recursion.  Returns the number computed."""
+        messages, near, computed, stack = self.messages, self.near, 0, [(c, a, False)]
+        while stack:
+            c, a, ready = stack.pop()
+            if ready:
+                incoming = [messages[d, c] for d in near[c] if d != a]
+                messages[c, a] = self.send(c, a, self.seps[c, a], {}, incoming)
+                computed += 1
+            elif self.barren(c, a):
+                messages[c, a] = np.broadcast_to(1.0, [self.arity[v] for v in self.seps[c, a]]), 0
+            else:
+                stack.append((c, a, True))
+                stack += [(d, c, False) for d in near[c] if d != a and (d, c) not in messages]
+        return computed
+
     def collect(self, root: int, sources, out: tuple, evidence: Mapping, stats: dict) -> tuple:
         """``root``'s product over ``out`` given ``evidence`` (a value index
-        by variable), with its exponent, by one post-order pass over the
-        directed edges toward ``root``, without recursion.  A message out of
-        a node on the paths from ``sources`` (the homes of the evidence in
-        ``root``'s tree) to ``root`` has the evidence sliced out and serves
-        this query alone; a kept message is sliced where it enters those
-        paths.  Any other comes out of a subtree without evidence: it is
-        taken from ``messages``, or kept there as a read-only view of 1.0 if
-        barren, or computed once over its whole separator and kept.  Adds to
-        ``stats`` the messages computed and those taken or kept into the
-        paths, and widens its largest clique and width to the paths'
-        cliques, counted whole."""
-        near, seps, messages = self.near, self.seps, self.messages
+        by variable), with its exponent, on a static schedule.  The region,
+        the nodes on the paths from ``sources`` (the homes of the evidence in
+        ``root``'s tree) to ``root``, sends in the tree's post-order
+        (``order``): each region node off ``root``'s path to its tree's root
+        sends to ``up``, then that path sends down from its highest region
+        node to ``root``.  These messages have the evidence sliced out and
+        serve this query alone.  Every other message into the region comes
+        out of a subtree without evidence: it is taken from ``messages``, or
+        kept there by :meth:`keep`, and sliced at the evidence on its
+        separator.  Adds to ``stats`` the messages computed and those taken
+        or kept into the region, and widens its largest clique and width to
+        the region's cliques, counted whole."""
+        up, near, seps, messages = self.up, self.near, self.seps, self.messages
         region = self.region(root, sources)
+        path = [root]
+        while up[path[-1]] in region:
+            path.append(up[path[-1]])
+        schedule = [(a, up[a]) for a in sorted(region.difference(path), key=self.order.__getitem__)]
+        schedule += [(path[i], path[i - 1] if i else -1) for i in reversed(range(len(path)))]
         sent: dict[tuple, tuple] = {}
-        computed = cached = 0
-        stack = [(root, -1, False)]
-        while stack:
-            a, b, ready = stack.pop()
-            inside = a in region
-            if ready:
-                if inside:
-                    take = lambda c: sent[c, a] if c in region else self.enter(c, a, evidence)
-                    incoming = [take(c) for c in near[a] if c != b]
-                    sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, evidence, incoming)
-                else:
-                    incoming = [messages[c, a] for c in near[a] if c != b]
-                    messages[a, b] = self.send(a, b, seps[a, b], {}, incoming)
-                computed += b >= 0
-                continue
-            stack.append((a, b, True))
+        computed, cached = len(schedule) - 1, 0
+        for a, b in schedule:
+            incoming = []
             for c in near[a]:
                 if c == b:
                     continue
-                if c in region or not ((c, a) in messages or self.barren(c, a)):
-                    stack.append((c, a, False))
+                if c in region:
+                    incoming.append(sent[c, a])
                     continue
-                if (c, a) not in messages:
-                    shape = tuple(self.arity[v] for v in seps[c, a])
-                    messages[c, a] = np.broadcast_to(1.0, shape), 0
-                cached += inside
+                fresh = (c, a) not in messages and self.keep(c, a)
+                computed += fresh
+                cached += not fresh
+                vec, shift = messages[c, a]
+                if not evidence.keys().isdisjoint(seps[c, a]):
+                    vec = vec[tuple([evidence.get(v, _ALL) for v in seps[c, a]])]
+                incoming.append((vec, shift))
+            sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, evidence, incoming)
         stats["computed_messages"] += computed
         stats["cached_messages"] += cached
         largest = max(self.sizes[a] for a in region)
@@ -407,10 +436,11 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
 
     The tree (:class:`_CliqueTree`) is built once per network from its
     min-fill triangulation and kept beside the compiled form, and the root
-    is the node that holds the target's own family.  One post-order pass
-    over the directed edges toward the root computes every message the
-    query needs, each by one einsum over its node's family arrays and
-    incoming messages.  Those on the tree paths from each evidence
+    is the node that holds the target's own family.  One pass over the
+    directed edges toward the root, in one post-order of the tree fixed
+    when it is built, computes every message the query needs, each by one
+    einsum over its node's family arrays and incoming messages, all in
+    elimination order.  Those on the tree paths from each evidence
     variable's home to the root serve this query alone, and the evidence
     enters them by slicing: every operand there that holds an observed
     variable is indexed at its value, so no product spans an observed
@@ -423,7 +453,9 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     message, every root's product and every partial product of a node with
     more than ``_MAX_OPERANDS`` operands is rescaled by a power of two whose
     exponent is carried, so evidence of tiny but non-zero probability does
-    not underflow to an impossible-evidence error.  ``stats`` holds
+    not underflow to an impossible-evidence error.  A clique of more than
+    ``_MAX_CLIQUE_ENTRIES`` (2**28) entries raises :class:`FactorTooLargeError`
+    before anything is multiplied over it.  ``stats`` holds
     ``largest_factor``, the entries of the largest clique on those paths,
     counted over all of its variables, and ``induced_width``, its variables
     less one, which the kept messages do not change; and the messages the

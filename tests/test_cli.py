@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from csibn import cutset, fixtures
+from csibn import cutset, fixtures, inference
 from csibn.cli import run
 from csibn.cutset import build_conditional_cutset
 from csibn.inference import Query, cutset_infer
@@ -301,6 +301,16 @@ class TestInfer:
         )
         assert code == 1
         assert err.startswith("error[impossible-evidence]: ")
+
+    def test_clique_over_the_budget_is_one_error_line(self, capsys, monkeypatch):
+        # fig1's cliques have 40, 32 and 16 entries
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 32)
+        for argv in (["-e", "S=s2"], ["-e", "S=s2", "--json"], []):
+            code, out, err = invoke(capsys, "infer", FIG1, "-q", "Z", "--method", "ve", *argv)
+            assert (code, out) == (1, "")
+            assert err == "error[too-large]: a clique of 40 entries exceeds the budget of 32\n"
+        code, _, err = invoke(capsys, "infer", FIG1, "-q", "Z", "-e", "S=s2", "--method", "cutset")
+        assert (code, err) == (0, "")
 
 
 class TestVacuous:

@@ -395,6 +395,68 @@ class TestVariableElimination:
                         q = Query(target, Context({observed: value}))
                         posteriors_close(variable_elimination(net, q), query_enumerate(net, q))
 
+    def test_path_above_the_target_sends_down(self, fig1, monkeypatch):
+        # evidence homed above the target's clique on its path to the tree's
+        # root: that path sends top-down, from the evidence's home to the
+        # target's clique, each node taking the message from its ``up``
+        net = windowed_net(np.random.default_rng(8), 40)
+        variable_elimination(net, Query("V0", Context()))
+        tree = net._clique_tree
+        index = {v: i for i, v in enumerate(net.var_names)}
+
+        def depth_above(target, observed):
+            a, steps = tree.owner[index[target]], 0
+            while a != tree.home[index[observed]]:
+                if a < 0:
+                    return -1
+                a, steps = tree.up[a], steps + 1
+            return steps
+
+        pairs = [(t, o) for t in net.var_names for o in net.var_names if t != o]
+        target, observed = max(pairs, key=lambda pair: depth_above(*pair))
+        assert depth_above(target, observed) >= 3
+        sent = []
+        real = inference._CliqueTree.send
+        monkeypatch.setattr(
+            inference._CliqueTree,
+            "send",
+            lambda t, a, skip, *args: sent.append((a, skip)) or real(t, a, skip, *args),
+        )
+        cases = [(net, target, observed, value) for value in ("t", "f")]
+        # fig1's tree is SUVW -> UVWX -> WXZ, the last its root
+        cases += [(fig1, t, e, fig1.values(e)[0]) for t, e in (("S", "Z"), ("U", "X"), ("W", "Z"))]
+        for net, target, observed, value in cases:
+            sent.clear()
+            q = Query(target, Context({observed: value}))
+            got = variable_elimination(net, q)
+            if net is fig1:
+                want, down = query_enumerate(net, q), 1
+            else:
+                want, down = cutset_infer(net, q, build_conditional_cutset(net)), 3
+            assert np.abs(np.subtract(got.posterior.probs, want.posterior.probs)).max() <= 1e-12
+            assert got.evidence_probability == pytest.approx(want.evidence_probability, rel=1e-12)
+            tree = net._clique_tree
+            assert sum(skip >= 0 and tree.up[skip] == a for a, skip in sent) >= down
+
+    def test_clique_over_the_budget_refused_before_any_einsum(self, fig1, monkeypatch):
+        sizes = inference._CliqueTree(fig1).sizes
+        assert sorted(sizes) == [16, 32, 40]
+        einsums = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: einsums.append(args) or real(*args))
+        q = Query("Z", Context({"S": fig1.values("S")[0]}))
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 15)
+        net = fixtures.load("fig1")
+        with pytest.raises(cb.FactorTooLargeError, match="entries exceeds the budget of 15$"):
+            variable_elimination(net, q)
+        assert einsums == [] and net._clique_tree.messages == {}
+        # the largest clique on the query's paths is 40 entries
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 39)
+        with pytest.raises(cb.FactorTooLargeError, match="a clique of 40 entries"):
+            variable_elimination(net, q)
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 40)
+        assert variable_elimination(net, q) == variable_elimination(fixtures.load("fig1"), q)
+
 
 # VE's counters for each target, given the first value of the last variable
 # (none when it is the target): the largest clique on the paths from the
@@ -406,6 +468,47 @@ PINNED_STATS = {
     "fig2": dict.fromkeys(("A", "B", "C", "D", "X"), (32, 4)),
     "fig3": dict.fromkeys(("A", "B1", "B2", "B3", "B4", "X"), (64, 5)),
 }
+
+
+# VE's counters (largest_factor, induced_width, computed_messages,
+# cached_messages) for each target given one other variable at its first
+# value, each query on a freshly loaded network.  In fig1's tree SUVW ->
+# UVWX -> WXZ (WXZ the root), evidence homed at WXZ (W, X, Z) on a target
+# whose family is in SUVW (S, U, V, W) sends down the whole path
+PINNED_PAIRS = {
+    "fig1": {
+        "S": {
+            "U": (40, 3, 1, 1), "V": (40, 3, 1, 1), "W": (40, 3, 2, 0),
+            "X": (40, 3, 2, 0), "Z": (40, 3, 2, 0),
+        },
+        "U": {
+            "S": (40, 3, 0, 1), "V": (40, 3, 1, 1), "W": (40, 3, 2, 0),
+            "X": (40, 3, 2, 0), "Z": (40, 3, 2, 0),
+        },
+        "V": {
+            "S": (40, 3, 0, 1), "U": (40, 3, 1, 1), "W": (40, 3, 2, 0),
+            "X": (40, 3, 2, 0), "Z": (40, 3, 2, 0),
+        },
+        "W": {
+            "S": (40, 3, 0, 1), "U": (40, 3, 1, 1), "V": (40, 3, 1, 1),
+            "X": (40, 3, 2, 0), "Z": (40, 3, 2, 0),
+        },
+        "X": {
+            "S": (40, 3, 1, 1), "U": (32, 3, 1, 1), "V": (32, 3, 1, 1),
+            "W": (32, 3, 2, 0), "Z": (32, 3, 2, 0),
+        },
+        "Z": {
+            "S": (40, 3, 2, 0), "U": (32, 3, 2, 0), "V": (32, 3, 2, 0),
+            "W": (16, 2, 2, 0), "X": (16, 2, 2, 0),
+        },
+    },
+    "fig2": {t: {e: (32, 4, 0, 0) for e in "ABCDX" if e != t} for t in "ABCDX"},
+    "fig3": {
+        t: {e: (64, 5, 0, 0) for e in ("A", "B1", "B2", "B3", "B4", "X") if e != t}
+        for t in ("A", "B1", "B2", "B3", "B4", "X")
+    },
+}
+VE_COUNTERS = ("largest_factor", "induced_width", "computed_messages", "cached_messages")
 
 
 # the cutset walk's counters (subtree_sums, component_weights, partitions,
@@ -463,6 +566,19 @@ class TestStats:
             stats = variable_elimination(net, Query(target, evidence)).stats
             got[target] = (stats["largest_factor"], stats["induced_width"])
         assert got == PINNED_STATS[fig]
+
+    @pytest.mark.parametrize("fig", sorted(PINNED_PAIRS))
+    def test_elimination_counters_pinned_for_each_evidence_variable(self, fig):
+        names = fixtures.load(fig).var_names
+        got = {}
+        for target in names:
+            for observed in names:
+                if observed != target:
+                    net = fixtures.load(fig)
+                    q = Query(target, Context({observed: net.values(observed)[0]}))
+                    stats = variable_elimination(net, q).stats
+                    got.setdefault(target, {})[observed] = tuple(stats[k] for k in VE_COUNTERS)
+        assert got == PINNED_PAIRS[fig]
 
     def test_read_only_empty_elsewhere_and_not_compared(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
@@ -1208,6 +1324,29 @@ class TestCompiledForm:
         assert not any(table.flags.writeable for table in tables)
         with pytest.raises(ValueError):
             tables[0][...] = 0.0
+
+    def test_clique_tree_arrays_span_their_families_in_elimination_order(self, fig1, fig2, fig3):
+        # so every einsum operand spells its letters in ascending order
+        rng = np.random.default_rng(29)
+        nets = [fig1, fig2, fig3, windowed_net(rng, 60)]
+        nets += [random_loopy_net(rng) for _ in range(10)]
+        for net in nets:
+            _, parents, _, compiled = _compile(net)[:4]
+            rank = triangulation(net)[1]
+            tree = inference._CliqueTree(net)
+            spans = [span for families in tree.families for span in families]
+            assert sorted(sorted(span) for span in spans) == sorted(
+                sorted(family + (v,)) for v, family in enumerate(parents)
+            )
+            for families, arrays in zip(tree.families, tree.tables):
+                assert len(families) == len(arrays)
+                for span, array in zip(families, arrays):
+                    assert list(span) == sorted(span, key=rank.__getitem__)
+                    assert array.flags.c_contiguous and not array.flags.writeable
+                    v = next(v for v in span if set(span) == {v, *parents[v]})
+                    declared = parents[v] + (v,)
+                    expected = compiled[v].transpose([declared.index(u) for u in span])
+                    assert array.shape == expected.shape and np.array_equal(array, expected)
 
     @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
     def test_interleaved_engines_match_a_fresh_copy(self, fig):

@@ -3,11 +3,12 @@
 A parent arc Y -> X is *vacuous* in context c when no root-to-leaf path of
 X's CPT-tree that is consistent with c tests Y: whatever value Y takes, the
 same leaf is reached, so the arc carries no information once c holds.
-Deleting vacuous arcs yields the context network, and ordinary d-separation
-on that thinner graph (conditioning additionally on the context variables)
-gives a sound, purely structural independence test.  Every consumer of
-that fact, the cutset builder and walk included, gets it from one family
-step, :func:`instantiate_family`.
+Deleting vacuous arcs yields the context network, and d-separation on that
+thinner graph given Z and the context variables, read as separation in the
+moral graph of the ancestors (Lauritzen, Dawid, Larsen & Leimer, Networks
+20, 1990), gives a sound, purely structural independence test.  Every
+consumer of that fact, the cutset builder and walk included, gets it from
+one family step, :func:`instantiate_family`.
 """
 
 from __future__ import annotations
@@ -103,48 +104,31 @@ def d_separated(
 
 
 def _d_separated(parents: Mapping[str, tuple[str, ...]], xs, ys, zs) -> bool:
-    """d-separation on the graph with the parent lists ``parents``, by a
-    reachability sweep over (node, arrival direction) states: a path is active
-    unless blocked by a non-collider in Z or by a collider with no descendant
-    in Z."""
-    children: dict[str, list[str]] = {v: [] for v in parents}
-    for v, family in parents.items():
-        for p in family:
-            children[p].append(v)
-    in_z_closure = set(zs)
-    frontier = list(zs)
-    while frontier:  # ancestors of Z, for collider openness
-        cur = frontier.pop()
-        for p in parents[cur]:
-            if p not in in_z_closure:
-                in_z_closure.add(p)
-                frontier.append(p)
-
-    # states: (node, "down") = reached along an arc into the node,
-    #         (node, "up")   = reached along an arc out of the node
-    visited: set[tuple[str, str]] = set()
-    queue: list[tuple[str, str]] = [(s, "up") for s in xs]
-    while queue:
-        node, direction = queue.pop()
-        if (node, direction) in visited:
-            continue
-        visited.add((node, direction))
-        if node in ys:
-            return False
-        if direction == "up":
-            if node in zs:
+    """d-separation on the graph with the parent lists ``parents``: Z
+    separates X from Y in the moral graph of the ancestors of X, Y and Z
+    (Lauritzen et al. 1990), so a search from X avoiding Z misses Y."""
+    ancestors, cliques = xs | ys | zs, {}
+    frontier = list(ancestors)
+    while frontier:  # each ancestor's family, its parents married, is a moral clique
+        v = frontier.pop()
+        family = (v, *parents[v])
+        for u in family:
+            cliques.setdefault(u, []).append(family)
+            if u not in ancestors:
+                ancestors.add(u)
+                frontier.append(u)
+    reached, frontier, spent = set(xs), list(xs), set()
+    while frontier:
+        for family in cliques[frontier.pop()]:
+            if family[0] in spent:  # each member is reached or in Z
                 continue
-            for p in parents[node]:
-                queue.append((p, "up"))
-            for c in children[node]:
-                queue.append((c, "down"))
-        else:
-            if node not in zs:
-                for c in children[node]:
-                    queue.append((c, "down"))
-            if node in in_z_closure:
-                for p in parents[node]:
-                    queue.append((p, "up"))
+            spent.add(family[0])
+            for v in family:
+                if v in ys:
+                    return False
+                if v not in reached and v not in zs:
+                    reached.add(v)
+                    frontier.append(v)
     return True
 
 

@@ -296,9 +296,8 @@ class _Builder:
             for p in parents:
                 if p in children:
                     children[p].append(c)
+        # never empty: a non-empty 2-core has an arc, whose parent is a candidate
         candidates = sorted(v for v, cs in children.items() if cs)
-        if not candidates:
-            raise RuntimeError("cyclic residual with no cuttable variable")
 
         cand_set = set(candidates)
         scored = [(v, self.score(families, v, children[v], cand_set)) for v in candidates]

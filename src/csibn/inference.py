@@ -186,10 +186,7 @@ def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     """``array`` divided by the power of two that brings its largest entry
     into [0.5, 1), and that power's exponent.  Exact in binary floating
     point, so it changes no quotient of normal numbers."""
-    peak = float(np.maximum.reduce(array, axis=None))
-    if peak <= 0.0:
-        return array, 0
-    _, exponent = math.frexp(peak)
+    _, exponent = math.frexp(float(np.maximum.reduce(array, axis=None)))
     return (np.ldexp(array, -exponent) if exponent else array), exponent
 
 
@@ -507,6 +504,37 @@ def _picker(indices):
     return itemgetter(*indices) if indices else lambda row: ()
 
 
+def _times(a, b):
+    """The product of the scaled terms ``a`` and ``b``, at most one of whose
+    values is a list, its largest entry brought into [0.5, 1).  A scaled term
+    is ``(value, exponent)``, worth ``value * 2 ** exponent``, its value a
+    float or a list of floats over the target's values; None is zero."""
+    if a is None or b is None:
+        return None
+    (x, x_exp), (y, y_exp) = a, b
+    if isinstance(y, list):
+        x, y = y, x
+    vector = isinstance(x, list)
+    # scaling by a positive number keeps the largest entry largest
+    peak, shift = math.frexp((max(x) if vector else x) * y)
+    value = [math.ldexp(v * y, -shift) for v in x] if vector else peak
+    return (value, x_exp + y_exp + shift) if peak else None
+
+
+def _plus(a, b):
+    """The sum of the scaled terms ``a`` and ``b`` (see :func:`_times`) at
+    the larger exponent, the other value scaled down to it: to 0 if the
+    exponents lie further apart than floats reach."""
+    if a is None or b is None:
+        return b if a is None else a
+    (x, x_exp), (y, y_exp) = a, b
+    if x_exp < y_exp:
+        (x, x_exp), (y, y_exp) = b, a
+    if isinstance(x, list):
+        return [p + math.ldexp(q, y_exp - x_exp) for p, q in zip(x, y)], x_exp
+    return x + math.ldexp(y, y_exp - x_exp), x_exp
+
+
 def _solve_component(root: int, parents, children, table, bound):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
@@ -743,8 +771,8 @@ class _Walk:
 
     def weight(self, part: frozenset, rows: list) -> list:
         """For each member of ``rows``, ``part``'s belief vector at the
-        target, a list, if it holds the target, else its total weight, with
-        its power-of-two exponent.  The members whose keys miss the memo are
+        target, a list, if it holds the target, else its total weight, as a
+        scaled term (:func:`_times`).  The members whose keys miss the memo are
         solved together, one per key, each table the solve reads taken per
         member from :meth:`family` and stacked on a leading member axis
         (:func:`_stacked`); a bound target's belief, of length 1, goes back at
@@ -764,8 +792,7 @@ class _Walk:
         exps = shifts.tolist() if isinstance(shifts, np.ndarray) else [shifts] * len(rows)
         for (key, row), vec, exponent in zip(todo.items(), vecs, exps):
             if root != self.target:
-                vec, shift = math.frexp(sum(vec))
-                exponent += shift
+                vec = sum(vec)
             elif row[root]:
                 vec, (value,) = [0.0] * len(self.values[root]), vec
                 vec[row[root] - 1] = value
@@ -776,45 +803,38 @@ class _Walk:
         """Weigh each component of ``pending`` disjoint from ``below``, which
         no binding beneath can change; returns the indices whose components
         are still pending, and, for each member of ``rows``, the product of
-        the weights: the target's vector (None unless weighed), a scale and an
-        exponent.  While a cycle is left, a component that is not a tree
-        stays pending."""
-        component, target, parents = self.component, self.target, self.parents
-        factors = [(None, 1.0, 0)] * len(rows)
+        the weights as a scaled term (:func:`_times`), a lone weight as
+        :meth:`weight` gives it.  While a cycle is left, a component that is
+        not a tree stays pending."""
+        factors = [(1.0, 0)] * len(rows)
         left, done = [], set()
         for i in pending:
-            part = component[i]
+            part = self.component[i]
             if part in done:
                 continue
             if not part.isdisjoint(below) or (
-                self.excess and sum(len(parents[v]) for v in part) != len(part) - 1
+                self.excess and sum(len(self.parents[v]) for v in part) != len(part) - 1
             ):
                 left.append(i)  # every index: a binding beneath may split part
                 continue
+            weights = self.weight(part, rows)
+            factors = [_times(f, w) for f, w in zip(factors, weights)] if done else weights
             done.add(part)
-            out = []
-            for (vec, scale, exponent), (weight, shift) in zip(factors, self.weight(part, rows)):
-                if target in part:
-                    vec, exponent = weight, exponent + shift
-                else:
-                    scale, rescale = math.frexp(scale * weight)
-                    exponent += shift + rescale
-                out.append((vec, scale, exponent))
-            factors = out
         return left, factors
 
     def visit(self, tree: "cutset_mod.CutsetTree", pending: list, rows: list) -> list:
         """For each member of the batch ``rows``, the sum over ``tree``'s live
         branches, those that agree with the evidence, of the product of the
-        weights of ``pending``'s components, as ``(value, exponent)``, or None
-        for zero; the value is a list over the target's values if the target's
-        component is pending, else a scalar.
+        weights of ``pending``'s components, as a scaled term (:func:`_times`),
+        its value a list if the target's component is pending.
 
         A leaf weighs every component.  A node weighs the components its
         subtree cannot change once, then adds up its branches, each binding its
-        value of the tested variable ``x``, in canonical branch order; the
-        branches that reach one child node and leave ``x``'s children the same
-        kept parents are one batch, bound and visited once.  A node's sum
+        value of the tested variable ``x``; the branches that reach one child
+        node and leave ``x``'s children the same kept parents are one batch,
+        bound and visited once.  Each member adds its branches as their batch
+        returns, in batch order, fixed by the tree and the evidence: batches
+        by first appearance over arcs, values and members.  A node's sum
         depends only on the node, ``excess`` (so a hit skips no leaf that would
         find a cycle) and the components that are pending or hold a variable
         its subtree tests, each with the values the member binds on what it
@@ -834,58 +854,30 @@ class _Walk:
             keys = [(head, pick(row)) for row in rows]
             todo = {key: row for key, row in zip(keys, rows) if key not in sums}
             if todo:
-                x, members, groups = self.index[tree.test], [], {}
+                x, groups = self.index[tree.test], {}
                 children = self.children[x]
                 for arc_values, child in tree.arcs:
                     for value in arc_values:
                         k = self.values[x].index(value)
                         if self.evidence[x] not in (0, k + 1):  # the evidence binds x otherwise
                             continue
-                        for row in todo.values():
+                        for key, row in todo.items():
                             row = row[:]
                             row[x] = k + 1
                             kept = tuple([self.family(c, row)[0] for c in children])
-                            group = groups.setdefault((id(child), kept), (child, []))
-                            group[1].append(len(members))
-                            members.append(row)
-                terms = [None] * len(members)
+                            groups.setdefault((id(child), kept), (child, []))[1].append((key, row))
+                total = dict.fromkeys(todo)
                 for (_, kept), (child, batch) in groups.items():
                     excess, saved = self.excess, self.bind(x, kept)
-                    batch_rows = [members[i] for i in batch]
-                    for i, term in zip(batch, self.visit(child, pending + [x], batch_rows)):
-                        terms[i] = term
+                    terms = self.visit(child, pending + [x], [row for _, row in batch])
+                    for (key, _), term in zip(batch, terms):
+                        total[key] = _plus(total[key], term)
                     self.excess = excess
                     for store, i, old in reversed(saved):
                         store[i] = old
-                for m, key in enumerate(todo):
-                    total = None
-                    for term in terms[m :: len(todo)]:  # the member's branches in order
-                        if term is None or total is None:
-                            total = total or term
-                            continue
-                        # align the smaller exponent's value to the larger
-                        (a, a_exp), (b, b_exp) = total, term
-                        if a_exp < b_exp:
-                            (a, a_exp), (b, b_exp) = term, total
-                        if isinstance(b, list):
-                            total = [p + math.ldexp(q, b_exp - a_exp) for p, q in zip(a, b)], a_exp
-                        else:
-                            total = a + math.ldexp(b, b_exp - a_exp), a_exp
-                    sums[key] = total
+                sums.update(total)
             totals = [sums[key] for key in keys]
-        out = []
-        for (vec, scale, exponent), total in zip(factors, totals):
-            if total is not None:
-                value, shift = total
-                if vec is not None:  # the target's vector, weighed here
-                    value, scale = vec, value * scale
-                vector = isinstance(value, list)
-                # scaling by a positive number keeps the largest entry largest
-                peak, rescale = math.frexp((max(value) if vector else value) * scale)
-                value = [math.ldexp(v * scale, -rescale) for v in value] if vector else peak
-                total = (value, exponent + shift + rescale) if peak else None
-            out.append(total)
-        return out
+        return [_times(factor, total) for factor, total in zip(factors, totals)]
 
 
 def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
@@ -924,18 +916,18 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     nodes and on their parents once the evidence is instantiated -- and each
     subtree sum once per distinct node, cycle count and state of the
     components it can see or change, so equal subtrees, which the builder
-    shares, share their sums.  Sums and weights carry power-of-two
-    exponents, so tiny evidence probabilities do not underflow, and each
-    member adds its branches in canonical branch order.  A branch
+    shares, share their sums.  Sums and weights carry power-of-two exponents,
+    so tiny evidence probabilities do not underflow, and each member adds its
+    branches in batch order, fixed by the tree and the evidence.  A branch
     contradicting evidence on a cutset variable weighs 0 and is skipped.
-    ``evaluations`` counts every branch and ``messages_computed`` the
-    messages solved, one per member of a batched solve.  ``stats`` holds the
-    sizes of the per-query memos (``subtree_sums`` and
-    ``component_weights``), ``partitions``, the component searches run (one
-    for the instantiated evidence, then one per batch bound on a variable
-    with children), and ``visits``, the cutset-tree nodes and leaves visited,
-    once per batch.  Raises :class:`NotSinglyConnectedError` when a branch
-    leaves a cycle, and ``ValueError`` for a malformed ``ct``.
+    ``evaluations`` counts every branch and ``messages_computed`` the messages
+    solved, one per member of a batched solve.  ``stats`` holds the sizes of
+    the per-query memos (``subtree_sums`` and ``component_weights``),
+    ``partitions``, the component searches run (one for the instantiated
+    evidence, then one per batch bound on a variable with children), and
+    ``visits``, the cutset-tree nodes and leaves visited, once per batch.
+    Raises :class:`NotSinglyConnectedError` when a branch leaves a cycle, and
+    ``ValueError`` for a malformed ``ct``.
     """
     net.check_context(query.evidence)
     walk = _Walk(net, query, ct)

@@ -1,9 +1,9 @@
 """Shared fixtures: independent oracles and seeded random network factories.
 
 The oracles here deliberately reimplement graph reasoning with different
-algorithms than the package (moralization instead of reachability
-sweeps, DFS instead of core peeling) so agreement is evidence, not
-tautology.
+algorithms than the package (a Bayes-ball sweep over arrival directions
+beside the package's moral ancestral graph, DFS instead of core peeling) so
+agreement is evidence, not tautology.
 """
 
 import itertools
@@ -155,6 +155,47 @@ def oracle_d_separated(net: Network, xs, ys, zs) -> bool:
     return True
 
 
+def oracle_bayes_ball(net: Network, xs, ys, zs) -> bool:
+    """d-separation by a reachability sweep over (node, arrival direction)
+    states: a path is active unless blocked by a non-collider in Z or by a
+    collider with no descendant in Z."""
+    xs, ys, zs = set(xs), set(ys), set(zs)
+    parents = {spec.var: spec.parents for spec in net.nodes}
+    children: dict[str, list[str]] = {v: [] for v in parents}
+    for v, family in parents.items():
+        for p in family:
+            children[p].append(v)
+    z_ancestors = set(zs)  # a collider in here has a descendant in Z
+    frontier = list(zs)
+    while frontier:
+        for p in parents[frontier.pop()]:
+            if p not in z_ancestors:
+                z_ancestors.add(p)
+                frontier.append(p)
+    # (node, "down"): reached along an arc into the node;
+    # (node, "up"): reached along an arc out of the node
+    visited: set[tuple[str, str]] = set()
+    queue: list[tuple[str, str]] = [(s, "up") for s in xs]
+    while queue:
+        node, direction = queue.pop()
+        if (node, direction) in visited:
+            continue
+        visited.add((node, direction))
+        if node in ys:
+            return False
+        if direction == "up":
+            if node in zs:
+                continue
+            queue += [(p, "up") for p in parents[node]]
+            queue += [(c, "down") for c in children[node]]
+        else:
+            if node not in zs:
+                queue += [(c, "down") for c in children[node]]
+            if node in z_ancestors:
+                queue += [(p, "up") for p in parents[node]]
+    return True
+
+
 def occurs_consistent(tree: CptTree, y: str, context: Mapping[str, str]) -> bool:
     """Does some root-to-leaf path consistent with ``context`` test ``y``?
 
@@ -285,6 +326,22 @@ def random_tree_net(rng, max_vars=6) -> Network:
         tested = _tested(tree)
         parents = tuple(p for p in names[:i] if p in tested)
         nodes.append(NodeSpec(name, parents, tree))
+    return Network(variables, tuple(nodes))
+
+
+def random_dag_net(rng, max_vars=12) -> Network:
+    """Random binary-variable DAG of 2 to ``max_vars`` nodes and random arc
+    density; each CPT is a random tree over a random subset of the node's
+    parents, so some declared arcs are never tested."""
+    n = int(rng.integers(2, max_vars + 1))
+    density = float(rng.uniform(0.1, 0.6))
+    names = [f"V{i}" for i in range(n)]
+    variables = tuple(Variable(v, ("t", "f")) for v in names)
+    nodes = []
+    for i, name in enumerate(names):
+        parents = tuple(p for p in names[:i] if rng.random() < density)
+        pool = [p for p in parents if rng.random() < 0.7][:3]
+        nodes.append(NodeSpec(name, parents, _random_tree(rng, pool)))
     return Network(variables, tuple(nodes))
 
 

@@ -23,9 +23,21 @@ from conftest import (
     contextually_independent,
     diamond_net,
     occurs_consistent,
+    oracle_bayes_ball,
     oracle_d_separated,
+    random_dag_net,
     random_tree_net,
 )
+
+
+def _disjoint_sets(rng, names):
+    """Random disjoint X, Y and Z of at most three of ``names`` each, X and Y
+    not empty: ``names`` holds two or more."""
+    names = [str(v) for v in rng.permutation(names)]
+    x = int(rng.integers(1, min(3, len(names) - 1) + 1))
+    y = x + int(rng.integers(1, min(3, len(names) - x) + 1))
+    z = y + int(rng.integers(0, min(3, len(names) - y) + 1))
+    return names[:x], names[x:y], names[y:z]
 
 
 class TestOccursConsistent:
@@ -144,8 +156,23 @@ class TestDSeparation:
                         got = d_separated(net, [x], [y], zs)
                         want = oracle_d_separated(net, [x], [y], zs)
                         assert got == want, (names, x, y, zs)
+                        assert got == oracle_bayes_ball(net, [x], [y], zs), (names, x, y, zs)
                         checked += 1
         assert checked > 1000
+
+    def test_set_queries_on_random_dags_match_both_oracles(self):
+        # multi-variable X, Y and Z on DAGs of up to 12 nodes, against the
+        # Bayes-ball sweep, which shares no step with the package's search
+        rng = np.random.default_rng(20261020)
+        checked = 0
+        while checked < 10_000:
+            net = random_dag_net(rng)
+            for _ in range(20):
+                xs, ys, zs = _disjoint_sets(rng, net.var_names)
+                got = d_separated(net, xs, ys, zs)
+                assert got == oracle_bayes_ball(net, xs, ys, zs), (net.edges(), xs, ys, zs)
+                assert got == oracle_d_separated(net, xs, ys, zs), (net.edges(), xs, ys, zs)
+                checked += 1
 
 
 class TestContextNetwork:
@@ -223,6 +250,47 @@ class TestCsiSeparated:
         assert csi_separated(net, ["A"], ["B"], [], {})
         assert not d_separated(net, ["A"], ["B"], [])
         assert ("A", "B") in context_network(net, {"C": "t"}).deleted_edges
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3"])
+    def test_is_d_separation_in_the_context_network_on_the_figures(self, fig):
+        # every context of at most one variable, every single-variable X and
+        # Y outside it, and every Z of the rest
+        net = fixtures.load(fig)
+        names = net.var_names
+        contexts = [{}] + [{v: x} for v in names for x in net.values(v)]
+        for context in contexts:
+            cn = context_network(net, context).network
+            free = [v for v in names if v not in context]
+            for x, y in itertools.permutations(free, 2):
+                others = [v for v in free if v not in (x, y)]
+                for r in range(len(others) + 1):
+                    for zs in itertools.combinations(others, r):
+                        got = csi_separated(net, [x], [y], zs, context)
+                        given = [*zs, *context]
+                        assert got == d_separated(cn, [x], [y], given), (context, x, y, zs)
+                        assert got == oracle_bayes_ball(cn, [x], [y], given), (context, x, y, zs)
+                        if not context:
+                            assert d_separated(net, [x], [y], zs) == got
+
+    def test_random_set_queries_match_bayes_ball_in_the_context_network(self):
+        # random DAGs, whose trees leave some declared arcs untested, and
+        # random tree-CPT networks, each under random contexts
+        rng = np.random.default_rng(20261021)
+        checked = 0
+        while checked < 10_000:
+            net = random_dag_net(rng) if checked % 2 else random_tree_net(rng, 8)
+            for _ in range(4):
+                bound = rng.permutation(net.var_names)[: int(rng.integers(len(net.var_names) - 1))]
+                context = {str(v): net.values(str(v))[int(rng.integers(2))] for v in bound}
+                cn = context_network(net, context).network
+                free = [v for v in net.var_names if v not in context]
+                for _ in range(10):
+                    xs, ys, zs = _disjoint_sets(rng, free)
+                    got = csi_separated(net, xs, ys, zs, context)
+                    given = [*zs, *context]
+                    assert got == d_separated(cn, xs, ys, given), (net.edges(), context, xs, ys, zs)
+                    assert got == oracle_bayes_ball(cn, xs, ys, given), (context, xs, ys, zs)
+                    checked += 1
 
     def test_builds_no_network(self, fig1, fig2, monkeypatch):
         built = []

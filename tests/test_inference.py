@@ -3,9 +3,12 @@
 import dataclasses
 import gc
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import csibn as cb
 from csibn import csi, fixtures, graphs, inference, model, transform
@@ -1155,6 +1158,82 @@ class TestCutsetInfer:
         assert query_enumerate(fig1, q).messages_computed == 0
         assert variable_elimination(fig1, q).messages_computed == 0
         assert cutset_infer(fig1, q, build_conditional_cutset(fig1)).messages_computed > 0
+
+
+def _worth(term) -> list:
+    """A scaled term's entries, exactly, one for a scalar; None is [0]."""
+    if term is None:
+        return [Fraction(0)]
+    value, exponent = term
+    return [Fraction(v) * Fraction(2) ** exponent for v in _listed(value)]
+
+
+def _listed(value) -> list:
+    return value if isinstance(value, list) else [value]
+
+
+# values 2^-60 to 2^60, or 0, at exponents far beyond the float range
+_VALUES = st.one_of(st.just(0.0), st.floats(2.0**-60, 2.0**60))
+_EXPONENTS = st.integers(-3000, 3000)
+_SCALARS = st.one_of(st.none(), st.tuples(_VALUES, _EXPONENTS))
+_VECTORS = st.one_of(st.none(), st.tuples(st.lists(_VALUES, min_size=3, max_size=3), _EXPONENTS))
+
+
+class TestScaledTerms:
+    """The cutset walk's scaled-term product and sum against exact
+    arithmetic: one rounding per entry, and for a sum the flush of a term
+    more than 1,074 binary places below the other."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_SCALARS, st.one_of(_SCALARS, _VECTORS))
+    @example((0.5, 3), ([0.5, 0.0, 0.75], -2))  # a list times a scalar
+    @example((0.0, 7), ([0.5, 0.25, 1.0], 4))  # a zero value is zero
+    @example((0.75, 1), ([0.0, 0.0, 0.0], 9))
+    @example(None, ([0.5, 0.25, 1.0], 4))
+    def test_product_is_exact_to_one_rounding(self, a, b):
+        got = inference._times(a, b)
+        assert got == inference._times(b, a)
+        (scale,), want = _worth(a), _worth(b)
+        want = [scale * w for w in want]
+        if not any(want):
+            assert got is None
+            return
+        value, exponent = got
+        assert isinstance(value, list) == (b is not None and isinstance(b[0], list))
+        assert 0.5 <= max(_listed(value)) < 1.0
+        for entry, exact in zip(_listed(value), want):
+            error = abs(Fraction(entry) * Fraction(2) ** exponent - exact)
+            assert error <= exact * Fraction(2) ** -53
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.tuples(_SCALARS, _SCALARS), st.tuples(_VECTORS, _VECTORS)))
+    @example(((0.5, 0), (0.75, -1100)))  # a gap beyond 1,074: the smaller term is 0
+    @example((([0.5, 0.25, 0.0], 10), ([1.0, 0.5, 0.75], -1070)))
+    @example(((0.0, 5), (0.75, -2000)))
+    @example((None, None))
+    def test_sum_is_exact_to_one_rounding_and_the_flush(self, pair):
+        a, b = pair
+        got = inference._plus(a, b)
+        assert got == inference._plus(b, a)
+        if a is None or b is None:
+            assert got == (b if a is None else a)
+            return
+        value, exponent = got
+        assert exponent == max(a[1], b[1])
+        unit = Fraction(2) ** exponent
+        for entry, x, y in zip(_listed(value), _worth(a), _worth(b)):
+            # one rounding of the sum, and the smaller term's, at worst half
+            # the least subnormal, 2^-1074, at the larger term's exponent
+            error = abs(Fraction(entry) * unit - (x + y))
+            assert error <= (x + y) * Fraction(2) ** -52 + unit * Fraction(2) ** -1074
+
+    def test_gap_beyond_the_float_range_flushes_the_smaller_term(self):
+        assert inference._plus((0.5, 0), (0.75, -1100)) == (0.5, 0)
+        assert inference._plus((0.75, -1100), (0.5, 0)) == (0.5, 0)
+        got = inference._plus(([0.5, 0.25], 10), ([1.0, 0.5], 10 - 1076))
+        assert got == ([0.5, 0.25], 10)
+        # within the range the smaller term survives as a subnormal
+        assert inference._plus((0.0, 0), (0.5, -1070)) == (math.ldexp(0.5, -1070), 0)
 
 
 class TestContextualIndependence:

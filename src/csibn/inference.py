@@ -21,23 +21,23 @@ depend on its directed edge alone, with every operand in elimination order
 and sent in one post-order fixed with the tree, the evidence is sliced out
 of the operands on its paths to the target instead of multiplied in, and a
 message out of a subtree without evidence is kept on the network for every
-later query and sliced where it enters those paths.  A clique of more than
-``_MAX_CLIQUE_ENTRIES`` entries is refused.  The
-polytree and cutset engines share one forest solver, run by one private walk
-object on its own copies of the cached compiled lists.  The evidence and
-each cutset branch are contexts, instantiated in place by one per-family
-step whose result -- kept parents and table -- depends only on the values
-bound on the family's variables and is memoized on the network.  The
-walk moves a batch of branches at once, one frame per cutset-tree level: the
-values of a tested variable that reach one child node and leave its children
-the same kept parents share one visit, its arcs and components, and one
-solve per component, the members' tables stacked on a leading axis.  Before
-a batch descends into a subtree its members are deduplicated on what the
-subtree can see, and each member keeps its own power-of-two exponent.  A
-component that no binding below a cutset-tree node can change is weighed
-once, at that node, and each subtree sum is computed once per query for each
-state of the components it can see, so equal subtrees, which the cutset
-builder shares, share it.
+later query and sliced where it enters those paths.  A clique over
+``_MAX_CLIQUE_ENTRIES`` is refused up front; messages are rescaled only if an
+answer nears underflow.  The polytree and cutset engines share one forest
+solver, run by one private walk object on its own copies of the cached
+compiled lists.  The evidence and each cutset branch are contexts,
+instantiated in place by one per-family step whose result -- kept parents and
+table -- depends only on the values bound on the family's variables and is
+memoized on the network.  The walk moves a batch of branches at once, one
+frame per cutset-tree level: the values of a tested variable that reach one
+child node, or equal ones, and leave its children the same kept parents share
+one visit, its arcs and components, and one solve per component, the members'
+tables stacked on a leading axis.  Before a batch descends into a subtree its
+members are deduplicated on what the subtree can see, and each member keeps
+its own power-of-two exponent.  A component that no binding below a
+cutset-tree node can change is weighed once, at that node, and each subtree
+sum is computed once per query for each state of the components it can see, so
+equal subtrees, which the cutset builder shares, share it.
 """
 
 from __future__ import annotations
@@ -184,9 +184,9 @@ def _compile(net: Network) -> tuple:
 
 def _scaled(array: np.ndarray) -> tuple[np.ndarray, int]:
     """``array`` divided by the power of two that brings its largest entry
-    into [0.5, 1), and that power's exponent.  Exact in binary floating
-    point, so it changes no quotient of normal numbers."""
-    _, exponent = math.frexp(float(np.maximum.reduce(array, axis=None)))
+    into [0.5, 1), or by 1 if that entry is 1 or more, and that power's
+    exponent, at most 0.  Exact in binary floating point."""
+    exponent = min(math.frexp(float(np.maximum.reduce(array, axis=None)))[1], 0)
     return (np.ldexp(array, -exponent) if exponent else array), exponent
 
 
@@ -197,6 +197,8 @@ _MAX_OPERANDS = 31
 # the clique budget: entries of the largest clique a message or root product
 # spans, 2 GiB of float64, which bounds every array a product allocates
 _MAX_CLIQUE_ENTRIES = 2**28
+# the least joint probability of a target value and the evidence sent unscaled
+_UNSCALED_FLOOR = 2.0**-900
 # einsum subscript letters; a clique of more variables would need 2**52 entries
 _LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
 # the index of an unobserved variable's axis
@@ -221,7 +223,7 @@ class _CliqueTree:
     and kept in ``plans``, and :meth:`send` deletes the observed letters at
     call time.  A message out of a subtree that holds no evidence depends
     on the network alone, so ``messages`` keeps it, with its power-of-two
-    exponent, once computed; one pass, :meth:`collect`, computes every
+    exponent (never positive), once computed; :meth:`collect` computes every
     message a query needs, in the post-order ``order`` fixed here.  Each
     node's clique and ``families`` are kept in elimination order, each array
     in ``tables`` transposed to match (C-contiguous, read-only), so numpy
@@ -312,17 +314,13 @@ class _CliqueTree:
         """Node ``a``'s product, summed onto ``out``, of its family arrays and
         the ``incoming`` messages (from every neighbor but ``skip``, -1 for
         none, in neighbor order) given ``evidence``, a value index by
-        variable, rescaled by a power of two; returns it and its exponent,
-        theirs included.  The evidence is sliced out: each family array that
-        holds an observed variable is indexed at its value and the
-        variable's letter is deleted from the subscripts, so the product
-        never spans it; the messages come in without those axes.  The plan
-        is keyed on the edge, or on ``a`` for a root, whose ``out`` letters
-        are appended here.  A clique of more than ``_MAX_CLIQUE_ENTRIES``
-        entries raises :class:`FactorTooLargeError` before any einsum."""
-        if self.sizes[a] > _MAX_CLIQUE_ENTRIES:
-            budget = f"the budget of {_MAX_CLIQUE_ENTRIES:,}"
-            raise FactorTooLargeError(f"a clique of {self.sizes[a]:,} entries exceeds {budget}")
+        variable; returns it unscaled, and the exponents of the messages and
+        of its partial products, each :func:`_scaled`, summed.  The evidence
+        is sliced out: each family array that holds an observed variable is
+        indexed at its value and the variable's letter is deleted from the
+        subscripts, so the product never spans it; the messages come in
+        without those axes.  The plan is keyed on the edge, or on ``a`` for a
+        root, whose ``out`` letters are appended here."""
         steps = self.plans.get((a, skip))
         if steps is None:
             steps = self.plans[a, skip] = self.plan(a, skip)
@@ -346,8 +344,7 @@ class _CliqueTree:
             table, shift = _scaled(np.einsum(subscripts, *operands[:count]))
             operands[:count] = [table]
             exponent += shift
-        table, shift = _scaled(np.einsum(steps[-1][0], *operands))
-        return table, exponent + shift
+        return np.einsum(steps[-1][0], *operands), exponent
 
     def barren(self, c: int, a: int) -> bool:
         """Whether the message from ``c`` to ``a`` is all ones when no
@@ -359,39 +356,55 @@ class _CliqueTree:
             return not self.excess[c]
         return self.excess[a] == len(self.seps[a, c])
 
-    def keep(self, c: int, a: int) -> int:
-        """Keep in ``messages`` the message from ``c`` to ``a`` of a subtree
-        without evidence, and each it needs: a read-only view of 1.0 if
-        barren, else computed once over its whole separator, in post-order
-        without recursion.  Returns the number computed."""
-        messages, near, computed, stack = self.messages, self.near, 0, [(c, a, False)]
+    def unkept(self, edges: list) -> list:
+        """The messages that keeping those of ``edges``, out of subtrees
+        without evidence, takes and ``messages`` lacks: each an edge and
+        whether it is barren (then it takes none), after those it takes."""
+        stack, edges = list(edges), []
         while stack:
-            c, a, ready = stack.pop()
-            if ready:
-                incoming = [messages[d, c] for d in near[c] if d != a]
-                messages[c, a] = self.send(c, a, self.seps[c, a], {}, incoming)
-                computed += 1
-            elif self.barren(c, a):
-                messages[c, a] = np.broadcast_to(1.0, [self.arity[v] for v in self.seps[c, a]]), 0
+            c, a = stack.pop()
+            if (c, a) not in self.messages:
+                edges.append((c, a, self.barren(c, a)))
+                stack += [] if edges[-1][2] else [(d, c) for d in self.near[c] if d != a]
+        return edges[::-1]
+
+    def keep(self, edges: list) -> None:
+        """Keep each of ``edges`` (see :meth:`unkept`) in ``messages``, in order:
+        a read-only 1.0 if barren, else sent without evidence, :func:`_scaled`."""
+        for c, a, barren in edges:
+            if barren:
+                table, exponent = np.broadcast_to(1.0, [self.arity[v] for v in self.seps[c, a]]), 0
             else:
-                stack.append((c, a, True))
-                stack += [(d, c, False) for d in near[c] if d != a and (d, c) not in messages]
-        return computed
+                incoming = [self.messages[d, c] for d in self.near[c] if d != a]
+                table, exponent = self.send(c, a, self.seps[c, a], {}, incoming)
+            table, shift = _scaled(table)
+            self.messages[c, a] = table, exponent + shift
 
     def collect(self, root: int, sources, out: tuple, evidence: Mapping, stats: dict) -> tuple:
         """``root``'s product over ``out`` given ``evidence`` (a value index
-        by variable), with its exponent, on a static schedule.  The region,
-        the nodes on the paths from ``sources`` (the homes of the evidence in
-        ``root``'s tree) to ``root``, sends in the tree's post-order
-        (``order``): each region node off ``root``'s path to its tree's root
-        sends to ``up``, then that path sends down from its highest region
-        node to ``root``.  These messages have the evidence sliced out and
-        serve this query alone.  Every other message into the region comes
-        out of a subtree without evidence: it is taken from ``messages``, or
-        kept there by :meth:`keep`, and sliced at the evidence on its
-        separator.  Adds to ``stats`` the messages computed and those taken
-        or kept into the region, and widens its largest clique and width to
-        the region's cliques, counted whole."""
+        by variable), :func:`_scaled`, and its exponent, on a static schedule.
+        The region, the nodes on the paths from ``sources`` (the homes of the
+        evidence in ``root``'s tree) to ``root``, sends in the tree's
+        post-order (``order``): each region node off ``root``'s path to its
+        tree's root sends to ``up``, then that path sends down from its
+        highest region node to ``root``.  These messages have the evidence
+        sliced out and serve this query alone, unscaled.  Every other message
+        into the region comes out of a subtree without evidence: it is taken
+        from ``messages``, or kept there first (:meth:`keep`), and sliced at
+        the evidence on its separator.  A clique over ``_MAX_CLIQUE_ENTRIES``
+        in the region, or sending a message to keep, raises
+        :class:`FactorTooLargeError` before any einsum.  Adds to ``stats`` the
+        messages computed and those taken or kept into the region, and widens
+        its largest clique and width to the region's cliques, counted whole.
+
+        Unless the root product is finite and its smallest entry times two to
+        its exponent, the least joint probability of an ``out`` value and the
+        evidence, is at least ``_UNSCALED_FLOOR``, the schedule is sent again
+        with each message :func:`_scaled` (``rescaled_passes``).  No array of
+        the unscaled pass is scaled down, so each value is at least its true
+        value times one power of two: one that flushes to 0 or a subnormal is
+        below 2**-1022 in true terms, negligible next to each root entry.
+        Powers of two scale exactly, so above the floor both passes agree."""
         up, near, seps, messages = self.up, self.near, self.seps, self.messages
         region = self.region(root, sources)
         path = [root]
@@ -399,31 +412,43 @@ class _CliqueTree:
             path.append(up[path[-1]])
         schedule = [(a, up[a]) for a in sorted(region.difference(path), key=self.order.__getitem__)]
         schedule += [(path[i], path[i - 1] if i else -1) for i in reversed(range(len(path)))]
+        entries = [(c, a) for a, b in schedule for c in near[a] if c != b and c not in region]
+        unkept = self.unkept(entries)
+        fresh = {(c, a) for c, a, barren in unkept if not barren}
+        largest = max(self.sizes[a] for a in [*region, *(c for c, _ in fresh)])
+        if largest > _MAX_CLIQUE_ENTRIES:
+            budget = f"the budget of {_MAX_CLIQUE_ENTRIES:,}"
+            raise FactorTooLargeError(f"a clique of {largest:,} entries exceeds {budget}")
+        self.keep(unkept)
         sent: dict[tuple, tuple] = {}
-        computed, cached = len(schedule) - 1, 0
-        for a, b in schedule:
-            incoming = []
-            for c in near[a]:
-                if c == b:
-                    continue
-                if c in region:
-                    incoming.append(sent[c, a])
-                    continue
-                fresh = (c, a) not in messages and self.keep(c, a)
-                computed += fresh
-                cached += not fresh
-                vec, shift = messages[c, a]
-                if not evidence.keys().isdisjoint(seps[c, a]):
-                    vec = vec[tuple([evidence.get(v, _ALL) for v in seps[c, a]])]
-                incoming.append((vec, shift))
-            sent[a, b] = self.send(a, b, seps[a, b] if b >= 0 else out, evidence, incoming)
-        stats["computed_messages"] += computed
-        stats["cached_messages"] += cached
-        largest = max(self.sizes[a] for a in region)
-        widest = max(len(self.cliques[a]) for a in region) - 1
-        stats["largest_factor"] = max(stats["largest_factor"], largest)
-        stats["induced_width"] = max(stats["induced_width"], widest)
-        return sent[root, -1]
+        for rescaled in (False, True):
+            for a, b in schedule:
+                incoming = []
+                for c in near[a]:
+                    if c == b:
+                        continue
+                    if c in region:
+                        incoming.append(sent[c, a])
+                        continue
+                    vec, shift = messages[c, a]
+                    if not evidence.keys().isdisjoint(seps[c, a]):
+                        vec = vec[tuple([evidence.get(v, _ALL) for v in seps[c, a]])]
+                    incoming.append((vec, shift))
+                table, exponent = self.send(a, b, seps[a, b] if b >= 0 else out, evidence, incoming)
+                if rescaled or b < 0:
+                    table, shift = _scaled(table)
+                    exponent += shift
+                sent[a, b] = table, exponent
+            least = math.ldexp(float(table.min()), exponent)
+            if rescaled or _UNSCALED_FLOOR <= least and math.isfinite(table.sum()):
+                break
+            stats["rescaled_passes"] += 1
+        stats["computed_messages"] += len(schedule) - 1 + len(fresh)
+        stats["cached_messages"] += sum(edge not in fresh for edge in entries)
+        stats["largest_factor"] = max(stats["largest_factor"], *(self.sizes[a] for a in region))
+        width = max(len(self.cliques[a]) for a in region) - 1
+        stats["induced_width"] = max(stats["induced_width"], width)
+        return table, exponent
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
@@ -446,18 +471,19 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     computed the first time a query needs it and kept, unless it sums out
     to 1, and it is sliced where it enters the paths.  Each other connected
     component that holds evidence is collected to its own root, and the
-    probability of its evidence multiplies into the answer.  Every
-    message, every root's product and every partial product of a node with
-    more than ``_MAX_OPERANDS`` operands is rescaled by a power of two whose
+    probability of its evidence multiplies into the answer.  Messages are
+    sent unscaled, and a pass that underflows, or in which a target value's
+    joint probability with the evidence is below ``_UNSCALED_FLOOR``
+    (2**-900), is sent again with each rescaled by a power of two whose
     exponent is carried, so evidence of tiny but non-zero probability does
     not underflow to an impossible-evidence error.  A clique of more than
     ``_MAX_CLIQUE_ENTRIES`` (2**28) entries raises :class:`FactorTooLargeError`
-    before anything is multiplied over it.  ``stats`` holds
-    ``largest_factor``, the entries of the largest clique on those paths,
-    counted over all of its variables, and ``induced_width``, its variables
-    less one, which the kept messages do not change; and the messages the
-    query computed (``computed_messages``) and took from those kept
-    (``cached_messages``).
+    before the first message.  ``stats`` holds ``largest_factor``, the
+    entries of the largest clique on those paths, counted over all of its
+    variables, and ``induced_width``, its variables less one, which the kept
+    messages do not change; the messages the query computed
+    (``computed_messages``) and took from those kept (``cached_messages``);
+    and the passes sent again (``rescaled_passes``).
     """
     net.check_context(query.evidence)
     index = _compile(net)[0]
@@ -472,7 +498,7 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     target = index[query.target]
     root = tree.owner[target]
     counters = ("largest_factor", "induced_width", "computed_messages", "cached_messages")
-    stats = dict.fromkeys(counters, 0)
+    stats = dict.fromkeys(counters + ("rescaled_passes",), 0)
     homes = sources.pop(tree.root[root], ())
     weights, exponent = tree.collect(root, homes, (target,), evidence, stats)
     for other in sorted(sources):
@@ -490,7 +516,7 @@ def _scaled_rows(array: np.ndarray) -> tuple:
     batch, with a vector of exponents; a 1-D ``array`` is one row."""
     if array.ndim == 1:
         return _scaled(array)
-    _, exponent = np.frexp(array.max(axis=1))
+    exponent = np.minimum(np.frexp(array.max(axis=1))[1], 0)
     return np.ldexp(array, -exponent[:, None]), exponent
 
 
@@ -639,13 +665,12 @@ class _Walk:
         kept = [self.family(c, self.evidence)[0] for c in range(len(names))]
         self.instantiate(range(len(names)), kept, [])
         self.reduced_parents = tuple(self.parents)  # under the evidence alone
-        # kept on the network for the last tree queried: below-sets and the
-        # branch count
+        # kept on the network for the last tree queried: below-sets, the
+        # equal-node map and the branch count
         if net._cutset_walk is None or net._cutset_walk[0] is not ct:
-            self.below: dict[int, frozenset] = {}
             self.index_tree(ct)
-            net._cutset_walk = ct, self.below, cutset_mod.count_branches(ct)
-        _, self.below, self.evaluations = net._cutset_walk
+            net._cutset_walk = ct, self.below, self.same, cutset_mod.count_branches(ct)
+        _, self.below, self.same, self.evaluations = net._cutset_walk
         self.cutset = self.below[id(ct)]
         self.component = [frozenset()] * len(names)
         self.interned: dict[frozenset, frozenset] = {}
@@ -658,15 +683,19 @@ class _Walk:
 
     def index_tree(self, tree: "cutset_mod.CutsetTree") -> None:
         """Record in ``below``, by ``id``, the indices of the variables each
-        distinct node of ``tree`` tests.  Raises ``ValueError`` unless each
-        node tests a variable of the network, its arcs cover that variable's
-        values, each once, and its test is not tested again beneath it, where
-        a batch would hold both its values."""
-        below = self.below
+        distinct node of ``tree`` tests, and in ``same`` the first equal
+        node's ``id``.  Raises ``ValueError`` unless each node tests a variable
+        of the network, its arcs cover that variable's values, each once, and
+        its test is not tested again beneath it, where a batch would hold both."""
+        self.below, self.same = below, same = {}, {}
+        first: dict[tuple, int] = {}
         for node in cutset_mod._distinct_nodes(tree):
-            if isinstance(node, cutset_mod.EmptyLeaf):
+            if isinstance(node, cutset_mod.EmptyLeaf):  # one object
                 below[id(node)] = frozenset()
+                same[id(node)] = id(node)
                 continue
+            key = (node.test, *[(values, same[id(child)]) for values, child in node.arcs])
+            same[id(node)] = first.setdefault(key, id(node))
             if node.test not in self.index:
                 raise ValueError(f"cutset node {node.test!r} tests no variable of the network")
             x = self.index[node.test]
@@ -831,15 +860,15 @@ class _Walk:
         A leaf weighs every component.  A node weighs the components its
         subtree cannot change once, then adds up its branches, each binding its
         value of the tested variable ``x``; the branches that reach one child
-        node and leave ``x``'s children the same kept parents are one batch,
-        bound and visited once.  Each member adds its branches as their batch
-        returns, in batch order, fixed by the tree and the evidence: batches
-        by first appearance over arcs, values and members.  A node's sum
-        depends only on the node, ``excess`` (so a hit skips no leaf that would
-        find a cycle) and the components that are pending or hold a variable
-        its subtree tests, each with the values the member binds on what it
-        sees; it is memoized on those, the components ordered by id, and one
-        member per key that misses descends."""
+        node, or equal ones (``same``), and leave ``x``'s children the same
+        kept parents are one batch, bound and visited once.  Each member adds
+        its branches as their batch returns, in batch order, fixed by the tree
+        and the evidence: batches by first appearance over arcs, values and
+        members.  A node's sum depends only on the node, ``excess`` (so a hit
+        skips no leaf that would find a cycle) and the components that are
+        pending or hold a variable its subtree tests, each with the values the
+        member binds on what it sees; it is memoized on those, the components
+        ordered by id, and one member per key that misses descends."""
         self.visits += 1
         component, below, sums = self.component, self.below[id(tree)], self.sums
         pending, factors = self.settle(pending, below, rows)
@@ -865,7 +894,8 @@ class _Walk:
                             row = row[:]
                             row[x] = k + 1
                             kept = tuple([self.family(c, row)[0] for c in children])
-                            groups.setdefault((id(child), kept), (child, []))[1].append((key, row))
+                            group = groups.setdefault((self.same[id(child)], kept), (child, []))
+                            group[1].append((key, row))
                 total = dict.fromkeys(todo)
                 for (_, kept), (child, batch) in groups.items():
                     excess, saved = self.excess, self.bind(x, kept)
@@ -894,9 +924,9 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     forest tells a leaf whether a cycle is left.
 
     The walk moves branches in batches.  The values of a tested variable
-    that lead to one child node (a grouped arc such as ``={t,f}``, or a flat
-    cutset's shared child) and leave its children the same kept parents are
-    bound together and walk that child once; a value whose kept parents
+    that lead to one child node, or to equal ones (a grouped arc such as
+    ``={t,f}``, or a flat cutset's shared child), and leave its children the
+    same kept parents are bound together and walk that child once; a value whose kept parents
     differ forms its own batch, so a batch of one is the plain walk.  A
     batch shares its arcs and components, and each component is solved once
     for all the members that need it, their tables stacked on a leading

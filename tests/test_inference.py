@@ -173,13 +173,16 @@ class TestVariableElimination:
         want = np.log(0.5) + 198 * np.log(0.01)
         # conditioning on the target gives two branches whose weights need
         # different power-of-two exponents
+        ve = variable_elimination(net, q)
         for result in (
-            variable_elimination(net, q),
+            ve,
             solve_singly_connected(net, q),
             cutset_infer(net, q, flat_cutset(net, [names[-1]])),
         ):
             assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
             assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
+        # the unscaled pass underflows, and the pass is sent again rescaled
+        assert ve.stats["rescaled_passes"] == 1
 
     def test_many_factors_in_one_bucket(self):
         # C -> F0..F199: the clique tree is a star of {F_i, C} cliques, and
@@ -202,6 +205,7 @@ class TestVariableElimination:
         )
         steps = max(net._clique_tree.plans.values(), key=len)
         assert len(steps) == 7 and all(n <= inference._MAX_OPERANDS for _, n in steps)
+        assert got.stats["rescaled_passes"] == 1
 
     def test_log_evidence_probability_every_engine(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
@@ -460,6 +464,85 @@ class TestVariableElimination:
         monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 40)
         assert variable_elimination(net, q) == variable_elimination(fixtures.load("fig1"), q)
 
+    def test_clique_over_the_budget_refused_before_the_first_send(self, fig1, monkeypatch):
+        # fig1's tree is SUVW (40 entries) -> UVWX (32) -> WXZ (16), WXZ its
+        # root.  Given Z, P(S) sends WXZ, then UVWX, then SUVW's root product;
+        # P(Z) sends only WXZ's, but keeps the messages out of UVWX and SUVW
+        einsums = []
+        real = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *args: einsums.append(args) or real(*args))
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 39)
+        for target, evidence in (("S", {"Z": fig1.values("Z")[0]}), ("Z", {})):
+            net = fixtures.load("fig1")
+            with pytest.raises(cb.FactorTooLargeError, match="a clique of 40 entries"):
+                variable_elimination(net, Query(target, Context(evidence)))
+            assert einsums == [] and net._clique_tree.messages == {}
+        monkeypatch.setattr(inference, "_MAX_CLIQUE_ENTRIES", 40)
+        sent = []
+        real_send = inference._CliqueTree.send
+        monkeypatch.setattr(
+            inference._CliqueTree,
+            "send",
+            lambda t, a, skip, *args: sent.append(t.sizes[a]) or real_send(t, a, skip, *args),
+        )
+        variable_elimination(net, Query("S", Context({"Z": fig1.values("Z")[0]})))
+        assert sent == [16, 32, 40]
+
+    @staticmethod
+    def _near_floor(evidence: int, unlikely: float | None) -> tuple:
+        # V0 -> ... -> V159 with P(t | t) = 0.01: evidence t on V6..V(5 +
+        # evidence) asked about V5, whose ancestors send kept messages; with
+        # ``unlikely``, V5 has an observed child Y, P(Y=t | V5=f) = unlikely
+        net = binary_chain(160, stay=0.01, leave=0.6)
+        observed = {v: "t" for v in net.var_names[6 : 6 + evidence]}
+        if unlikely is not None:
+            leaf = lambda p: Leaf(Distribution((p, 1.0 - p)))
+            y = NodeSpec("Y", ("V5",), Node("V5", (("t", leaf(0.5)), ("f", leaf(unlikely)))))
+            net = Network(net.variables + (Variable("Y", ("t", "f")),), net.nodes + (y,))
+            observed["Y"] = "t"
+        return net, Query("V5", Context(observed))
+
+    @pytest.mark.parametrize(
+        "evidence, unlikely, log2_joints, rescaled",
+        [
+            (135, None, (-898.36, -891.68), 0),  # every joint above 2**-900
+            (136, None, (-905.00, -898.32), 1),  # P(e) above, P(V5=t, e) below
+            (137, None, (-911.65, -904.96), 1),  # P(e) below
+            # P(e) far above, but P(V5=f, e) below the least normal float
+            (130, 1e-70, (-866.14, -1090.99), 1),
+        ],
+    )
+    def test_evidence_probability_near_the_floor(
+        self, evidence, unlikely, log2_joints, rescaled, monkeypatch
+    ):
+        net, q = self._near_floor(evidence, unlikely)
+        got = variable_elimination(net, q)
+        log2 = got.log_evidence_probability / math.log(2.0)
+        joints = [log2 + math.log2(p) for p in got.posterior.probs]
+        assert joints == pytest.approx(log2_joints, abs=0.01)
+        assert got.stats["rescaled_passes"] == rescaled
+        assert all(shift <= 0 for _, shift in net._clique_tree.messages.values())
+        checks = [cutset_infer(net, q, build_conditional_cutset(net))]
+        monkeypatch.setattr(inference, "_UNSCALED_FLOOR", math.inf)
+        always = variable_elimination(self._near_floor(evidence, unlikely)[0], q)
+        assert always.stats["rescaled_passes"] == 1
+        for want in [always, *checks]:
+            # relative, so a joint that flushed to 0 or a subnormal fails
+            np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, rtol=1e-12)
+            assert got.evidence_probability == pytest.approx(want.evidence_probability, rel=1e-12)
+
+    def test_kept_messages_never_scaled_down(self):
+        # a kept message whose largest entry is 1 or more keeps its exponent
+        # at most 0, so no value the unscaled pass computes is below its true
+        # value times the pass's power of two
+        net = windowed_net(np.random.default_rng(0), 60)
+        for target in net.var_names:
+            result = variable_elimination(net, Query(target, Context()))
+            assert result.stats["rescaled_passes"] == 0
+        kept = net._clique_tree.messages.values()
+        assert all(shift <= 0 for _, shift in kept)
+        assert any(vec.max() > 1.0 for vec, _ in kept)
+
 
 # VE's counters for each target, given the first value of the last variable
 # (none when it is the target): the largest clique on the paths from the
@@ -581,6 +664,7 @@ class TestStats:
                     q = Query(target, Context({observed: net.values(observed)[0]}))
                     stats = variable_elimination(net, q).stats
                     got.setdefault(target, {})[observed] = tuple(stats[k] for k in VE_COUNTERS)
+                    assert stats["rescaled_passes"] == 0
         assert got == PINNED_PAIRS[fig]
 
     def test_read_only_empty_elsewhere_and_not_compared(self, fig1):
@@ -727,6 +811,61 @@ class TestCutsetInfer:
             with pytest.raises(ValueError, match="not for each of"):
                 cutset_infer(fig1, q, broken)
             assert fig1._cutset_walk[0] is tree
+
+    def test_equal_subtrees_answer_alike_shared_or_not(self):
+        # V0, V1 -> V2 -> V3 over the flat cutset V2, V3, asked about V2: when
+        # V2's arcs share their V3 node, V2's values reach it as one batch and
+        # V2's component is solved once, stacked for both, which rounds unlike
+        # two solves of one member each; two equal V3 nodes batch the same
+        leaf = lambda p: Leaf(Distribution((p, round(1.0 - p, 1))))
+        v2_given_v0 = Node("V0", (("t", leaf(0.5)), ("f", leaf(0.1))))
+        nodes = (
+            NodeSpec("V0", (), leaf(0.3)),
+            NodeSpec("V1", (), leaf(0.4)),
+            NodeSpec("V2", ("V0", "V1"), Node("V1", (("t", leaf(0.6)), ("f", v2_given_v0)))),
+            NodeSpec("V3", ("V2",), Node("V2", (("t", leaf(0.1)), ("f", leaf(0.8))))),
+        )
+        names = ("V0", "V1", "V2", "V3")
+        net = Network(tuple(Variable(v, ("t", "f")) for v in names), nodes)
+        v3 = lambda: CutsetNode("V3", ((("t",), EMPTY), (("f",), EMPTY)))
+        shared = v3()
+        trees = [CutsetNode("V2", ((("t",), shared), (("f",), shared)))]
+        trees.append(CutsetNode("V2", ((("t",), v3()), (("f",), v3()))))
+        assert trees[0] == flat_cutset(net, ["V2", "V3"])
+        q = Query("V2", Context())
+        got = [cutset_infer(parse_network(serialize_network(net)), q, t) for t in trees]
+        assert got[0] == got[1]
+        assert dict(got[0].stats) == dict(got[1].stats)
+        posteriors_close(got[0], query_enumerate(net, q), tol=1e-15)
+
+    def test_reused_subtree_sum_replays_the_one_recomputed(self):
+        # two triangles A -> B, A, B -> C and X -> Y, X, Y -> Z over the flat
+        # cutset A, X: C keeps B only when A is t, so A's values are two
+        # batches, each reaching an X node with the same pending state.  One
+        # shared X node reuses the first batch's sum; two equal X nodes
+        # compute it again, in the same order, so the answers are bit for bit
+        leaf = lambda p: Leaf(Distribution((p, round(1.0 - p, 2))))
+        on = lambda v, a, b: Node(v, (("t", leaf(a)), ("f", leaf(b))))
+        z_tree = Node("X", (("t", on("Y", 0.25, 0.5)), ("f", on("Y", 0.15, 0.65))))
+        nodes = (
+            NodeSpec("A", (), leaf(0.3)),
+            NodeSpec("B", ("A",), on("A", 0.6, 0.2)),
+            NodeSpec("C", ("A", "B"), Node("A", (("t", on("B", 0.7, 0.4)), ("f", leaf(0.9))))),
+            NodeSpec("X", (), leaf(0.55)),
+            NodeSpec("Y", ("X",), on("X", 0.35, 0.8)),
+            NodeSpec("Z", ("X", "Y"), z_tree),
+        )
+        net = Network(tuple(Variable(v, ("t", "f")) for v in "ABCXYZ"), nodes)
+        x = lambda: CutsetNode("X", ((("t",), EMPTY), (("f",), EMPTY)))
+        trees = [flat_cutset(net, ["A", "X"]), CutsetNode("A", ((("t",), x()), (("f",), x())))]
+        assert trees[0] == trees[1] and trees[1].arcs[0][1] is not trees[1].arcs[1][1]
+        q = Query("Z", Context({"C": "t"}))
+        got = [cutset_infer(parse_network(serialize_network(net)), q, t) for t in trees]
+        assert got[0] == got[1]
+        assert got[0].log_evidence_probability == got[1].log_evidence_probability
+        counts = [(r.stats["subtree_sums"], r.stats["visits"]) for r in got]
+        assert counts == [(2, 4), (3, 5)]
+        posteriors_close(got[0], query_enumerate(net, q))
 
     def test_built_and_flat_trees_accepted(self, fig1):
         rng = np.random.default_rng(7)

@@ -33,8 +33,9 @@ frame per cutset-tree level: the values of a tested variable that reach one
 child node, or equal ones, and leave its children the same kept parents share
 one visit, its arcs and components, and one solve per component, the members'
 tables stacked on a leading axis.  Before a batch descends into a subtree its
-members are deduplicated on what the subtree can see, and each member keeps
-its own power-of-two exponent.  A component that no binding below a
+members are deduplicated on what the subtree can see.  The walk runs in plain
+floating point and again, each member with its own power-of-two exponent,
+only if its answer nears underflow.  A component that no binding below a
 cutset-tree node can change is weighed once, at that node, and each subtree
 sum is computed once per query for each state of the components it can see, so
 equal subtrees, which the cutset builder shares, share it.
@@ -382,7 +383,8 @@ class _CliqueTree:
 
     def collect(self, root: int, sources, out: tuple, evidence: Mapping, stats: dict) -> tuple:
         """``root``'s product over ``out`` given ``evidence`` (a value index
-        by variable), :func:`_scaled`, and its exponent, on a static schedule.
+        by variable), :func:`_scaled`, its exponent and the number of messages
+        the region sends, which the query alone fixes, on a static schedule.
         The region, the nodes on the paths from ``sources`` (the homes of the
         evidence in ``root``'s tree) to ``root``, sends in the tree's
         post-order (``order``): each region node off ``root``'s path to its
@@ -448,7 +450,7 @@ class _CliqueTree:
         stats["largest_factor"] = max(stats["largest_factor"], *(self.sizes[a] for a in region))
         width = max(len(self.cliques[a]) for a in region) - 1
         stats["induced_width"] = max(stats["induced_width"], width)
-        return table, exponent
+        return table, exponent, len(schedule) - 1
 
 
 def variable_elimination(net: Network, query: Query) -> InferenceResult:
@@ -478,12 +480,14 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     exponent is carried, so evidence of tiny but non-zero probability does
     not underflow to an impossible-evidence error.  A clique of more than
     ``_MAX_CLIQUE_ENTRIES`` (2**28) entries raises :class:`FactorTooLargeError`
-    before the first message.  ``stats`` holds ``largest_factor``, the
-    entries of the largest clique on those paths, counted over all of its
-    variables, and ``induced_width``, its variables less one, which the kept
-    messages do not change; the messages the query computed
-    (``computed_messages``) and took from those kept (``cached_messages``);
-    and the passes sent again (``rescaled_passes``).
+    before the first message.  ``messages_computed`` counts the messages
+    sent on those paths, not those kept, so earlier queries do not change
+    it.  ``stats`` holds ``largest_factor``, the entries of the largest
+    clique on those paths, counted over all of its variables, and
+    ``induced_width``, its variables less one, which the kept messages do
+    not change; the messages the query computed (``computed_messages``) and
+    took from those kept (``cached_messages``); and the passes sent again
+    (``rescaled_passes``).
     """
     net.check_context(query.evidence)
     index = _compile(net)[0]
@@ -500,12 +504,13 @@ def variable_elimination(net: Network, query: Query) -> InferenceResult:
     counters = ("largest_factor", "induced_width", "computed_messages", "cached_messages")
     stats = dict.fromkeys(counters + ("rescaled_passes",), 0)
     homes = sources.pop(tree.root[root], ())
-    weights, exponent = tree.collect(root, homes, (target,), evidence, stats)
+    weights, exponent, messages = tree.collect(root, homes, (target,), evidence, stats)
     for other in sorted(sources):
-        scale, shift = tree.collect(other, sources[other], (), evidence, stats)
+        scale, shift, sent = tree.collect(other, sources[other], (), evidence, stats)
         weights, rescale = _scaled(weights * scale)
         exponent += shift + rescale
-    return _finish([float(w) for w in weights], 1, exponent, stats=MappingProxyType(stats))
+        messages += sent
+    return _finish([float(w) for w in weights], 1, exponent, messages, MappingProxyType(stats))
 
 
 # -- forest solver and cutset conditioning -----------------------------------
@@ -561,14 +566,29 @@ def _plus(a, b):
     return x + math.ldexp(y, y_exp - x_exp), x_exp
 
 
-def _solve_component(root: int, parents, children, table, bound):
+def _mul(a, b):
+    """The product of two plain terms, at most one of them a list."""
+    if type(a) is list:
+        return [v * b for v in a]
+    return [v * a for v in b] if type(b) is list else a * b
+
+
+def _add(a, b):
+    """The sum of two plain terms, both floats or both lists; None is zero."""
+    if a is None:
+        return b
+    return [p + q for p, q in zip(a, b)] if type(a) is list else a + b
+
+
+def _solve_component(root: int, parents, children, table, bound, scaled: bool):
     """Unnormalized belief vector at ``root`` over its singly connected
     component, times ``2 ** -exponent``; returns it, the exponent and the
     number of messages computed.
 
     One collect pass toward ``root``: a breadth-first order, then each node's
     π/λ message to its neighbor on the root side, in reverse order, each
-    rescaled by a power of two; the belief at ``root`` is left to the
+    rescaled by a power of two (:func:`_scaled_rows`) if ``scaled``, else
+    left as it is, its exponent 0; the belief at ``root`` is left to the
     caller, which multiplies it further, to rescale.  A λ message out of a
     subtree holding no observed node (one whose ``bound`` entry is not 0,
     its own axis sliced to its value) is all ones, so neither it nor any
@@ -607,7 +627,7 @@ def _solve_component(root: int, parents, children, table, bound):
         vec = np.einsum(*operands, [..., out])
         if u is None:  # the root's belief, which the caller rescales
             return vec, exponent, len(needed) - 1
-        msg[v], shift = _scaled_rows(vec)
+        msg[v], shift = _scaled_rows(vec) if scaled else (vec, 0)
         exponent = exponent + shift
 
 
@@ -642,10 +662,18 @@ class _Walk:
     on the cutset variables it sees (:meth:`seen`), which fix the arcs and
     tables inside it: its weight and, with a cutset-tree node and ``excess``,
     the node's subtree sum.
+
+    A member's weights, their products and its sums are *terms*: floats, or
+    lists over the target's values, multiplied and added by ``times`` and
+    ``plus`` -- as they are (:func:`_mul`, :func:`_add`), or, if ``scaled``,
+    as scaled terms (:func:`_times`, :func:`_plus`) of solves that rescale
+    every message, so that none underflows.
     """
 
-    def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree"):
+    def __init__(self, net: Network, query: Query, ct: "cutset_mod.CutsetTree", scaled=False):
         index, parents, children, tables, self.trees, self.families = _compile(net)
+        self.scaled = scaled
+        self.times, self.plus = (_times, _plus) if scaled else (_mul, _add)
         self.declared, self.compiled_tables = parents, tables
         # instantiate changes these two in place, so the walk holds its own lists
         self.parents, self.children = list(parents), list(children)
@@ -801,9 +829,9 @@ class _Walk:
     def weight(self, part: frozenset, rows: list) -> list:
         """For each member of ``rows``, ``part``'s belief vector at the
         target, a list, if it holds the target, else its total weight, as a
-        scaled term (:func:`_times`).  The members whose keys miss the memo are
-        solved together, one per key, each table the solve reads taken per
-        member from :meth:`family` and stacked on a leading member axis
+        term.  The members whose keys miss the memo are solved together, one
+        per key, each table the solve reads taken per member from
+        :meth:`family` and stacked on a leading member axis
         (:func:`_stacked`); a bound target's belief, of length 1, goes back at
         its value in a vector of zeros."""
         memo, (_, pick) = self.weights, self.seen(part)
@@ -814,29 +842,29 @@ class _Walk:
         rows = list(todo.values())
         table = lambda v: _stacked([self.family(v, row)[1] for row in rows])
         root = self.target if self.target in part else min(part)
-        vec, shifts, n = _solve_component(root, self.parents, self.children, table, rows[0])
+        graph = self.parents, self.children
+        vec, shift, n = _solve_component(root, *graph, table, rows[0], self.scaled)
         self.messages += n * len(rows)
         # a result without a member axis is every member's
         vecs = vec.tolist() if vec.ndim > 1 else [vec.tolist()] * len(rows)
-        exps = shifts.tolist() if isinstance(shifts, np.ndarray) else [shifts] * len(rows)
+        exps = shift.tolist() if isinstance(shift, np.ndarray) else [shift] * len(rows)
         for (key, row), vec, exponent in zip(todo.items(), vecs, exps):
             if root != self.target:
                 vec = sum(vec)
             elif row[root]:
                 vec, (value,) = [0.0] * len(self.values[root]), vec
                 vec[row[root] - 1] = value
-            memo[key] = vec, exponent
+            memo[key] = (vec, exponent) if self.scaled else vec
         return [memo[key] for key in keys]
 
     def settle(self, pending: list, below: frozenset, rows: list) -> tuple:
         """Weigh each component of ``pending`` disjoint from ``below``, which
         no binding beneath can change; returns the indices whose components
         are still pending, and, for each member of ``rows``, the product of
-        the weights as a scaled term (:func:`_times`), a lone weight as
-        :meth:`weight` gives it.  While a cycle is left, a component that is
+        the weights as a term, a lone weight as :meth:`weight` gives it, or
+        None if it weighs none.  While a cycle is left, a component that is
         not a tree stays pending."""
-        factors = [(1.0, 0)] * len(rows)
-        left, done = [], set()
+        factors, left, done = None, [], set()
         for i in pending:
             part = self.component[i]
             if part in done:
@@ -847,19 +875,20 @@ class _Walk:
                 left.append(i)  # every index: a binding beneath may split part
                 continue
             weights = self.weight(part, rows)
-            factors = [_times(f, w) for f, w in zip(factors, weights)] if done else weights
+            factors = weights if factors is None else list(map(self.times, factors, weights))
             done.add(part)
         return left, factors
 
     def visit(self, tree: "cutset_mod.CutsetTree", pending: list, rows: list) -> list:
         """For each member of the batch ``rows``, the sum over ``tree``'s live
         branches, those that agree with the evidence, of the product of the
-        weights of ``pending``'s components, as a scaled term (:func:`_times`),
-        its value a list if the target's component is pending.
+        weights of ``pending``'s components, as a term, a list if the target's
+        component is pending.
 
         A leaf weighs every component.  A node weighs the components its
         subtree cannot change once, then adds up its branches, each binding its
-        value of the tested variable ``x``; the branches that reach one child
+        value of the tested variable ``x``, and multiplies their product, if
+        any, by the sum; the branches that reach one child
         node, or equal ones (``same``), and leave ``x``'s children the same
         kept parents are one batch, bound and visited once.  Each member adds
         its branches as their batch returns, in batch order, fixed by the tree
@@ -875,7 +904,7 @@ class _Walk:
         if isinstance(tree, cutset_mod.EmptyLeaf):
             if self.excess:
                 raise NotSinglyConnectedError("network skeleton contains an undirected cycle")
-            totals = [(1.0, 0)] * len(rows)
+            return factors  # pending holds the target or the variable bound last
         else:
             parts = {component[i] for i in pending}.union(component[x] for x in below)
             head = (id(tree), self.excess, *sorted(parts, key=id))
@@ -901,13 +930,13 @@ class _Walk:
                     excess, saved = self.excess, self.bind(x, kept)
                     terms = self.visit(child, pending + [x], [row for _, row in batch])
                     for (key, _), term in zip(batch, terms):
-                        total[key] = _plus(total[key], term)
+                        total[key] = self.plus(total[key], term)
                     self.excess = excess
                     for store, i, old in reversed(saved):
                         store[i] = old
                 sums.update(total)
             totals = [sums[key] for key in keys]
-        return [_times(factor, total) for factor, total in zip(factors, totals)]
+        return totals if factors is None else list(map(self.times, factors, totals))
 
 
 def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> InferenceResult:
@@ -930,11 +959,9 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     differ forms its own batch, so a batch of one is the plain walk.  A
     batch shares its arcs and components, and each component is solved once
     for all the members that need it, their tables stacked on a leading
-    member axis.  Two rules keep this exact and bounded: before a batch
-    descends into a subtree, its members are deduplicated on the values that
-    subtree can see, so it never holds more members than the unbatched walk
-    would visit there; and every member carries its own power-of-two
-    exponent.
+    member axis.  Before a batch descends into a subtree, its members are
+    deduplicated on the values that subtree can see, so it never holds more
+    members than the unbatched walk would visit there.
 
     A branch's weight is the target component's belief vector times the
     total weight of every other component holding an evidence or bound
@@ -946,27 +973,40 @@ def cutset_infer(net: Network, query: Query, ct: "cutset_mod.CutsetTree") -> Inf
     nodes and on their parents once the evidence is instantiated -- and each
     subtree sum once per distinct node, cycle count and state of the
     components it can see or change, so equal subtrees, which the builder
-    shares, share their sums.  Sums and weights carry power-of-two exponents,
-    so tiny evidence probabilities do not underflow, and each member adds its
-    branches in batch order, fixed by the tree and the evidence.  A branch
-    contradicting evidence on a cutset variable weighs 0 and is skipped.
+    shares, share their sums.  Each member adds its branches in batch order,
+    fixed by the tree and the evidence.  A branch contradicting evidence on a
+    cutset variable weighs 0 and is skipped.
+
+    The walk runs in plain floating point and keeps its answer, each target
+    value's joint probability with the evidence, if it is finite and no
+    entry is below ``_UNSCALED_FLOOR`` (2**-900); else a fresh walk, whose
+    weights, sums and messages carry power-of-two exponents, each member its
+    own, answers (so does a value of probability 0).  Each term is at most 1,
+    so one that flushes is below 2**-1022, negligible next to every kept
+    entry, and powers of two scale exactly: above the floor both walks agree.
     ``evaluations`` counts every branch and ``messages_computed`` the messages
     solved, one per member of a batched solve.  ``stats`` holds the sizes of
     the per-query memos (``subtree_sums`` and ``component_weights``),
     ``partitions``, the component searches run (one for the instantiated
     evidence, then one per batch bound on a variable with children), and
-    ``visits``, the cutset-tree nodes and leaves visited, once per batch.
-    Raises :class:`NotSinglyConnectedError` when a branch leaves a cycle, and
+    ``visits``, the cutset-tree nodes and leaves visited, once per batch;
+    and ``rescaled_passes``, 1 if the rescaled walk ran, else 0.  Raises
+    :class:`NotSinglyConnectedError` when a branch leaves a cycle, and
     ``ValueError`` for a malformed ``ct``.
     """
     net.check_context(query.evidence)
-    walk = _Walk(net, query, ct)
-    total = walk.visit(ct, walk.pending, [walk.evidence])[0]
+    for scaled in (False, True):
+        walk = _Walk(net, query, ct, scaled)
+        total = walk.visit(ct, walk.pending, [walk.evidence])[0]
+        if scaled or math.isfinite(sum(total)) and min(total) >= _UNSCALED_FLOOR:
+            break
+    total = _times(total if scaled else (total, 0), (1.0, 0))  # largest entry into [0.5, 1)
     weights, exponent = (np.zeros(len(walk.values[walk.target])), 0) if total is None else total
     stats = MappingProxyType({
         "subtree_sums": len(walk.sums),
         "component_weights": len(walk.weights),
         "partitions": walk.partitions,
         "visits": walk.visits,
+        "rescaled_passes": int(scaled),
     })
     return _finish([float(w) for w in weights], walk.evaluations, exponent, walk.messages, stats)

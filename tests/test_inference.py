@@ -132,6 +132,18 @@ class TestEnumerate:
             query_enumerate(net, Query("D", Context({"B": "t", "C": "f"})))
 
 
+# evidence and ``unlikely`` of ``TestVariableElimination._near_floor``, the
+# log2 joint probability of each target value and the evidence, and whether
+# the answer comes from a rescaled pass or walk
+NEAR_FLOOR = [
+    (135, None, (-898.36, -891.68), 0),  # every joint above 2**-900
+    (136, None, (-905.00, -898.32), 1),  # P(e) above, P(V5=t, e) below
+    (137, None, (-911.65, -904.96), 1),  # P(e) below
+    # P(e) far above, but P(V5=f, e) below the least normal float
+    (130, 1e-70, (-866.14, -1090.99), 1),
+]
+
+
 class TestVariableElimination:
     def test_chain_textbook(self):
         net = chain_net()
@@ -173,16 +185,15 @@ class TestVariableElimination:
         want = np.log(0.5) + 198 * np.log(0.01)
         # conditioning on the target gives two branches whose weights need
         # different power-of-two exponents
-        ve = variable_elimination(net, q)
         for result in (
-            ve,
+            variable_elimination(net, q),
             solve_singly_connected(net, q),
             cutset_infer(net, q, flat_cutset(net, [names[-1]])),
         ):
             assert result.posterior.probs == pytest.approx((0.01, 0.99), rel=1e-12)
             assert result.log_evidence_probability == pytest.approx(want, rel=1e-9)
-        # the unscaled pass underflows, and the pass is sent again rescaled
-        assert ve.stats["rescaled_passes"] == 1
+            # the unscaled pass or walk underflows, and it runs again rescaled
+            assert result.stats["rescaled_passes"] == 1
 
     def test_many_factors_in_one_bucket(self):
         # C -> F0..F199: the clique tree is a star of {F_i, C} cliques, and
@@ -502,16 +513,7 @@ class TestVariableElimination:
             observed["Y"] = "t"
         return net, Query("V5", Context(observed))
 
-    @pytest.mark.parametrize(
-        "evidence, unlikely, log2_joints, rescaled",
-        [
-            (135, None, (-898.36, -891.68), 0),  # every joint above 2**-900
-            (136, None, (-905.00, -898.32), 1),  # P(e) above, P(V5=t, e) below
-            (137, None, (-911.65, -904.96), 1),  # P(e) below
-            # P(e) far above, but P(V5=f, e) below the least normal float
-            (130, 1e-70, (-866.14, -1090.99), 1),
-        ],
-    )
+    @pytest.mark.parametrize("evidence, unlikely, log2_joints, rescaled", NEAR_FLOOR)
     def test_evidence_probability_near_the_floor(
         self, evidence, unlikely, log2_joints, rescaled, monkeypatch
     ):
@@ -674,7 +676,7 @@ class TestStats:
             ve.stats["largest_factor"] = 0
         cutset = cutset_infer(fig1, q, build_conditional_cutset(fig1))
         assert dict(query_enumerate(fig1, q).stats) == {}
-        assert sorted(cutset.stats) == sorted(WALK_COUNTERS)
+        assert sorted(cutset.stats) == sorted(WALK_COUNTERS + ("rescaled_passes",))
         with pytest.raises(TypeError):
             cutset.stats["partitions"] = 0
         assert dataclasses.replace(ve, stats={}) == ve
@@ -682,6 +684,27 @@ class TestStats:
 
 
 class TestSinglyConnected:
+    @pytest.mark.parametrize("evidence, unlikely, log2_joints, rescaled", NEAR_FLOOR)
+    def test_walk_near_the_floor(self, evidence, unlikely, log2_joints, rescaled, monkeypatch):
+        # the walk keeps its plain answer by VE's rule: every target value's
+        # joint probability with the evidence at least 2**-900
+        net, q = TestVariableElimination._near_floor(evidence, unlikely)
+        got = solve_singly_connected(net, q)
+        log2 = got.log_evidence_probability / math.log(2.0)
+        assert [log2 + math.log2(p) for p in got.posterior.probs] == pytest.approx(
+            log2_joints, abs=0.01
+        )
+        assert got.stats["rescaled_passes"] == rescaled
+        monkeypatch.setattr(inference, "_UNSCALED_FLOOR", math.inf)
+        want = solve_singly_connected(net, q)
+        assert want.stats["rescaled_passes"] == 1
+        # relative, so a joint that flushed to 0 or a subnormal fails
+        np.testing.assert_allclose(got.posterior.probs, want.posterior.probs, rtol=1e-12)
+        assert got.evidence_probability == pytest.approx(want.evidence_probability, rel=1e-12)
+        assert got.log_evidence_probability == pytest.approx(
+            want.log_evidence_probability, rel=1e-12
+        )
+
     def test_chain_matches_oracle(self):
         net = chain_net()
         for target in "ABC":
@@ -1007,6 +1030,28 @@ class TestCutsetInfer:
         assert result.evaluations == len(cb.branch_contexts(tree))
         posteriors_close(result, query_enumerate(net, q))
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans())
+    def test_rescaled_walk_changes_no_bits(self, seed, loopy):
+        # above the floor the plain walk and the rescaled one, forced by an
+        # infinite floor, differ only by powers of two, which scale exactly
+        rng = np.random.default_rng(seed)
+        net = random_loopy_net(rng) if loopy else random_tree_net(rng)
+        tree = build_conditional_cutset(net)
+        names = net.var_names
+        target = names[int(rng.integers(len(names)))]
+        cut = [v for v in cutset_variables(tree) if v != target]
+        bound = {v for v in names if v != target and rng.random() < 0.4}
+        bound.update(cut[: int(rng.integers(len(cut) + 1))])  # cutset evidence
+        q = Query(target, Context({v: ("t", "f")[int(rng.integers(2))] for v in bound}))
+        got = cutset_infer(net, q, tree)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(inference, "_UNSCALED_FLOOR", math.inf)
+            want = cutset_infer(net, q, tree)
+        assert (got.stats["rescaled_passes"], want.stats["rescaled_passes"]) == (0, 1)
+        assert got == want  # posterior, P(e), log P(e), evaluations, messages
+        assert {**got.stats, "rescaled_passes": 1} == want.stats
+
     def test_matches_oracle_random_loopy(self):
         rng = np.random.default_rng(303)
         for _ in range(20):
@@ -1228,6 +1273,7 @@ class TestCutsetInfer:
         np.testing.assert_allclose(got.posterior.probs, want, atol=1e-9)
         assert got.log_evidence_probability == pytest.approx(total, rel=1e-9)
         assert total < -1100 * math.log(2)
+        assert got.stats["rescaled_passes"] == 1
 
     @pytest.mark.parametrize("x1_values", [("t", "f"), ("f", "t")])
     def test_reused_subtree_sum_never_hides_a_cycle(self, x1_values):
@@ -1292,11 +1338,16 @@ class TestCutsetInfer:
                 posteriors_close(cutset_infer(net, q, tree), want)
         assert bound_cutset >= 20
 
-    def test_engines_without_messages_count_none(self, fig1):
+    def test_messages_computed_by_each_engine(self, fig1):
         q = Query("Z", Context({"S": "s2"}))
         assert query_enumerate(fig1, q).messages_computed == 0
-        assert variable_elimination(fig1, q).messages_computed == 0
         assert cutset_infer(fig1, q, build_conditional_cutset(fig1)).messages_computed > 0
+        # VE counts the messages its query sends, not those it keeps for later
+        # queries: P(X | Z) sends WXZ's to UVWX and keeps SUVW's
+        net, q = fixtures.load("fig1"), Query("X", Context({"Z": fig1.values("Z")[0]}))
+        ve, again = variable_elimination(net, q), variable_elimination(net, q)
+        assert ve.messages_computed == again.messages_computed == 1
+        assert (ve.stats["computed_messages"], again.stats["computed_messages"]) == (2, 1)
 
 
 def _worth(term) -> list:
